@@ -29,7 +29,7 @@ from .errors import (
     InvalidShapeError,
     MoegeoError,
 )
-from .core import mutual_coherence
+from .core import mutual_coherence, softmax_rows, topk_indices
 from .infotheory import (
     CategoricalDist,
     RoutingBatch,
@@ -131,7 +131,7 @@ SCHEMAS = {
 }
 
 
-def _coerce(command, key, kind, value):
+def _coerce(key, kind, value):
     """Normalize a raw config-file or flag value to its schema type."""
     try:
         if kind == "int":
@@ -167,7 +167,7 @@ def _coerce(command, key, kind, value):
             f"{key} expects {kind}, got {value!r}") from None
 
 
-def _load_file(command, path, schema):
+def _load_file(path, schema):
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -179,7 +179,7 @@ def _load_file(command, path, schema):
     for key in raw:
         if key not in schema:
             raise InvalidConfigError(f"unknown key '{key}'")
-    return {k: _coerce(command, k, schema[k].kind, v) for k, v in raw.items()}
+    return {k: _coerce(k, schema[k].kind, v) for k, v in raw.items()}
 
 
 def resolve_config(command, args):
@@ -187,14 +187,14 @@ def resolve_config(command, args):
     schema = SCHEMAS[command]
     cfg = {k: f.default for k, f in schema.items()}
     if args.config:
-        cfg.update(_load_file(command, args.config, schema))
+        cfg.update(_load_file(args.config, schema))
     env_seed = os.environ.get("MOEGEO_SEED")
     if env_seed is not None and "seed" in schema:
-        cfg["seed"] = _coerce(command, "seed", "int", env_seed)
+        cfg["seed"] = _coerce("seed", "int", env_seed)
     for key, field in schema.items():
         flag_value = getattr(args, key.replace("-", "_"))
         if flag_value is not None:
-            cfg[key] = _coerce(command, key, field.kind, flag_value)
+            cfg[key] = _coerce(key, field.kind, flag_value)
     return cfg
 
 
@@ -314,11 +314,8 @@ def cmd_info(cfg, config_path):
     out = _prepare_output(cfg, config_path)
     e, k, t = cfg["experts"], cfg["k"], cfg["tokens"]
     gen = stream(cfg["seed"], "cli", "info")
-    logits = gen.standard_normal((t, e))
-    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs /= probs.sum(axis=1, keepdims=True)
-    selections = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, :k], axis=1)
-    batch = RoutingBatch(dense_probs=probs, selections=selections)
+    probs = softmax_rows(gen.standard_normal((t, e)))
+    batch = RoutingBatch(dense_probs=probs, selections=topk_indices(probs, k))
     p_bar = mean_routing_probs(batch)
     h_z, h_cond, mi = empirical_mi(batch)
     _write_json(out / "info.json", {

@@ -1,20 +1,27 @@
-"""Unit-norm dictionaries and least squares on index supports.
+"""Unit-norm dictionaries, least squares on supports, and shared primitives.
 
 A dictionary here is a d x N matrix whose columns are unit vectors (the
 atoms). Everything downstream, from greedy selection to the mixture-of-experts
 diagnostics, is phrased in terms of these columns and their inner products.
+Softmax, stable top-k, the guarded Cholesky factor and the enumeration bound
+live here once, for every module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidShapeError, SingularGramError, ZeroColumnError
+from .errors import (
+    InvalidShapeError, NotPSDError, SingularGramError, TooLargeError, ZeroColumnError,
+)
 
 # Pivot-ratio threshold below which a support's Gram matrix is rejected.
 _PIVOT_RTOL = 1e-12
+# Hard ceiling on the subsets an exhaustive search may enumerate.
+_MAX_ENUM = 10**7
 
 
 def _frozen_array(x, dtype=np.float64, ndim=None) -> np.ndarray:
@@ -134,6 +141,34 @@ def mutual_coherence(dictionary: UnitDictionary) -> float:
     return float(min(g.max(), 1.0))
 
 
+def softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, shifted by the maximum for stability."""
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the k largest scores on the last axis; ties to the lower index."""
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    return np.sort(order[..., :k], axis=-1)
+
+
+def psd_cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a matrix or a stack of them; NotPSDError if not PD."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NotPSDError(f"matrix of shape {a.shape} is not positive definite") from None
+
+
+def check_enumerable(n: int, k: int) -> None:
+    """Raise TooLargeError when the C(n, k) subsets exceed _MAX_ENUM."""
+    count = math.comb(n, k)
+    if count > _MAX_ENUM:
+        raise TooLargeError(f"C({n},{k}) = {count} subsets exceeds {_MAX_ENUM}")
+
+
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray, support) -> np.ndarray:
     """Solve gram @ x = rhs, rejecting ill-conditioned factorizations.
 
@@ -141,8 +176,8 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray, support) -> np.ndarray:
     pivot falls below _PIVOT_RTOL times the largest.
     """
     try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
+        chol = psd_cholesky(gram)
+    except NotPSDError:
         raise SingularGramError(support) from None
     pivots = np.diag(chol) ** 2
     if pivots.min() < _PIVOT_RTOL * pivots.max():

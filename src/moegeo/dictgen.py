@@ -6,7 +6,6 @@ All functions take a 64-bit master seed and draw from derived Philox streams
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,12 @@ from .errors import InvalidConfigError, InvalidKError, InvalidShapeError, Unreac
 _MAX_BISECT = 60
 
 
+def _haar_columns(gen: np.random.Generator, dim: int, n: int) -> np.ndarray:
+    """dim x n orthonormal columns from QR of a Gaussian draw, R's diagonal made positive."""
+    q, r = np.linalg.qr(gen.standard_normal((dim, n)))
+    return q * np.where(np.diag(r) < 0, -1.0, 1.0)
+
+
 def random_orthonormal_dictionary(dim: int, n_atoms: int, seed: int) -> UnitDictionary:
     """Haar-distributed orthonormal columns via QR with sign canonicalization.
 
@@ -28,11 +33,7 @@ def random_orthonormal_dictionary(dim: int, n_atoms: int, seed: int) -> UnitDict
     """
     if not 2 <= n_atoms <= dim:
         raise InvalidShapeError(f"need 2 <= n_atoms <= dim, got dim={dim}, n_atoms={n_atoms}")
-    gen = rng.stream(seed, "orthonormal")
-    g = gen.standard_normal((dim, n_atoms))
-    q, r = np.linalg.qr(g)
-    q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
-    return UnitDictionary(q)
+    return UnitDictionary(_haar_columns(rng.stream(seed, "orthonormal"), dim, n_atoms))
 
 
 def _blend(base: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
@@ -60,9 +61,7 @@ def coherent_dictionary(
         raise InvalidShapeError(f"need 2 <= n_atoms <= dim, got dim={dim}, n_atoms={n_atoms}")
 
     gen = rng.stream(seed, "coherent")
-    g = gen.standard_normal((dim, n_atoms))
-    q, r = np.linalg.qr(g)
-    q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
+    q = _haar_columns(gen, dim, n_atoms)
     u = gen.standard_normal(dim)
     u /= np.linalg.norm(u)
     base = q * np.where(q.T @ u < 0, -1.0, 1.0)
@@ -90,27 +89,18 @@ def coherent_dictionary(
     return result
 
 
-def planted_signal(
-    dictionary: UnitDictionary, k: int, seed: int, coeff_law: str = "rademacher"
-) -> TargetSignal:
+def planted_signal(dictionary: UnitDictionary, k: int, seed: int) -> TargetSignal:
     """Exact k-sparse combination of dictionary atoms with recorded truth.
 
-    The support is a uniform random k-subset. Coefficients are +-1 signs
-    ("rademacher", the default; equal magnitudes are the adversarial case for
-    greedy recovery) or signed magnitudes uniform in [0.5, 1.5] ("uniform").
+    The support is a uniform random k-subset and the coefficients are +-1
+    signs: equal magnitudes are the adversarial case for greedy recovery.
     """
     n = dictionary.n_atoms
     if not 1 <= k <= n:
         raise InvalidKError(f"k must be in [1, {n}], got {k}")
-    if coeff_law not in ("rademacher", "uniform"):
-        raise InvalidConfigError(f"unknown coeff_law {coeff_law!r}")
     gen = rng.stream(seed, "planted")
     support = np.sort(gen.choice(n, size=k, replace=False))
-    signs = gen.integers(0, 2, size=k) * 2.0 - 1.0
-    if coeff_law == "uniform":
-        coef = signs * gen.uniform(0.5, 1.5, size=k)
-    else:
-        coef = signs
+    coef = gen.integers(0, 2, size=k) * 2.0 - 1.0
     vector = dictionary.data[:, support] @ coef
     return TargetSignal(vector=vector, support=tuple(int(i) for i in support), coefficients=coef)
 
@@ -197,27 +187,3 @@ def synthetic_classification(
         seed=int(seed),
     )
 
-
-def export_classification_csv(dataset: ClassificationDataset, path) -> None:
-    """Write `label,f0,...,f{D-1}` rows with 17 significant digits."""
-    d = dataset.features.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{j}" for j in range(d)])
-        for label, row in zip(dataset.labels, dataset.features):
-            writer.writerow([int(label)] + [f"{v:.17g}" for v in row])
-
-
-def load_classification_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read an exported dataset back as (features, labels)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "label":
-            raise InvalidShapeError("expected a header starting with 'label'")
-        rows = list(reader)
-    labels = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    feats = np.array([[float(v) for v in r[1:]] for r in rows], dtype=np.float64)
-    if feats.shape[1] != len(header) - 1:
-        raise InvalidShapeError("row width disagrees with header")
-    return feats, labels

@@ -9,17 +9,14 @@ and the greedy (1 - 1/e) approximation bound empirically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import rng
-from .core import UnitDictionary, normalize_columns
-from .errors import InvalidKError, InvalidShapeError, NotPSDError, TooLargeError
-
-_MAX_ENUM = 10**7
+from .core import UnitDictionary, check_enumerable, normalize_columns, psd_cholesky
+from .errors import InvalidKError, InvalidShapeError, NotPSDError
 
 
 @dataclass(frozen=True)
@@ -80,11 +77,7 @@ def logdet_subset(kernel: Kernel, subset) -> float:
     idx = _check_subset(kernel, subset)
     if not idx:
         raise InvalidShapeError("subset must be nonempty")
-    block = kernel.gram[np.ix_(idx, idx)] + kernel.epsilon * np.eye(len(idx))
-    try:
-        chol = np.linalg.cholesky(block)
-    except np.linalg.LinAlgError:
-        raise NotPSDError(f"subset {tuple(idx)} produced a non-PSD block") from None
+    chol = psd_cholesky(kernel.gram[np.ix_(idx, idx)] + kernel.epsilon * np.eye(len(idx)))
     return float(2.0 * np.sum(np.log(np.diag(chol))))
 
 
@@ -104,13 +97,8 @@ def marginal_gain(kernel: Kernel, subset, e: int) -> float:
     eps = kernel.epsilon
     if not idx:
         return float(np.log(kernel.gram[e, e] + eps))
-    block = kernel.gram[np.ix_(idx, idx)] + eps * np.eye(len(idx))
-    cross = kernel.gram[idx, e]
-    try:
-        chol = np.linalg.cholesky(block)
-    except np.linalg.LinAlgError:
-        raise NotPSDError(f"subset {tuple(idx)} produced a non-PSD block") from None
-    z = np.linalg.solve(chol, cross)
+    chol = psd_cholesky(kernel.gram[np.ix_(idx, idx)] + eps * np.eye(len(idx)))
+    z = np.linalg.solve(chol, kernel.gram[idx, e])
     schur = float(kernel.gram[e, e] + eps - z @ z)
     if schur <= 0.0:
         raise NotPSDError(f"non-positive Schur complement at element {e}")
@@ -206,8 +194,7 @@ def nemhauser_audit(kernel: Kernel, k: int) -> NemhauserReport:
     """
     if not 1 <= k <= kernel.size:
         raise InvalidKError(f"k must be in [1, {kernel.size}], got {k}")
-    if math.comb(kernel.size, k) > _MAX_ENUM:
-        raise TooLargeError(f"C({kernel.size},{k}) exceeds {_MAX_ENUM}")
+    check_enumerable(kernel.size, k)
     greedy = dpp_greedy_select(kernel, k)
     best_val = -np.inf
     best_sup: tuple[int, ...] = ()

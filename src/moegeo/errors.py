@@ -61,3 +61,7 @@ class NonFiniteError(MoegeoError, FloatingPointError):
 
 class DegenerateProbeError(MoegeoError, ValueError):
     """A probe produced an all-zero response, so the statistic is undefined."""
+
+
+class IdentityViolationError(MoegeoError, ArithmeticError):
+    """A quantity broke an identity or bound that holds by construction."""

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidKError, InvalidShapeError, ZeroProbabilityError
+from .core import topk_indices
+from .errors import IdentityViolationError, InvalidKError, InvalidShapeError, ZeroProbabilityError
 
 
 def entropy(p: np.ndarray) -> float:
@@ -100,8 +101,7 @@ def kl_sparse_project(p: CategoricalDist, k: int) -> tuple[CategoricalDist, tupl
         raise InvalidKError(f"k must be in [1, {e}], got {k}")
     if np.any(p.probs < 1e-300):
         raise ZeroProbabilityError("projection needs strictly positive probabilities")
-    order = np.argsort(-p.probs, kind="stable")
-    support = tuple(sorted(int(i) for i in order[:k]))
+    support = tuple(int(i) for i in topk_indices(p.probs, k))
     mass = float(p.probs[list(support)].sum())
     q = np.zeros(e)
     q[list(support)] = p.probs[list(support)] / mass
@@ -169,7 +169,7 @@ def topk_conditional_entropy(batch: RoutingBatch) -> float:
     value = float(np.mean([entropy(r) for r in rows]))
     bound = float(np.log(batch.k))
     if value > bound + 1e-9:
-        raise AssertionError(f"conditional entropy {value} exceeds log k = {bound}")
+        raise IdentityViolationError(f"conditional entropy {value} exceeds log k = {bound}")
     return value
 
 

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import _frozen_array
+from .core import _frozen_array, psd_cholesky, softmax_rows, topk_indices
 from .errors import (
     DegenerateProbeError,
+    IdentityViolationError,
     InvalidConfigError,
     InvalidShapeError,
     NonFiniteError,
-    NotPSDError,
 )
 from .infotheory import (
     RoutingBatch,
@@ -90,6 +90,8 @@ class MoEConfig:
         for name in ("input_dim", "experts", "active_k", "expert_hidden", "classes", "batch"):
             if int(getattr(self, name)) < 1:
                 raise InvalidConfigError(f"{name} must be positive")
+        if self.experts < 2:
+            raise InvalidConfigError("experts must be at least 2")
         if self.classes < 2:
             raise InvalidConfigError("need at least 2 classes")
         if self.active_k > self.experts:
@@ -192,12 +194,6 @@ class ForwardTrace:
         return self.x.shape[0]
 
 
-def _softmax_rows(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def forward(params, config, x_batch):
     """One dense-router, sparse-compute pass over a batch."""
     x = np.asarray(x_batch, dtype=float)
@@ -207,10 +203,8 @@ def forward(params, config, x_batch):
         raise NonFiniteError("input batch contains non-finite values")
     k = config.active_k
     h = x @ params.w_g.T
-    p = _softmax_rows(h)
-    # stable argsort on -p: ties go to the lowest expert index
-    order = np.argsort(-p, axis=1, kind="stable")
-    sel = np.sort(order[:, :k], axis=1)
+    p = softmax_rows(h)
+    sel = topk_indices(p, k)
     active = np.take_along_axis(p, sel, axis=1)
     gates = active / active.sum(axis=1, keepdims=True)
 
@@ -270,14 +264,10 @@ def softdpp_loss(trace, epsilon):
     g = np.einsum("bic,bjc->bij", n, n)
     k = g.shape[1]
     g[:, np.arange(k), np.arange(k)] += epsilon
-    total = 0.0
-    for s in range(g.shape[0]):
-        try:
-            chol = np.linalg.cholesky(g[s])
-        except np.linalg.LinAlgError:
-            raise NotPSDError("shifted Gram lost positive definiteness") from None
-        total += 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -total / trace.batch_size
+    chol = psd_cholesky(g)
+    logdets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    # a running sum in sample order gives the same bits as a per-sample loop
+    return -float(np.cumsum(logdets)[-1]) / trace.batch_size
 
 
 def ncl_loss(trace):
@@ -287,8 +277,7 @@ def ncl_loss(trace):
     deviations from the per-sample mean. The off-diagonal covariance sum
     equals -sum_i ||residual_i||^2, so minimizing it rewards disagreement.
     """
-    pi = _softmax_rows(trace.expert_outputs.reshape(-1, trace.expert_outputs.shape[2]))
-    pi = pi.reshape(trace.expert_outputs.shape)
+    pi = softmax_rows(trace.expert_outputs)
     d = pi - pi.mean(axis=1, keepdims=True)
     per_sample = np.einsum("bic,bjc->b", d, d) - np.einsum("bic,bic->b", d, d)
     return float(per_sample.mean())
@@ -315,8 +304,6 @@ def total_loss(trace, labels, config, routing_batch=None):
     task = -float(log_probs[np.arange(labels.size), labels].mean())
     if config.aux_weight == 0.0:
         aux = 0.0
-    elif config.experts == 1:
-        aux = config.aux_weight  # f = P = 1 identically
     else:
         if routing_batch is None:
             routing_batch = routing_batch_from_trace(trace)
@@ -348,8 +335,7 @@ def _reg_output_grad(trace, config):
     if config.reg_kind == "none" or scale == 0.0:
         return np.zeros_like(trace.expert_outputs)
     if config.reg_kind == "ncl":
-        pi = _softmax_rows(trace.expert_outputs.reshape(-1, trace.expert_outputs.shape[2]))
-        pi = pi.reshape(trace.expert_outputs.shape)
+        pi = softmax_rows(trace.expert_outputs)
         d = pi - pi.mean(axis=1, keepdims=True)
         g = -2.0 * d
         dot = np.einsum("bkc,bkc->bk", g, pi)[..., None]
@@ -364,9 +350,7 @@ def _reg_output_grad(trace, config):
     else:  # dpp
         shifted = gram.copy()
         shifted[:, np.arange(k), np.arange(k)] += config.dpp_epsilon
-        dn = np.empty_like(n)
-        for s in range(n.shape[0]):
-            dn[s] = -2.0 * np.linalg.solve(shifted[s], n[s])
+        dn = -2.0 * np.linalg.solve(shifted, n)
     # back through row normalization: (I - n n^T) dn / ||y||
     proj = dn - n * np.einsum("bkc,bkc->bk", dn, n)[..., None]
     return scale * np.where(ok, proj / np.where(ok, norms, 1.0), 0.0) / b
@@ -582,14 +566,16 @@ def _eval_metrics(params, config, test_x, test_y):
                 target = np.zeros(config.classes)
                 target[test_y[start + row]] = 1.0
                 _, _, _, gap = ambiguity_decomposition(trace.expert_outputs[row], target)
-                assert gap <= 1e-10, "ambiguity identity violated"
+                if not gap <= 1e-10:
+                    raise IdentityViolationError(f"ambiguity identity violated by {gap:.3e}")
             audit_done = True
     batch = RoutingBatch(dense_probs=np.vstack(probs_chunks),
                          selections=np.vstack(sel_chunks))
     p_bar = mean_routing_probs(batch)
     collision = float(np.sum(p_bar.probs**2))
-    assert collision >= 1.0 / config.experts - 1e-12, "collision mass fell below 1/E"
-    cond = topk_conditional_entropy(batch)  # asserts <= log k internally
+    if not collision >= 1.0 / config.experts - 1e-12:
+        raise IdentityViolationError(f"collision mass {collision} fell below 1/E")
+    cond = topk_conditional_entropy(batch)  # raises above log k
     return {
         "test_acc": correct / len(test_y),
         "marg_entropy": entropy(p_bar.probs),
@@ -673,9 +659,13 @@ def stratified_folds(labels, folds, seed):
     labels = np.asarray(labels)
     if folds < 2:
         raise InvalidConfigError("need at least 2 folds")
+    classes, counts = np.unique(labels, return_counts=True)
+    if folds > counts.min():
+        raise InvalidConfigError(
+            f"folds ({folds}) exceeds the smallest class count ({counts.min()})")
     gen = stream(seed, "folds")
     assignment = np.empty(len(labels), dtype=int)
-    for c in np.unique(labels):
+    for c in classes:
         idx = np.nonzero(labels == c)[0]
         idx = idx[gen.permutation(idx.size)]
         assignment[idx] = np.arange(idx.size) % folds
@@ -708,6 +698,8 @@ def cross_validate(config, dataset, folds=10, workers=1):
     Fold results are independent of `workers` because all randomness is
     keyed by (seed, fold).
     """
+    if workers < 1:
+        raise InvalidConfigError(f"workers must be >= 1, got {workers}")
     features = np.asarray(dataset.features)
     labels = np.asarray(dataset.labels)
     assignment = stratified_folds(labels, folds, config.seed)

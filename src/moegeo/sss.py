@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -24,8 +23,11 @@ from .core import (
     TargetSignal,
     UnitDictionary,
     SparseSolution,
+    _solve_gram,
+    check_enumerable,
     least_squares_on_support,
     mutual_coherence,
+    topk_indices,
 )
 from .dictgen import coherent_dictionary, planted_signal
 from .errors import (
@@ -33,13 +35,9 @@ from .errors import (
     InvalidKError,
     InvalidShapeError,
     SingularGramError,
-    TooLargeError,
 )
 
 log = logging.getLogger(__name__)
-
-# Hard ceiling on enumerated supports.
-_MAX_ENUM = 10**7
 
 
 def _vector(y) -> np.ndarray:
@@ -66,8 +64,7 @@ def brute_force_sss(dictionary: UnitDictionary, y, k: int) -> SparseSolution:
     v = _vector(y)
     n = dictionary.n_atoms
     k = _check_k(k, n)
-    if math.comb(n, k) > _MAX_ENUM:
-        raise TooLargeError(f"C({n},{k}) = {math.comb(n, k)} supports exceeds {_MAX_ENUM}")
+    check_enumerable(n, k)
     if v.shape[0] != dictionary.dim:
         raise InvalidShapeError(f"target length {v.shape[0]} != dictionary dim {dictionary.dim}")
 
@@ -77,18 +74,12 @@ def brute_force_sss(dictionary: UnitDictionary, y, k: int) -> SparseSolution:
     best: tuple[float, tuple[int, ...], np.ndarray] | None = None
     for sup in combinations(range(n), k):
         idx = list(sup)
-        g = gram[np.ix_(idx, idx)]
         c = corr[idx]
         try:
-            chol = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
+            coef = _solve_gram(gram[np.ix_(idx, idx)], c, sup)
+        except SingularGramError:
             log.debug("skipping singular support %s", sup)
             continue
-        piv = np.diag(chol) ** 2
-        if piv.min() < 1e-12 * piv.max():
-            log.debug("skipping ill-conditioned support %s", sup)
-            continue
-        coef = np.linalg.solve(chol.T, np.linalg.solve(chol, c))
         residual = energy - float(c @ coef)
         if best is None or residual < best[0]:
             best = (residual, sup, coef)
@@ -102,9 +93,7 @@ def greedy_topk_select(dictionary: UnitDictionary, y, k: int) -> tuple[int, ...]
     """One-shot rule: the k atoms with largest |<E_i, y>|, ties to lower index."""
     v = _vector(y)
     k = _check_k(k, dictionary.n_atoms)
-    scores = np.abs(dictionary.data.T @ v)
-    order = np.argsort(-scores, kind="stable")
-    return tuple(sorted(int(i) for i in order[:k]))
+    return tuple(int(i) for i in topk_indices(np.abs(dictionary.data.T @ v), k))
 
 
 def omp_select(dictionary: UnitDictionary, y, k: int) -> tuple[int, ...]:
@@ -137,13 +126,9 @@ class RecoveryOutcome:
     greedy_exact: bool
     omp_exact: bool
     greedy_residual_sq: float
-    oracle_support: tuple[int, ...] | None = None
-    oracle_residual_sq: float | None = None
 
     def __post_init__(self):
         if self.greedy_residual_sq < 0:
-            raise InvalidShapeError("residuals must be nonnegative")
-        if self.oracle_residual_sq is not None and self.oracle_residual_sq < 0:
             raise InvalidShapeError("residuals must be nonnegative")
         if self.greedy_exact != (set(self.greedy_support) == set(self.planted_support)):
             raise InvalidShapeError("greedy_exact inconsistent with supports")
@@ -151,10 +136,8 @@ class RecoveryOutcome:
             raise InvalidShapeError("omp_exact inconsistent with supports")
 
 
-def recovery_trial(
-    dictionary: UnitDictionary, signal: TargetSignal, k: int, with_oracle: bool = False
-) -> RecoveryOutcome:
-    """Run both selectors (optionally the exhaustive oracle) on one instance.
+def recovery_trial(dictionary: UnitDictionary, signal: TargetSignal, k: int) -> RecoveryOutcome:
+    """Run both selectors on one instance.
 
     The signal must carry its planted support; success means recovering it
     exactly.
@@ -164,12 +147,6 @@ def recovery_trial(
     greedy = greedy_topk_select(dictionary, signal, k)
     omp = omp_select(dictionary, signal, k)
     greedy_res = least_squares_on_support(dictionary, signal.vector, greedy).residual_sq
-    oracle_sup = None
-    oracle_res = None
-    if with_oracle:
-        oracle = brute_force_sss(dictionary, signal, k)
-        oracle_sup = oracle.support
-        oracle_res = oracle.residual_sq
     planted = tuple(sorted(signal.support))
     return RecoveryOutcome(
         mu_measured=mutual_coherence(dictionary),
@@ -179,8 +156,6 @@ def recovery_trial(
         greedy_exact=set(greedy) == set(planted),
         omp_exact=set(omp) == set(planted),
         greedy_residual_sq=greedy_res,
-        oracle_support=oracle_sup,
-        oracle_residual_sq=oracle_res,
     )
 
 
@@ -258,6 +233,8 @@ def barrier_sweep(
         raise InvalidConfigError("mu_grid values must lie in [0, 1)")
     if trials < 1:
         raise InvalidConfigError("trials must be >= 1")
+    if workers < 1:
+        raise InvalidConfigError(f"workers must be >= 1, got {workers}")
     _check_k(k, n_atoms)
     seed = rng.check_seed(seed)
 

@@ -13,10 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import softmax_rows, topk_indices
 from .diversity import Kernel, nemhauser_audit, submodularity_audit
 from .dictgen import random_orthonormal_dictionary
+from .errors import IdentityViolationError
 from .infotheory import (
     CategoricalDist,
+    RoutingBatch,
     collision_identity_check,
     kl_sparse_project,
     topk_conditional_entropy,
@@ -44,13 +47,9 @@ def _random_dist(gen, e):
 
 
 def _random_batch(gen, t, e, k):
-    from .infotheory import RoutingBatch
-
-    logits = gen.standard_normal((t, e))
-    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs /= probs.sum(axis=1, keepdims=True)
-    sel = np.argsort(gen.random((t, e)), axis=1)[:, :k]
-    return RoutingBatch(dense_probs=probs, selections=np.sort(sel, axis=1))
+    """Softmax of Gaussian logits; each token selects a uniform random k-subset."""
+    probs = softmax_rows(gen.standard_normal((t, e)))
+    return RoutingBatch(dense_probs=probs, selections=topk_indices(-gen.random((t, e)), k))
 
 
 def check_kl_projection_oracle(seed, inject_fault=False):
@@ -101,9 +100,8 @@ def check_topk_entropy_bound(seed, **_):
             batch = _random_batch(gen, int(gen.integers(2, 16)), e, k)
             try:
                 h = topk_conditional_entropy(batch)
-            except AssertionError:
-                return CheckResult("topk-entropy-bound", False, -np.inf,
-                                   "bound assertion tripped")
+            except IdentityViolationError as exc:
+                return CheckResult("topk-entropy-bound", False, -np.inf, str(exc))
             worst = max(worst, h - math.log(k))
     return CheckResult("topk-entropy-bound", worst <= 1e-9, 1e-9 - worst,
                        f"210 batches over k in (1,2,4), worst excess {worst:.3e}")

@@ -53,6 +53,29 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err.startswith("abort:")
 
+    def test_single_expert_is_config_error(self, tmp_path, capsys):
+        code = main(["train", "--experts", "1", "--k", "1", "--samples", "40",
+                     "--folds", "2", "--epochs", "1", "--output_dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config:") and "experts" in err
+
+    def test_more_folds_than_class_members_is_config_error(self, tmp_path, capsys):
+        code = main(["train", "--folds", "30", "--samples", "20",
+                     "--output_dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "folds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["barrier", "--trials", "1", "--mu_grid", "0"],
+        ["train", "--samples", "40", "--folds", "2", "--epochs", "1"],
+    ])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_is_config_error(self, tmp_path, capsys, argv, workers):
+        code = main(argv + ["--workers", workers, "--output_dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+
     def test_verify_failure_is_exit_1(self, tmp_path):
         out = tmp_path / "v"
         code = main(["verify", "--checks", "kl-projection-oracle",

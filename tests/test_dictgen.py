@@ -9,8 +9,6 @@ from moegeo.core import mutual_coherence, normalize_columns
 from moegeo.dictgen import (
     _blend,
     coherent_dictionary,
-    export_classification_csv,
-    load_classification_csv,
     planted_signal,
     random_orthonormal_dictionary,
     synthetic_classification,
@@ -111,23 +109,12 @@ class TestPlantedSignal:
         sig = planted_signal(d, k=5, seed=2)
         assert set(np.abs(sig.coefficients)) == {1.0}
 
-    def test_uniform_law_magnitudes(self):
-        d = random_orthonormal_dictionary(20, 10, seed=0)
-        sig = planted_signal(d, k=6, seed=3, coeff_law="uniform")
-        mags = np.abs(sig.coefficients)
-        assert np.all((mags >= 0.5) & (mags <= 1.5))
-
     def test_k_out_of_range(self):
         d = random_orthonormal_dictionary(6, 4, seed=0)
         with pytest.raises(InvalidKError):
             planted_signal(d, k=0, seed=0)
         with pytest.raises(InvalidKError):
             planted_signal(d, k=5, seed=0)
-
-    def test_unknown_law_rejected(self):
-        d = random_orthonormal_dictionary(6, 4, seed=0)
-        with pytest.raises(InvalidConfigError):
-            planted_signal(d, k=2, seed=0, coeff_law="cauchy")
 
 
 class TestSyntheticClassification:
@@ -196,24 +183,6 @@ class TestSyntheticClassification:
         b = synthetic_classification(samples=30, features=8, informative=2, seed=5)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
-
-
-class TestCsvRoundTrip:
-    def test_round_trip_within_tolerance(self, tmp_path):
-        ds = synthetic_classification(samples=25, features=7, informative=3, seed=11)
-        path = tmp_path / "data.csv"
-        export_classification_csv(ds, path)
-        feats, labels = load_classification_csv(path)
-        np.testing.assert_array_equal(labels, ds.labels)
-        np.testing.assert_allclose(feats, ds.features, atol=1e-12, rtol=0)
-
-    def test_header_shape(self, tmp_path):
-        ds = synthetic_classification(samples=5, features=3, informative=1,
-                                      classes=2, seed=0)
-        path = tmp_path / "data.csv"
-        export_classification_csv(ds, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "label,f0,f1,f2"
 
 
 class TestRngDerivation:

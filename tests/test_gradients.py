@@ -112,36 +112,6 @@ class TestBackwardAgainstFiniteDifferences:
         err = max_rel_err(analytic, numeric)
         assert err < REL_TOL, f"reg_kind={reg_kind}: max rel err {err:.2e}"
 
-    def test_plain_mlp_reduction(self):
-        config = MoEConfig(input_dim=10, experts=1, active_k=1, expert_hidden=6,
-                           classes=4, batch=4, aux_weight=0.0, reg_weight=0.0, seed=3)
-        rng = np.random.default_rng(3)
-        params = init_params(config, rng)
-        x = rng.standard_normal((5, 10))
-        y = rng.integers(0, 4, 5)
-        trace = forward(params, config, x)
-        analytic = backward(params, trace, y, config)
-
-        # independent two-layer MLP oracle: the gate is identically 1
-        u = x @ params.w_in[0].T
-        a = gelu(u)
-        logits = a @ params.w_out[0].T
-        p = np.exp(logits - logits.max(axis=1, keepdims=True))
-        p /= p.sum(axis=1, keepdims=True)
-        onehot = np.zeros_like(p)
-        onehot[np.arange(5), y] = 1.0
-        g = (p - onehot) / 5
-        d_w_out = g.T @ a
-        du = gelu_grad(u) * (g @ params.w_out[0])
-        d_w_in = du.T @ x
-
-        np.testing.assert_allclose(analytic.w_out[0], d_w_out, atol=1e-12)
-        np.testing.assert_allclose(analytic.w_in[0], d_w_in, atol=1e-12)
-        np.testing.assert_allclose(analytic.w_g, np.zeros_like(analytic.w_g), atol=1e-12)
-
-        numeric = numeric_grads(params, config, x, y)
-        assert max_rel_err(analytic, numeric) < REL_TOL
-
     def test_zero_w_out_blocks_w_in_gradient(self):
         config = MoEConfig(aux_weight=0.0, reg_weight=0.0, **SMALL)
         rng = np.random.default_rng(11)

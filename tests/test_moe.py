@@ -11,6 +11,7 @@ from moegeo.moe import (
     ForwardTrace,
     MoEConfig,
     MoEParams,
+    _reg_output_grad,
     ambiguity_decomposition,
     cross_validate,
     effective_rank,
@@ -157,6 +158,24 @@ class TestSoftDppLoss:
         single = softdpp_loss(make_trace(row), 1e-4)
         batch = softdpp_loss(make_trace(np.tile(row, (6, 1, 1))), 1e-4)
         assert batch == pytest.approx(single, abs=1e-12)
+
+    def test_batched_loss_and_gradient_match_per_sample_loops(self):
+        # same arithmetic in the same order, so the bits must agree exactly
+        rng = np.random.default_rng(12)
+        eps = 1e-4
+        config = MoEConfig(experts=5, active_k=3, reg_kind="dpp", dpp_epsilon=eps)
+        for _ in range(10):
+            out = rng.standard_normal((int(rng.integers(1, 40)), 3, 6))
+            b = out.shape[0]
+            n = out / np.linalg.norm(out, axis=2, keepdims=True)
+            g = np.einsum("bic,bjc->bij", n, n) + eps * np.eye(3)
+            total = 0.0
+            for s in range(b):
+                total += 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(g[s])))))
+            assert softdpp_loss(make_trace(out), eps) == -total / b
+            per_sample = [_reg_output_grad(make_trace(out[s:s + 1]), config) for s in range(b)]
+            np.testing.assert_array_equal(_reg_output_grad(make_trace(out), config),
+                                          np.concatenate(per_sample) / b)
 
     def test_epsilon_must_be_positive(self):
         out = np.ones((1, 2, 2))

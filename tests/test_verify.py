@@ -2,7 +2,9 @@
 
 import pytest
 
-from moegeo.verify import ALL_CHECKS, run_verification
+from moegeo import infotheory
+from moegeo.errors import IdentityViolationError
+from moegeo.verify import ALL_CHECKS, check_topk_entropy_bound, run_verification
 
 
 def test_all_checks_pass_on_clean_build():
@@ -30,6 +32,16 @@ def test_fault_injection_fails_only_the_projection_check():
     assert results[0].passed is False
     assert results[0].margin < 0
     assert results[1].passed is True
+
+
+def test_entropy_bound_violation_is_typed_and_fails_the_check(monkeypatch):
+    batch = infotheory.RoutingBatch(dense_probs=[[0.5, 0.3, 0.2]], selections=[[0, 1]])
+    monkeypatch.setattr(infotheory, "entropy", lambda p: 5.0)
+    with pytest.raises(IdentityViolationError, match="exceeds log k"):
+        infotheory.topk_conditional_entropy(batch)
+    result = check_topk_entropy_bound(seed=42)
+    assert result.passed is False
+    assert "exceeds log k" in result.detail
 
 
 def test_results_deterministic():
