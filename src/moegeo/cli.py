@@ -8,7 +8,8 @@ randomness is derived from the seed, so re-running a command overwrites
 every artifact byte for byte.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical abort.
+3 numerical abort, 4 internal error (an exception the library does not
+raise on purpose).
 """
 
 import argparse
@@ -16,6 +17,7 @@ import json
 import os
 import shutil
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -311,8 +313,14 @@ def cmd_dpp_select(cfg, config_path):
 
 
 def cmd_info(cfg, config_path):
-    out = _prepare_output(cfg, config_path)
     e, k, t = cfg["experts"], cfg["k"], cfg["tokens"]
+    if e < 2:
+        raise InvalidConfigError(f"experts must be >= 2, got {e}")
+    if not 1 <= k <= e:
+        raise InvalidConfigError(f"k must be in [1, {e}], got {k}")
+    if t < 1:
+        raise InvalidConfigError(f"tokens must be >= 1, got {t}")
+    out = _prepare_output(cfg, config_path)
     gen = stream(cfg["seed"], "cli", "info")
     probs = softmax_rows(gen.standard_normal((t, e)))
     batch = RoutingBatch(dense_probs=probs, selections=topk_indices(probs, k))
@@ -402,6 +410,11 @@ def main(argv=None):
     except MoegeoError as exc:
         print(f"abort: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # a bug, not a user error: keep the traceback for the report
+        print(f"internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

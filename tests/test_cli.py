@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from moegeo import cli
 from moegeo.cli import build_parser, main
 
 
@@ -75,6 +76,43 @@ class TestExitCodes:
         code = main(argv + ["--workers", workers, "--output_dir", str(tmp_path / "o")])
         assert code == 2
         assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["--experts", "0"], "experts"),
+        (["--experts", "1", "--k", "1"], "experts"),
+        (["--experts", "4", "--k", "9"], "k"),
+        (["--k", "0"], "k"),
+        (["--tokens", "-1"], "tokens"),
+    ])
+    def test_info_bad_shape_is_config_error(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "o"
+        code = main(["info", *argv, "--output_dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config:") and name in err
+        assert not (out / "info.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--k", "0"],
+        ["--k", "17", "--n_atoms", "16"],
+        ["--d", "8", "--n_atoms", "16"],
+        ["--coherence", "1.0"],
+    ])
+    def test_dpp_select_bad_input_is_config_error(self, tmp_path, capsys, argv):
+        code = main(["dpp-select", *argv, "--output_dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config:")
+
+    def test_unexpected_exception_is_exit_4(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg, config_path):
+            raise ValueError("not a library error")
+
+        monkeypatch.setitem(cli.HANDLERS, "info", broken)
+        code = main(["info", "--output_dir", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal: ValueError: not a library error\n")
+        assert "in broken" in err
 
     def test_verify_failure_is_exit_1(self, tmp_path):
         out = tmp_path / "v"

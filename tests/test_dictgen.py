@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from moegeo import rng
-from moegeo.core import mutual_coherence, normalize_columns
+from moegeo import dictgen
+from moegeo.core import UnitDictionary, mutual_coherence, normalize_columns
 from moegeo.dictgen import (
     _blend,
+    _blend_coherence,
+    _haar_columns,
     coherent_dictionary,
     planted_signal,
     random_orthonormal_dictionary,
@@ -19,6 +22,40 @@ from moegeo.errors import (
     InvalidShapeError,
     UnreachableError,
 )
+
+
+# The coherence targets of `moegeo barrier` at its defaults.
+BARRIER_GRID = [round(x, 10) for x in np.linspace(0.0, 0.95, 25)]
+
+
+def sign_aligned_base(dim, n_atoms, seed):
+    """The base and direction coherent_dictionary draws for this seed."""
+    gen = rng.stream(seed, "coherent")
+    q = _haar_columns(gen, dim, n_atoms)
+    u = gen.standard_normal(dim)
+    u /= np.linalg.norm(u)
+    return q * np.where(q.T @ u < 0, -1.0, 1.0), u
+
+
+def reference_coherent_dictionary(dim, n_atoms, target_mu, tol, seed):
+    """Bisection that builds the dictionary and its Gram matrix at every step."""
+    base, u = sign_aligned_base(dim, n_atoms, seed)
+    if target_mu == 0.0:
+        return UnitDictionary(base)
+    lo, hi = 0.0, 1.0 - 1e-9
+    mu_hi = mutual_coherence(UnitDictionary(_blend(base, u, hi)))
+    if mu_hi < target_mu:
+        raise UnreachableError("above the ceiling")
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mutual_coherence(UnitDictionary(_blend(base, u, mid))) < target_mu:
+            lo = mid
+        else:
+            hi = mid
+    result = UnitDictionary(_blend(base, u, 0.5 * (lo + hi)))
+    if abs(mutual_coherence(result) - target_mu) > tol:
+        raise UnreachableError("missed")
+    return result
 
 
 def linear_probe_accuracy(x, labels, n_classes):
@@ -64,13 +101,7 @@ class TestCoherentDictionary:
         # The construction underlying the bisection: sign-aligned orthonormal
         # base blended toward a shared unit direction.
         for seed in range(5):
-            gen = rng.stream(seed, "coherent")
-            g = gen.standard_normal((10, 5))
-            q, r = np.linalg.qr(g)
-            q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
-            u = gen.standard_normal(10)
-            u /= np.linalg.norm(u)
-            base = q * np.where(q.T @ u < 0, -1.0, 1.0)
+            base, u = sign_aligned_base(10, 5, seed)
             mus = [
                 mutual_coherence(normalize_columns(_blend(base, u, t)))
                 for t in np.linspace(0.0, 0.98, 20)
@@ -93,6 +124,56 @@ class TestCoherentDictionary:
         a = coherent_dictionary(16, 8, 0.3, 1e-3, seed=9)
         b = coherent_dictionary(16, 8, 0.3, 1e-3, seed=9)
         np.testing.assert_array_equal(a.data, b.data)
+
+
+class TestClosedFormBisection:
+    """Bisecting on the closed form returns the matrix route's bytes."""
+
+    def test_closed_form_matches_built_dictionary(self):
+        for dim, n_atoms, seed in ((128, 64, 0), (128, 64, 1), (256, 256, 2), (10, 5, 3)):
+            base, u = sign_aligned_base(dim, n_atoms, seed)
+            a = base.T @ u
+            for t in np.linspace(0.0, 1.0 - 1e-9, 40):
+                built = mutual_coherence(UnitDictionary(_blend(base, u, t)))
+                assert abs(_blend_coherence(a, t) - built) <= 1e-14
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_barrier_grid_bytes(self, seed):
+        # the grid starts at target 0, which returns the base unblended
+        for target in BARRIER_GRID:
+            new = coherent_dictionary(128, 64, target, 0.005, seed)
+            ref = reference_coherent_dictionary(128, 64, target, 0.005, seed)
+            assert new.data.tobytes() == ref.data.tobytes()
+
+    def test_large_square_dictionary_bytes(self):
+        new = coherent_dictionary(256, 256, 0.5, 0.005, 3)
+        ref = reference_coherent_dictionary(256, 256, 0.5, 0.005, 3)
+        assert new.data.tobytes() == ref.data.tobytes()
+
+    def test_target_near_ceiling_bytes(self):
+        # at t = 1 - 1e-9 the built coherence rounds to the ceiling 1.0
+        for target in (0.999, 1.0 - 1e-9, 1.0 - 1e-13):
+            new = coherent_dictionary(128, 64, target, 0.005, 4)
+            ref = reference_coherent_dictionary(128, 64, target, 0.005, 4)
+            assert new.data.tobytes() == ref.data.tobytes()
+
+    def test_attained_target_decided_on_built_dictionary(self, monkeypatch):
+        # A target the construction hits exactly drives the last steps into
+        # the guard band, where the built dictionary decides.
+        target = mutual_coherence(coherent_dictionary(128, 64, 0.3, 0.005, 6))
+        calls = []
+
+        def counting(dictionary):
+            calls.append(1)
+            return mutual_coherence(dictionary)
+
+        monkeypatch.setattr(dictgen, "mutual_coherence", counting)
+        new = coherent_dictionary(128, 64, target, 0.005, 6)
+        monkeypatch.undo()
+        ref = reference_coherent_dictionary(128, 64, target, 0.005, 6)
+        assert new.data.tobytes() == ref.data.tobytes()
+        # the ceiling and the final check, plus at least one guarded step
+        assert len(calls) > 2
 
 
 class TestPlantedSignal:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from moegeo.dictgen import random_orthonormal_dictionary
+from moegeo.dictgen import coherent_dictionary, random_orthonormal_dictionary
 from moegeo.diversity import (
     Kernel,
     dpp_greedy_select,
@@ -19,6 +19,18 @@ from moegeo.errors import InvalidShapeError, NotPSDError
 def random_kernel(n, dim, seed, epsilon=1e-4):
     rng = np.random.default_rng(seed)
     return Kernel.from_features(rng.standard_normal((dim, n)), epsilon=epsilon)
+
+
+def reference_greedy(kernel, k):
+    """Per-candidate greedy: a fresh marginal_gain for every candidate and round."""
+    selected = []
+    for _ in range(k):
+        gains = np.full(kernel.size, -np.inf)
+        for e in range(kernel.size):
+            if e not in selected:
+                gains[e] = marginal_gain(kernel, selected, e)
+        selected.append(int(np.argmax(gains)))
+    return tuple(selected)
 
 
 def det3_cofactor(m):
@@ -165,6 +177,48 @@ class TestGreedySelect:
                 tied = [e for e, g in gains.items() if g >= top - 1e-13]
                 chosen.append(min(tied, key=lambda e: inv[e]))
             assert moved == tuple(int(inv[e]) for e in chosen)
+
+
+class TestGreedyMatchesPerCandidateRoute:
+    """The incremental-Cholesky greedy picks what the per-candidate loop picks."""
+
+    def test_seeded_kernels_every_k(self):
+        for seed in range(12):
+            n = 6 + seed
+            k = random_kernel(n, 4 + 2 * seed, seed + 300)
+            for size in range(1, n + 1):
+                assert dpp_greedy_select(k, size) == reference_greedy(k, size)
+
+    def test_exact_duplicate_columns(self):
+        # several atoms repeated verbatim: exact gain ties after round 0 too
+        rng = np.random.default_rng(11)
+        base = rng.standard_normal((9, 7))
+        f = base[:, [0, 1, 0, 2, 3, 1, 4, 0, 5, 6, 2, 3]]
+        k = Kernel.from_features(f)
+        for size in (3, 7, 12):
+            assert dpp_greedy_select(k, size) == reference_greedy(k, size)
+
+    def test_rotated_equiangular_near_ties(self):
+        # Every gain ties in exact arithmetic; a random rotation splits the ties
+        # at ULP level, differently in the two routes, so the picks agree only
+        # because near-ties are rescored with marginal_gain.
+        rng = np.random.default_rng(23)
+        n, c = 10, 0.3
+        f = np.linalg.cholesky((1 - c) * np.eye(n) + c).T
+        for _ in range(10):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            k = Kernel.from_features(q @ f)
+            assert dpp_greedy_select(k, n) == reference_greedy(k, n)
+
+    def test_high_coherence_square_dictionary_k_equals_n(self):
+        d = coherent_dictionary(128, 128, 0.95, 0.005, seed=42)
+        k = Kernel.from_dictionary(d)
+        assert dpp_greedy_select(k, 128) == reference_greedy(k, 128)
+
+    def test_rank_deficient_kernel_at_epsilon_floor(self):
+        # 20 atoms in 5 dimensions: from round 5 on every gain sits near log(eps)
+        k = random_kernel(20, 5, 17)
+        assert dpp_greedy_select(k, 20) == reference_greedy(k, 20)
 
 
 class TestSubmodularityAudit:
