@@ -49,7 +49,7 @@ class UnitDictionary:
         if np.any(np.abs(norms - 1.0) > 1e-10):
             worst = int(np.argmax(np.abs(norms - 1.0)))
             raise InvalidShapeError(
-                f"column {worst} has norm {norms[worst]!r}, expected 1 within 1e-10"
+                f"column {worst} has norm {float(norms[worst])}, expected 1 within 1e-10"
             )
 
     @property

@@ -195,8 +195,8 @@ def synthetic_classification(
         raise InvalidConfigError(
             f"informative ({informative}) must not exceed features ({features})"
         )
-    if class_sep < 0:
-        raise InvalidConfigError(f"class_sep must be nonnegative, got {class_sep}")
+    if not 0 <= class_sep < np.inf:
+        raise InvalidConfigError(f"class_sep must be finite and nonnegative, got {class_sep}")
     if samples < classes:
         raise InvalidConfigError("need at least one sample per class")
 

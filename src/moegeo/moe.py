@@ -34,6 +34,7 @@ from .infotheory import (
     aux_loss,
     entropy,
     mean_routing_probs,
+    selection_frequencies,
     topk_conditional_entropy,
 )
 from .rng import check_seed, stream
@@ -87,6 +88,9 @@ class MoEConfig:
     weight_decay: float = 0.01
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise InvalidConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("input_dim", "experts", "active_k", "expert_hidden", "classes", "batch"):
             if int(getattr(self, name)) < 1:
                 raise InvalidConfigError(f"{name} must be positive")
@@ -163,30 +167,26 @@ def init_params(config, gen):
 class ForwardTrace:
     """Everything forward computed, kept for backward and for metrics.
 
-    `expert_cache` holds, per expert, the rows of the batch it served,
-    the slot each row used, and the pre/post activation matrices; None
-    for experts nobody selected.
+    `routing` is the one validated RoutingBatch of the pass. `expert_cache`
+    holds, per expert, the rows of the batch it served, the slot each row
+    used, and the pre/post activation matrices; None for experts nobody
+    selected.
     """
 
     x: np.ndarray               # (B, D)
-    dense_probs: np.ndarray     # (B, E) full router softmax
-    selections: np.ndarray      # (B, k) ascending distinct expert ids
+    routing: RoutingBatch       # (B, E) router softmax, (B, k) ascending ids
     gates: np.ndarray           # (B, k) renormalized over the active set
     expert_outputs: np.ndarray  # (B, k, C) selected experts' logit vectors
     logits: np.ndarray          # (B, C) gate-weighted combination
-    class_probs: np.ndarray     # (B, C)
+    log_probs: np.ndarray       # (B, C) log-softmax of the logits
+    class_probs: np.ndarray     # (B, C) exp(log_probs)
     expert_cache: tuple = field(repr=False, default=())
 
     def __post_init__(self):
         gates = np.asarray(self.gates, dtype=float)
         if np.max(np.abs(gates.sum(axis=1) - 1.0)) > 1e-9:
             raise InvalidShapeError("gate weights must sum to 1 per sample")
-        sel = np.asarray(self.selections)
-        if sel.shape[1] > 1 and np.any(np.diff(np.sort(sel, axis=1), axis=1) == 0):
-            raise InvalidShapeError("selected indices must be distinct per sample")
-        object.__setattr__(self, "selections", _frozen_array(self.selections, dtype=np.int64))
-        for name in ("x", "dense_probs", "gates",
-                     "expert_outputs", "logits", "class_probs"):
+        for name in ("x", "gates", "expert_outputs", "logits", "log_probs", "class_probs"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     @property
@@ -224,17 +224,16 @@ def forward(params, config, x_batch):
     logits = np.einsum("bk,bkc->bc", gates, outputs)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    class_probs = np.exp(shifted - log_z)
+    log_probs = shifted - log_z
+    class_probs = np.exp(log_probs)
+    # a diverged model must abort here (exit 3), before RoutingBatch rejects it (exit 2)
     for arr in (p, outputs, logits, class_probs):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("forward pass produced non-finite values")
-    return ForwardTrace(x=x, dense_probs=p, selections=sel, gates=gates,
-                        expert_outputs=outputs, logits=logits,
-                        class_probs=class_probs, expert_cache=tuple(cache))
-
-
-def routing_batch_from_trace(trace):
-    return RoutingBatch(dense_probs=trace.dense_probs, selections=trace.selections)
+    return ForwardTrace(x=x, routing=RoutingBatch(dense_probs=p, selections=sel),
+                        gates=gates, expert_outputs=outputs, logits=logits,
+                        log_probs=log_probs, class_probs=class_probs,
+                        expert_cache=tuple(cache))
 
 
 def _normalized_outputs(trace):
@@ -294,20 +293,13 @@ class LossComponents:
         return self.task + self.aux + self.reg
 
 
-def total_loss(trace, labels, config, routing_batch=None):
+def total_loss(trace, labels, config):
     """(scalar, components): cross-entropy + weighted balance and reg terms."""
     labels = np.asarray(labels)
     if labels.shape != (trace.batch_size,):
         raise InvalidShapeError("labels must be one id per sample")
-    shifted = trace.logits - trace.logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    task = -float(log_probs[np.arange(labels.size), labels].mean())
-    if config.aux_weight == 0.0:
-        aux = 0.0
-    else:
-        if routing_batch is None:
-            routing_batch = routing_batch_from_trace(trace)
-        aux = config.aux_weight * aux_loss(routing_batch)
+    task = -float(trace.log_probs[np.arange(labels.size), labels].mean())
+    aux = config.aux_weight * aux_loss(trace.routing)
     if config.reg_kind == "ortho":
         raw = ortho_loss(trace)
     elif config.reg_kind == "ncl":
@@ -376,21 +368,20 @@ def backward(params, trace, labels, config):
     d_gates = np.einsum("bc,bkc->bk", g_logits, trace.expert_outputs)
 
     # renormalized gates w = p_sel / s: dL/dp_m = (dL/dw_m - sum_n dL/dw_n w_n) / s
-    active = np.take_along_axis(trace.dense_probs, trace.selections, axis=1)
+    p, sel = trace.routing.dense_probs, trace.routing.selections
+    active = np.take_along_axis(p, sel, axis=1)
     mass = active.sum(axis=1, keepdims=True)
     d_active = (d_gates - (d_gates * trace.gates).sum(axis=1, keepdims=True)) / mass
-    d_probs = np.zeros_like(trace.dense_probs)
-    np.put_along_axis(d_probs, trace.selections, d_active, axis=1)
+    d_probs = np.zeros_like(p)
+    np.put_along_axis(d_probs, sel, d_active, axis=1)
 
     if config.aux_weight > 0:
-        freqs = np.zeros(e_count)
-        np.add.at(freqs, trace.selections.ravel(), 1.0)
-        freqs /= b
+        freqs = selection_frequencies(trace.routing)
         d_probs = d_probs + config.aux_weight * e_count * freqs[None, :] / b
 
     # full softmax Jacobian: dh = p * (dp - <dp, p>)
-    dot = np.einsum("be,be->b", d_probs, trace.dense_probs)[:, None]
-    d_h = trace.dense_probs * (d_probs - dot)
+    dot = np.einsum("be,be->b", d_probs, p)[:, None]
+    d_h = p * (d_probs - dot)
     d_w_g = d_h.T @ trace.x
 
     d_w_in = np.zeros_like(params.w_in)
@@ -442,13 +433,13 @@ def dense_expert_outputs(params, probe):
     return rows
 
 
-def effective_rank(params, probe_batch):
+def effective_rank(m):
     """exp(entropy of trace-normalized singular values); in [1, E].
 
-    1 means the experts collapsed onto a single direction in function
-    space, E means they occupy E orthogonal directions with equal energy.
+    `m` is the (E, P*C) matrix of `dense_expert_outputs`. 1 means the
+    experts collapsed onto a single direction in function space, E means
+    they occupy E orthogonal directions with equal energy.
     """
-    m = dense_expert_outputs(params, probe_batch)
     if not np.any(m):
         raise DegenerateProbeError("all experts output exactly zero on the probe")
     sv = np.linalg.svd(m, compute_uv=False)
@@ -457,9 +448,8 @@ def effective_rank(params, probe_batch):
     return float(np.exp(-np.sum(sv * np.log(sv))))
 
 
-def expert_coherence(params, probe_batch):
-    """Largest |cosine| between two experts' probe responses."""
-    m = dense_expert_outputs(params, probe_batch)
+def expert_coherence(m):
+    """Largest |cosine| between two experts' rows of `dense_expert_outputs`."""
     norms = np.linalg.norm(m, axis=1)
     keep = norms >= 1e-12
     if keep.sum() < 2:
@@ -470,19 +460,16 @@ def expert_coherence(params, probe_batch):
     return float(min(g.max(), 1.0))
 
 
-def specialization_heatmap(params, config, features, labels):
+def specialization_heatmap(selections, labels, experts, classes):
     """(E, C) matrix: fraction of class-c samples that route to expert e.
 
-    Every sample selects exactly k experts, so each column sums to k.
+    `selections` (N, k) holds the experts each of the N labelled samples
+    selected, so each column of a class that occurs sums to k.
     """
     labels = np.asarray(labels)
-    heat = np.zeros((config.experts, config.classes))
-    counts = np.bincount(labels, minlength=config.classes).astype(float)
-    for start in range(0, len(labels), 512):
-        trace = forward(params, config, features[start:start + 512])
-        batch_labels = labels[start:start + 512]
-        for row in range(trace.batch_size):
-            heat[trace.selections[row], batch_labels[row]] += 1.0
+    heat = np.zeros((experts, classes))
+    counts = np.bincount(labels, minlength=classes).astype(float)
+    np.add.at(heat, (selections, labels[:, None]), 1.0)
     nonzero = counts > 0
     heat[:, nonzero] /= counts[nonzero]
     return heat
@@ -551,7 +538,7 @@ class TrainReport:
 
 
 def _eval_metrics(params, config, test_x, test_y):
-    """Accuracy plus routing statistics over the test split, chunked."""
+    """Accuracy, routing statistics and the stacked selections of the test split."""
     correct = 0
     probs_chunks, sel_chunks = [], []
     audit_done = False
@@ -559,8 +546,8 @@ def _eval_metrics(params, config, test_x, test_y):
         trace = forward(params, config, test_x[start:start + 512])
         pred = np.argmax(trace.logits, axis=1)
         correct += int(np.sum(pred == test_y[start:start + 512]))
-        probs_chunks.append(np.asarray(trace.dense_probs))
-        sel_chunks.append(np.asarray(trace.selections))
+        probs_chunks.append(trace.routing.dense_probs)
+        sel_chunks.append(trace.routing.selections)
         if not audit_done:
             for row in range(min(8, trace.batch_size)):
                 target = np.zeros(config.classes)
@@ -581,6 +568,7 @@ def _eval_metrics(params, config, test_x, test_y):
         "marg_entropy": entropy(p_bar.probs),
         "cond_entropy": cond,
         "collision_mass": collision,
+        "selections": batch.selections,
     }
 
 
@@ -619,17 +607,19 @@ def train_fold(config, train, test, fold=0):
 
     def record(loss_triplet):
         metrics = _eval_metrics(params, config, test_x, test_y)
+        probe_outputs = dense_expert_outputs(params, probe)
         rows["loss_task"].append(loss_triplet[0])
         rows["loss_aux"].append(loss_triplet[1])
         rows["loss_reg"].append(loss_triplet[2])
         rows["test_acc"].append(metrics["test_acc"])
-        rows["eff_rank"].append(effective_rank(params, probe))
-        rows["coherence"].append(expert_coherence(params, probe))
+        rows["eff_rank"].append(effective_rank(probe_outputs))
+        rows["coherence"].append(expert_coherence(probe_outputs))
         rows["marg_entropy"].append(metrics["marg_entropy"])
         rows["cond_entropy"].append(metrics["cond_entropy"])
         rows["collision_mass"].append(metrics["collision_mass"])
+        return metrics["selections"]
 
-    record(_eval_loss(params, config, train_x, train_y))
+    selections = record(_eval_loss(params, config, train_x, train_y))
     n = len(train_y)
     for epoch in range(1, config.epochs + 1):
         perm = stream(config.seed, "shuffle", fold, epoch).permutation(n)
@@ -644,12 +634,12 @@ def train_fold(config, train, test, fold=0):
                 sums += idx.size * np.array([comps.task, comps.aux, comps.reg])
         except NonFiniteError as exc:
             raise NonFiniteError(f"fold {fold} diverged at epoch {epoch}: {exc}") from None
-        record(sums / n)
+        selections = record(sums / n)
 
     return TrainReport(
         fold=fold, config=config,
         epoch=np.arange(config.epochs + 1),
-        heatmap=specialization_heatmap(params, config, test_x, test_y),
+        heatmap=specialization_heatmap(selections, test_y, config.experts, config.classes),
         **{name: np.array(vals) for name, vals in rows.items()},
     )
 

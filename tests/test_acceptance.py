@@ -352,7 +352,7 @@ def _selection_stable_batch(config, gen, size=4):
         y = gen.integers(0, config.classes, size)
         params = init_params(config, gen)
         trace = forward(params, config, x)
-        p_sorted = np.sort(trace.dense_probs, axis=1)[:, ::-1]
+        p_sorted = np.sort(trace.routing.dense_probs, axis=1)[:, ::-1]
         margin = float(np.min(p_sorted[:, config.active_k - 1]
                               - p_sorted[:, config.active_k]))
         if margin > 1e-3:
@@ -362,7 +362,7 @@ def _selection_stable_batch(config, gen, size=4):
 
 def _numeric_grads(params, config, x, y):
     grads = {}
-    base_sel = forward(params, config, x).selections
+    base_sel = forward(params, config, x).routing.selections
     for name in ("w_g", "w_in", "w_out"):
         w = getattr(params, name)
         flat = w.reshape(-1)
@@ -371,10 +371,10 @@ def _numeric_grads(params, config, x, y):
             orig = flat[i]
             flat[i] = orig + FD_STEP
             hi = _loss_value(params, config, x, y)
-            hi_sel = forward(params, config, x).selections
+            hi_sel = forward(params, config, x).routing.selections
             flat[i] = orig - FD_STEP
             lo = _loss_value(params, config, x, y)
-            lo_sel = forward(params, config, x).selections
+            lo_sel = forward(params, config, x).routing.selections
             flat[i] = orig
             assert np.array_equal(hi_sel, base_sel) and np.array_equal(lo_sel, base_sel)
             out[i] = (hi - lo) / (2 * FD_STEP)

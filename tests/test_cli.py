@@ -67,6 +67,27 @@ class TestExitCodes:
         assert code == 2
         assert "folds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--reg", "dpp", "--dpp_epsilon", "inf"], "dpp_epsilon must be finite, got inf"),
+        (["--lr", "inf"], "lr must be finite, got inf"),
+        (["--aux_weight", "inf"], "aux_weight must be finite, got inf"),
+        (["--reg_weight", "inf"], "reg_weight must be finite, got inf"),
+        (["--class_sep", "nan"], "class_sep must be finite and nonnegative, got nan"),
+        (["--class_sep", "inf"], "class_sep must be finite and nonnegative, got inf"),
+    ])
+    def test_nonfinite_float_is_config_error(self, tmp_path, capsys, argv, message):
+        code = main(["train", *argv, "--samples", "40", "--folds", "2", "--epochs", "1",
+                     "--workers", "1", "--output_dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"config: {message}"
+
+    def test_probability_sum_message_is_a_plain_number(self, tmp_path, capsys):
+        code = main(["kl-project", "--probs", "0.2,0.3", "--k", "1",
+                     "--output_dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            "config: probabilities sum to 0.5, expected 1 within 1e-9")
+
     @pytest.mark.parametrize("argv", [
         ["barrier", "--trials", "1", "--mu_grid", "0"],
         ["train", "--samples", "40", "--folds", "2", "--epochs", "1"],

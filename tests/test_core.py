@@ -47,7 +47,8 @@ class TestNormalizeColumns:
 
 class TestUnitDictionary:
     def test_rejects_non_unit_columns(self):
-        with pytest.raises(InvalidShapeError):
+        with pytest.raises(InvalidShapeError,
+                           match=r"^column 0 has norm 2\.0, expected 1 within 1e-10$"):
             UnitDictionary(2.0 * np.eye(3))
 
     def test_rejects_single_atom(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from moegeo.infotheory import mean_routing_probs, topk_conditional_entropy
 from moegeo.moe import (
     MoEConfig,
     MoEGradients,
@@ -15,6 +16,7 @@ from moegeo.moe import (
     init_params,
     total_loss,
 )
+from moegeo.rng import stream
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -37,7 +39,7 @@ def loss_value(params, config, x, y):
 def selection_margin(params, config, x):
     """Gap between the kth and (k+1)th routing prob, minimized over rows."""
     trace = forward(params, config, x)
-    p_sorted = np.sort(trace.dense_probs, axis=1)[:, ::-1]
+    p_sorted = np.sort(trace.routing.dense_probs, axis=1)[:, ::-1]
     k = config.active_k
     if k == config.experts:
         return np.inf
@@ -57,7 +59,7 @@ def stable_batch(config, rng, size=4):
 
 def numeric_grads(params, config, x, y):
     grads = {}
-    base_sel = forward(params, config, x).selections
+    base_sel = forward(params, config, x).routing.selections
     for name in ("w_g", "w_in", "w_out"):
         w = getattr(params, name)
         g = np.zeros_like(w)
@@ -67,10 +69,10 @@ def numeric_grads(params, config, x, y):
             orig = flat[i]
             flat[i] = orig + FD_STEP
             hi = loss_value(params, config, x, y)
-            hi_sel = forward(params, config, x).selections
+            hi_sel = forward(params, config, x).routing.selections
             flat[i] = orig - FD_STEP
             lo = loss_value(params, config, x, y)
-            lo_sel = forward(params, config, x).selections
+            lo_sel = forward(params, config, x).routing.selections
             flat[i] = orig
             assert np.array_equal(hi_sel, base_sel) and np.array_equal(lo_sel, base_sel), \
                 "FD perturbation flipped a top-k selection"
@@ -136,6 +138,28 @@ class TestBackwardAgainstFiniteDifferences:
         denom = np.maximum(np.maximum(np.abs(grads.w_g), np.abs(numeric["w_g"])), 1e-6)
         assert np.max(np.abs(grads.w_g - numeric["w_g"]) / denom) < REL_TOL
         assert np.max(np.abs(grads.w_g)) > 0
+
+
+class TestSeededFuzz:
+    """Shapes drawn from a seeded stream, every fourth with k = E."""
+
+    @pytest.mark.parametrize("draw", range(16))
+    def test_identities_and_gradients(self, draw):
+        gen = stream(2024, "fuzz", draw)
+        e = int(gen.integers(2, 7))
+        k = e if draw % 4 == 0 else int(gen.integers(1, e + 1))
+        c, h, b = (int(v) for v in gen.integers((2, 1, 1), (6, 6, 7)))
+        config = MoEConfig(input_dim=5, experts=e, active_k=k, expert_hidden=h, classes=c,
+                           batch=b, reg_kind=("none", "ortho", "ncl", "dpp")[draw % 4],
+                           seed=draw)
+        params, x, y = stable_batch(config, gen, size=b)
+        trace = forward(params, config, x)
+        np.testing.assert_allclose(trace.gates.sum(axis=1), 1.0, atol=1e-12)
+        assert np.sum(mean_routing_probs(trace.routing).probs ** 2) >= 1.0 / e - 1e-12
+        assert topk_conditional_entropy(trace.routing) <= np.log(k) + 1e-9
+        assert np.isfinite(total_loss(trace, y, config)[0])
+        err = max_rel_err(backward(params, trace, y, config), numeric_grads(params, config, x, y))
+        assert err < REL_TOL, f"E={e} k={k} C={c} H={h} B={b} {config.reg_kind}: {err:.2e}"
 
 
 class TestAdamW:

@@ -283,7 +283,8 @@ class TestEmpiricalMi:
 
 class TestValidation:
     def test_dist_must_sum_to_one(self):
-        with pytest.raises(InvalidShapeError):
+        with pytest.raises(InvalidShapeError,
+                           match=r"^probabilities sum to 1\.1, expected 1 within 1e-9$"):
             CategoricalDist(np.array([0.5, 0.6]))
 
     def test_dist_needs_two_entries(self):
@@ -307,3 +308,67 @@ class TestValidation:
 
     def test_entropy_convention(self):
         assert entropy(np.array([1.0, 0.0, 0.0])) == 0.0
+
+
+def conditional_entropy_by_rows(batch):
+    """The per-row loop that topk_conditional_entropy replaced, kept as its oracle."""
+    rows = np.zeros((batch.n_tokens, batch.n_experts))
+    picked = np.take_along_axis(batch.dense_probs, batch.selections, axis=1)
+    np.put_along_axis(rows, batch.selections, picked / picked.sum(axis=1, keepdims=True), axis=1)
+    return float(np.mean([entropy(r) for r in rows]))
+
+
+def has_repeat_by_rows(selections):
+    """The per-row set() check that RoutingBatch replaced, kept as its oracle."""
+    return any(len(set(row.tolist())) != len(row) for row in selections)
+
+
+class TestVectorisedAgainstRowLoops:
+    def test_conditional_entropy_matches_row_loop(self):
+        rng = np.random.default_rng(31)
+        for e in (2, 3, 5, 8, 12):
+            for k in range(1, e + 1):
+                for zero in (False, True):
+                    for _ in range(4):
+                        t = int(rng.integers(1, 40))
+                        probs = rng.random((t, e)) ** 4
+                        # unsorted selections: the rows must still be summed in expert order
+                        sel = np.argsort(rng.random((t, e)), axis=1)[:, :k]
+                        if zero and k > 1:
+                            probs[np.arange(t), sel[:, int(rng.integers(k))]] = 0.0
+                        probs /= probs.sum(axis=1, keepdims=True)
+                        batch = RoutingBatch(dense_probs=probs, selections=sel)
+                        got = topk_conditional_entropy(batch)
+                        want = conditional_entropy_by_rows(batch)
+                        if zero and k >= 8:
+                            # numpy sums 8 or more terms pairwise, so a dropped zero
+                            # regroups the loop's sum; only the rounding may differ
+                            assert got == pytest.approx(want, rel=k * np.finfo(float).eps)
+                        else:
+                            assert got == want, (e, k, zero)
+
+    def test_distinctness_matches_row_loop(self):
+        rng = np.random.default_rng(32)
+        for e in (2, 3, 5, 9):
+            for k in range(1, e + 1):
+                for _ in range(6):
+                    t = int(rng.integers(1, 8))
+                    sel = np.argsort(rng.random((t, e)), axis=1)[:, :k]
+                    if k > 1 and rng.random() < 0.5:
+                        row = int(rng.integers(t))
+                        i, j = rng.choice(k, 2, replace=False)
+                        sel[row, j] = sel[row, i]
+                    probs = np.full((t, e), 1.0 / e)
+                    if has_repeat_by_rows(sel):
+                        with pytest.raises(InvalidShapeError, match="distinct"):
+                            RoutingBatch(dense_probs=probs, selections=sel)
+                    else:
+                        RoutingBatch(dense_probs=probs, selections=sel)
+
+    @pytest.mark.parametrize("sel", [[[3, 1, 3]], [[0, 2, 1, 0]], [[1, 2, 0], [2, 0, 1], [0, 3, 0]],
+                                     [[4, 0, 2, 1, 3, 4]]])
+    def test_non_adjacent_duplicates_rejected(self, sel):
+        assert has_repeat_by_rows(np.array(sel))
+        with pytest.raises(InvalidShapeError, match="distinct"):
+            RoutingBatch(dense_probs=np.full((len(sel), 6), 1.0 / 6), selections=sel)
+

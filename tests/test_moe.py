@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from moegeo import moe
 from moegeo.dictgen import synthetic_classification
-from moegeo.errors import DegenerateProbeError, InvalidConfigError, InvalidShapeError
+from moegeo.errors import (
+    DegenerateProbeError,
+    InvalidConfigError,
+    InvalidShapeError,
+    NonFiniteError,
+)
 from moegeo.infotheory import RoutingBatch, aux_loss
 from moegeo.moe import (
     AggregateReport,
@@ -14,6 +20,7 @@ from moegeo.moe import (
     _reg_output_grad,
     ambiguity_decomposition,
     cross_validate,
+    dense_expert_outputs,
     effective_rank,
     expert_coherence,
     forward,
@@ -49,11 +56,11 @@ def make_trace(outputs, gates=None):
     sel = np.tile(np.arange(k), (b, 1))
     logits = np.einsum("bk,bkc->bc", gates, outputs)
     shifted = logits - logits.max(axis=1, keepdims=True)
-    cp = np.exp(shifted)
-    cp /= cp.sum(axis=1, keepdims=True)
-    return ForwardTrace(x=np.zeros((b, 2)), dense_probs=probs, selections=sel,
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return ForwardTrace(x=np.zeros((b, 2)),
+                        routing=RoutingBatch(dense_probs=probs, selections=sel),
                         gates=gates, expert_outputs=outputs, logits=logits,
-                        class_probs=cp)
+                        log_probs=log_probs, class_probs=np.exp(log_probs))
 
 
 class TestForward:
@@ -66,7 +73,7 @@ class TestForward:
         params.w_g[1, 0] = 1.0
         trace = forward(params, config, np.array([[1.0, 0, 0, 0]]))
         # h = (2, 1, 0, 0): top-2 gates renormalize to e/(e+1), 1/(e+1)
-        assert tuple(trace.selections[0]) == (0, 1)
+        assert tuple(trace.routing.selections[0]) == (0, 1)
         np.testing.assert_allclose(trace.gates[0], [0.73106, 0.26894], atol=1e-5)
 
     def test_k_equals_e_gates_are_full_softmax(self):
@@ -75,7 +82,7 @@ class TestForward:
         rng = np.random.default_rng(2)
         params = init_params(config, rng)
         trace = forward(params, config, rng.standard_normal((7, 6)))
-        np.testing.assert_allclose(trace.gates, trace.dense_probs, atol=1e-12)
+        np.testing.assert_allclose(trace.gates, trace.routing.dense_probs, atol=1e-12)
 
     def test_zero_input_gives_uniform_probs(self):
         config = MoEConfig(input_dim=5, experts=3, active_k=2, expert_hidden=4,
@@ -92,7 +99,7 @@ class TestForward:
         params = init_params(config, np.random.default_rng(4))
         params.w_g[:] = 0.0  # all router logits equal
         trace = forward(params, config, np.ones((3, 4)))
-        assert np.all(trace.selections == [0, 1])
+        assert np.all(trace.routing.selections == [0, 1])
 
     def test_gate_rows_sum_to_one(self):
         config = MoEConfig(**QUICK)
@@ -100,6 +107,15 @@ class TestForward:
         params = init_params(config, rng)
         trace = forward(params, config, rng.standard_normal((40, 16)))
         np.testing.assert_allclose(trace.gates.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_overflowing_router_is_a_numerical_abort(self):
+        # NaN routing probabilities must abort as NonFiniteError (exit 3),
+        # not be rejected by RoutingBatch as a malformed batch (exit 2)
+        config = MoEConfig(**QUICK)
+        params = init_params(config, np.random.default_rng(0))
+        params.w_g[:] = 1e308
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+            forward(params, config, np.full((3, 16), 10.0))
 
     def test_rejects_bad_shape(self):
         config = MoEConfig(**QUICK)
@@ -226,7 +242,8 @@ class TestTotalLoss:
         params = init_params(config, rng)
         trace = forward(params, config, rng.standard_normal((12, 16)))
         _, comps = total_loss(trace, rng.integers(0, 5, 12), config)
-        batch = RoutingBatch(dense_probs=trace.dense_probs, selections=trace.selections)
+        batch = RoutingBatch(dense_probs=trace.routing.dense_probs,
+                             selections=trace.routing.selections)
         assert comps.aux == pytest.approx(0.01 * aux_loss(batch), abs=1e-15)
 
     def test_confident_correct_predictions(self):
@@ -257,9 +274,9 @@ class TestEffectiveRank:
         w_in = np.tile(rng.standard_normal((1, 6, 5)), (4, 1, 1))
         w_out = np.tile(rng.standard_normal((1, 3, 6)), (4, 1, 1))
         params = self._params(w_in, w_out)
-        probe = rng.standard_normal((20, 5))
-        assert effective_rank(params, probe) == pytest.approx(1.0, abs=1e-6)
-        assert expert_coherence(params, probe) == pytest.approx(1.0, abs=1e-9)
+        m = dense_expert_outputs(params, rng.standard_normal((20, 5)))
+        assert effective_rank(m) == pytest.approx(1.0, abs=1e-6)
+        assert expert_coherence(m) == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal_experts_rank_e(self):
         e = c = 4
@@ -271,21 +288,21 @@ class TestEffectiveRank:
         for i in range(e):
             w_out[i, i] = v  # expert i emits only class-slot i
         params = self._params(w_in, w_out)
-        probe = rng.standard_normal((30, d))
-        assert effective_rank(params, probe) == pytest.approx(e, abs=1e-6)
-        assert expert_coherence(params, probe) == pytest.approx(0.0, abs=1e-12)
+        m = dense_expert_outputs(params, rng.standard_normal((30, d)))
+        assert effective_rank(m) == pytest.approx(e, abs=1e-6)
+        assert expert_coherence(m) == pytest.approx(0.0, abs=1e-12)
 
     def test_random_init_in_range(self):
         config = MoEConfig(**QUICK)
         rng = np.random.default_rng(15)
         params = init_params(config, rng)
-        r = effective_rank(params, rng.standard_normal((50, 16)))
+        r = effective_rank(dense_expert_outputs(params, rng.standard_normal((50, 16))))
         assert 1.0 <= r <= config.experts
 
     def test_degenerate_probe(self):
         params = self._params(np.zeros((3, 4, 5)), np.zeros((3, 2, 4)))
         with pytest.raises(DegenerateProbeError):
-            effective_rank(params, np.ones((10, 5)))
+            effective_rank(dense_expert_outputs(params, np.ones((10, 5))))
 
 
 class TestAmbiguity:
@@ -307,6 +324,26 @@ class TestAmbiguity:
             assert amb >= -1e-12
 
 
+def heatmap_of(params, config, x, y):
+    sel = forward(params, config, x).routing.selections
+    return specialization_heatmap(sel, y, config.experts, config.classes)
+
+
+def heatmap_by_rows(params, config, features, labels):
+    """The trainer's former second pass over the test split, one row at a time."""
+    labels = np.asarray(labels)
+    heat = np.zeros((config.experts, config.classes))
+    counts = np.bincount(labels, minlength=config.classes).astype(float)
+    for start in range(0, len(labels), 512):
+        trace = forward(params, config, features[start:start + 512])
+        batch_labels = labels[start:start + 512]
+        for row in range(trace.batch_size):
+            heat[trace.routing.selections[row], batch_labels[row]] += 1.0
+    nonzero = counts > 0
+    heat[:, nonzero] /= counts[nonzero]
+    return heat
+
+
 class TestHeatmap:
     def test_k_equals_e_all_ones(self):
         config = MoEConfig(input_dim=6, experts=3, active_k=3, expert_hidden=4,
@@ -315,7 +352,7 @@ class TestHeatmap:
         params = init_params(config, rng)
         x = rng.standard_normal((40, 6))
         y = rng.integers(0, 4, 40)
-        heat = specialization_heatmap(params, config, x, y)
+        heat = heatmap_of(params, config, x, y)
         present = np.unique(y)
         np.testing.assert_allclose(heat[:, present], 1.0, atol=1e-12)
 
@@ -326,9 +363,28 @@ class TestHeatmap:
         params = init_params(config, rng)
         x = rng.standard_normal((30, 6))
         y = np.full(30, 2)
-        heat = specialization_heatmap(params, config, x, y)
+        heat = heatmap_of(params, config, x, y)
         assert heat[:, 2].sum() == pytest.approx(2.0, abs=1e-12)
         assert np.all(heat[:, [0, 1, 3]] == 0.0)
+
+    # k = 1, k = E and a test split of three evaluation chunks
+    @pytest.mark.parametrize("k, epochs", [(1, 2), (2, 0), (4, 1)])
+    def test_train_fold_heatmap_matches_row_loop(self, monkeypatch, k, epochs):
+        data = synthetic_classification(samples=1400, features=16, informative=8,
+                                        classes=5, class_sep=1.2, seed=21)
+        x, y = data.features, data.labels
+        config = MoEConfig(input_dim=16, experts=4, active_k=k, expert_hidden=8,
+                           classes=5, batch=64, epochs=epochs, seed=5)
+        made = []  # train_fold updates its params in place: this ends as the final model
+
+        def capture(c, gen):
+            made.append(init_params(c, gen))
+            return made[-1]
+
+        monkeypatch.setattr(moe, "init_params", capture)
+        report = train_fold(config, (x[:300], y[:300]), (x[300:], y[300:]))
+        np.testing.assert_array_equal(report.heatmap,
+                                      heatmap_by_rows(made[0], config, x[300:], y[300:]))
 
     def test_columns_sum_to_k(self):
         config = MoEConfig(**QUICK)
@@ -336,7 +392,7 @@ class TestHeatmap:
         params = init_params(config, rng)
         x = rng.standard_normal((100, 16))
         y = rng.integers(0, 5, 100)
-        heat = specialization_heatmap(params, config, x, y)
+        heat = heatmap_of(params, config, x, y)
         np.testing.assert_allclose(heat.sum(axis=0), 2.0, atol=1e-9)
 
 

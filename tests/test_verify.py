@@ -1,5 +1,6 @@
 """The self-audit suite audits itself: clean pass, filtering, fault wiring."""
 
+import numpy as np
 import pytest
 
 from moegeo import infotheory
@@ -36,7 +37,9 @@ def test_fault_injection_fails_only_the_projection_check():
 
 def test_entropy_bound_violation_is_typed_and_fails_the_check(monkeypatch):
     batch = infotheory.RoutingBatch(dense_probs=[[0.5, 0.3, 0.2]], selections=[[0, 1]])
-    monkeypatch.setattr(infotheory, "entropy", lambda p: 5.0)
+    # rows of 1/e are no distributions: k entries give k/e nats, above log k for every k
+    monkeypatch.setattr(infotheory, "_sparse_rows",
+                        lambda b: np.full((b.n_tokens, b.n_experts), 1.0 / np.e))
     with pytest.raises(IdentityViolationError, match="exceeds log k"):
         infotheory.topk_conditional_entropy(batch)
     result = check_topk_entropy_bound(seed=42)
