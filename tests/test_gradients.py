@@ -94,12 +94,19 @@ def max_rel_err(analytic, numeric):
 class TestGeluDerivative:
     def test_matches_fd(self):
         u = np.linspace(-4, 4, 81)
-        fd = (gelu(u + 1e-6) - gelu(u - 1e-6)) / 2e-6
-        np.testing.assert_allclose(gelu_grad(u), fd, atol=1e-7)
+        fd = (gelu(u + 1e-6)[0] - gelu(u - 1e-6)[0]) / 2e-6
+        np.testing.assert_allclose(gelu_grad(u, gelu(u)[1]), fd, atol=1e-7)
 
     def test_origin(self):
-        assert gelu(0.0) == 0.0
-        assert gelu_grad(np.array([0.0]))[0] == pytest.approx(0.5)
+        assert gelu(0.0)[0] == 0.0
+        u = np.array([0.0])
+        assert gelu_grad(u, gelu(u)[1])[0] == pytest.approx(0.5)
+
+    def test_cube_by_multiplication_matches_power_formula(self):
+        u = np.linspace(-8, 8, 200001)
+        c, a = np.sqrt(2.0 / np.pi), 0.044715
+        reference = 0.5 * u * (1.0 + np.tanh(c * (u + a * u**3)))
+        np.testing.assert_allclose(gelu(u)[0], reference, rtol=0, atol=1e-15)
 
 
 class TestBackwardAgainstFiniteDifferences:

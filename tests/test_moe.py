@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from moegeo import moe
+from moegeo.core import softmax_rows, topk_indices
 from moegeo.dictgen import synthetic_classification
 from moegeo.errors import (
     DegenerateProbeError,
@@ -11,7 +12,7 @@ from moegeo.errors import (
     InvalidShapeError,
     NonFiniteError,
 )
-from moegeo.infotheory import RoutingBatch, aux_loss
+from moegeo.infotheory import RoutingBatch, aux_loss, selection_frequencies
 from moegeo.moe import (
     AggregateReport,
     ForwardTrace,
@@ -19,11 +20,14 @@ from moegeo.moe import (
     MoEParams,
     _reg_output_grad,
     ambiguity_decomposition,
+    backward,
     cross_validate,
     dense_expert_outputs,
     effective_rank,
     expert_coherence,
     forward,
+    gelu,
+    gelu_grad,
     init_params,
     ncl_loss,
     ortho_loss,
@@ -35,6 +39,7 @@ from moegeo.moe import (
     write_heatmap_csv,
     write_run_csv,
 )
+from moegeo.rng import stream
 
 QUICK = dict(input_dim=16, experts=4, active_k=2, expert_hidden=8, classes=5,
              batch=32, epochs=3, seed=5)
@@ -122,6 +127,118 @@ class TestForward:
         params = init_params(config, np.random.default_rng(0))
         with pytest.raises(InvalidShapeError):
             forward(params, config, np.zeros((4, 7)))
+
+
+def per_expert_forward(params, config, x):
+    """Reference: forward as one loop over experts, one GELU call per expert."""
+    k = config.active_k
+    p = softmax_rows(x @ params.w_g.T)
+    sel = topk_indices(p, k)
+    active = np.take_along_axis(p, sel, axis=1)
+    gates = active / active.sum(axis=1, keepdims=True)
+    outputs = np.zeros((x.shape[0], k, config.classes))
+    cache = []
+    for e in range(config.experts):
+        rows, slots = np.nonzero(sel == e)
+        if rows.size == 0:
+            cache.append(None)
+            continue
+        u = x[rows] @ params.w_in[e].T
+        a = gelu(u)[0]
+        outputs[rows, slots] = a @ params.w_out[e].T
+        cache.append((rows, slots, u, a))
+    logits = np.einsum("bk,bkc->bc", gates, outputs)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return outputs, logits, np.exp(log_probs), cache
+
+
+def per_expert_backward(params, trace, labels, config, cache):
+    """Reference: backward with a per-expert loop that recomputes gelu_grad from u."""
+    b = trace.batch_size
+    onehot = np.zeros((b, config.classes))
+    onehot[np.arange(b), labels] = 1.0
+    g_logits = (trace.class_probs - onehot) / b
+    d_outputs = trace.gates[..., None] * g_logits[:, None, :]
+    d_outputs = d_outputs + _reg_output_grad(trace, config)
+    d_gates = np.einsum("bc,bkc->bk", g_logits, trace.expert_outputs)
+    p, sel = trace.routing.dense_probs, trace.routing.selections
+    active = np.take_along_axis(p, sel, axis=1)
+    mass = active.sum(axis=1, keepdims=True)
+    d_active = (d_gates - (d_gates * trace.gates).sum(axis=1, keepdims=True)) / mass
+    d_probs = np.zeros_like(p)
+    np.put_along_axis(d_probs, sel, d_active, axis=1)
+    if config.aux_weight > 0:
+        freqs = selection_frequencies(trace.routing)
+        d_probs = d_probs + config.aux_weight * config.experts * freqs[None, :] / b
+    dot = np.einsum("be,be->b", d_probs, p)[:, None]
+    d_w_g = (p * (d_probs - dot)).T @ trace.x
+    d_w_in = np.zeros_like(params.w_in)
+    d_w_out = np.zeros_like(params.w_out)
+    for e, entry in enumerate(cache):
+        if entry is None:
+            continue
+        rows, slots, u, a = entry
+        gy = d_outputs[rows, slots]
+        d_w_out[e] = gy.T @ a
+        du = gelu_grad(u, gelu(u)[1]) * (gy @ params.w_out[e])
+        d_w_in[e] = du.T @ trace.x[rows]
+    return d_w_g, d_w_in, d_w_out
+
+
+class TestGroupedAgainstPerExpertLoops:
+    """forward and backward group rows by expert; the per-expert loops are the oracle."""
+
+    CASES = {
+        "default": dict(experts=5, active_k=2, batch=64, reg_kind="none"),
+        "dead-expert": dict(experts=5, active_k=2, batch=64, reg_kind="ortho"),
+        "k1": dict(experts=4, active_k=1, batch=33, reg_kind="ncl"),
+        "k-equals-e": dict(experts=4, active_k=4, batch=20, reg_kind="dpp"),
+        "one-row": dict(experts=6, active_k=3, batch=1, reg_kind="none"),
+        "eval-chunk": dict(experts=16, active_k=2, batch=512, reg_kind="ncl",
+                           input_dim=100, expert_hidden=32, classes=10),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("draw", range(3))
+    def test_bit_identical(self, case, draw):
+        shape = dict(input_dim=7, expert_hidden=6, classes=4)
+        shape.update(self.CASES[case])
+        b = shape.pop("batch")
+        config = MoEConfig(seed=3, **shape)
+        gen = stream(2025, "grouped-oracle", case, draw)
+        params = init_params(config, gen)
+        x = gen.standard_normal((b, config.input_dim))
+        y = gen.integers(0, config.classes, size=b)
+        if case == "dead-expert":
+            x = np.abs(x)
+            params.w_g[3] = -10.0  # expert 3 trails every other router logit
+        outputs, logits, class_probs, cache = per_expert_forward(params, config, x)
+        if case == "dead-expert":
+            assert cache[3] is None
+
+        trace = forward(params, config, x)
+        np.testing.assert_array_equal(trace.expert_outputs, outputs)
+        np.testing.assert_array_equal(trace.logits, logits)
+        np.testing.assert_array_equal(trace.class_probs, class_probs)
+        grads = backward(params, trace, y, config)
+        d_w_g, d_w_in, d_w_out = per_expert_backward(params, trace, y, config, cache)
+        np.testing.assert_array_equal(grads.w_g, d_w_g)
+        np.testing.assert_array_equal(grads.w_in, d_w_in)
+        np.testing.assert_array_equal(grads.w_out, d_w_out)
+
+    def test_grouping_keeps_rows_ascending_per_expert(self):
+        config = MoEConfig(input_dim=7, experts=5, active_k=3, expert_hidden=6,
+                           classes=4, seed=3)
+        gen = stream(2025, "grouped-oracle", "order")
+        params = init_params(config, gen)
+        trace = forward(params, config, gen.standard_normal((50, 7)))
+        rows, slots, bounds = trace.expert_cache[:3]
+        sel = trace.routing.selections
+        for e in range(config.experts):
+            want_rows, want_slots = np.nonzero(sel == e)
+            np.testing.assert_array_equal(rows[bounds[e]:bounds[e + 1]], want_rows)
+            np.testing.assert_array_equal(slots[bounds[e]:bounds[e + 1]], want_slots)
 
 
 class TestOrthoLoss:
@@ -434,6 +551,17 @@ class TestTrainFold:
         np.testing.assert_array_equal(r1.test_acc, r2.test_acc)
         np.testing.assert_array_equal(r1.loss_task, r2.loss_task)
         np.testing.assert_array_equal(r1.heatmap, r2.heatmap)
+
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_empty_split_rejected(self, empty):
+        config = MoEConfig(input_dim=5, experts=4, active_k=2, expert_hidden=4,
+                           classes=3, epochs=1, batch=8)
+        gen = np.random.default_rng(0)
+        full = (gen.standard_normal((12, 5)), np.arange(12) % 3)
+        none = (np.zeros((0, 5)), np.zeros(0, dtype=int))
+        splits = (none, full) if empty == "train" else (full, none)
+        with pytest.raises(InvalidShapeError, match=f"{empty} split is empty"):
+            train_fold(config, *splits)
 
     def test_fold_index_changes_run(self):
         data = quick_dataset()
