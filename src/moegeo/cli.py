@@ -31,7 +31,7 @@ from .errors import (
     InvalidShapeError,
     MoegeoError,
 )
-from .core import mutual_coherence, softmax_rows, topk_indices
+from .core import check_k, mutual_coherence, softmax_rows, topk_indices
 from .infotheory import (
     CategoricalDist,
     RoutingBatch,
@@ -44,7 +44,10 @@ from .infotheory import (
     renyi2_entropy,
     topk_conditional_entropy,
 )
-from .moe import MoEConfig, cross_validate, write_heatmap_csv, write_run_csv
+from .moe import (
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, WEIGHT_DECAY, MoEConfig, cross_validate,
+    write_heatmap_csv, write_run_csv,
+)
 from .rng import stream
 from .sss import barrier_sweep, write_barrier_csv
 from .verify import ALL_CHECKS, run_verification
@@ -263,8 +266,8 @@ def cmd_train(cfg, config_path):
         "mean_accuracy": agg.mean_accuracy,
         "std_accuracy": agg.std_accuracy,
         "mean_eff_rank": [float(v) for v in agg.mean_eff_rank],
-        "optimizer": {"beta1": config.beta1, "beta2": config.beta2,
-                      "eps": config.adam_eps, "weight_decay": config.weight_decay,
+        "optimizer": {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
+                      "eps": ADAM_EPS, "weight_decay": WEIGHT_DECAY,
                       "lr": config.lr},
     })
     for name in ("run.csv", "heatmap.csv", "aggregate.json"):
@@ -316,8 +319,7 @@ def cmd_info(cfg, config_path):
     e, k, t = cfg["experts"], cfg["k"], cfg["tokens"]
     if e < 2:
         raise InvalidConfigError(f"experts must be >= 2, got {e}")
-    if not 1 <= k <= e:
-        raise InvalidConfigError(f"k must be in [1, {e}], got {k}")
+    check_k(k, e)
     if t < 1:
         raise InvalidConfigError(f"tokens must be >= 1, got {t}")
     out = _prepare_output(cfg, config_path)

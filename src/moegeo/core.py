@@ -3,19 +3,21 @@
 A dictionary here is a d x N matrix whose columns are unit vectors (the
 atoms). Everything downstream, from greedy selection to the mixture-of-experts
 diagnostics, is phrased in terms of these columns and their inner products.
-Softmax, stable top-k, the guarded Cholesky factor and the enumeration bound
-live here once, for every module.
+Softmax, stable top-k, the guarded Cholesky factor, the enumeration bound,
+the k-range check and the job runner live here once, for every module.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    InvalidShapeError, NotPSDError, SingularGramError, TooLargeError, ZeroColumnError,
+    InvalidConfigError, InvalidKError, InvalidShapeError, NotPSDError, SingularGramError,
+    TooLargeError, ZeroColumnError,
 )
 
 # Pivot-ratio threshold below which a support's Gram matrix is rejected.
@@ -63,29 +65,26 @@ class UnitDictionary:
 
 @dataclass(frozen=True)
 class TargetSignal:
-    """A vector to approximate, optionally carrying how it was planted.
+    """A vector to approximate, with the sparse combination that planted it.
 
-    ``support`` and ``coefficients`` record the ground-truth sparse combination
-    when the signal was synthesized; they are bookkeeping, never recomputed.
+    ``support`` and ``coefficients`` record the ground truth; they are
+    bookkeeping, never recomputed.
     """
 
     vector: np.ndarray
-    support: tuple[int, ...] | None = None
-    coefficients: np.ndarray | None = None
+    support: tuple[int, ...]
+    coefficients: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "vector", _frozen_array(self.vector, ndim=1))
-        if (self.support is None) != (self.coefficients is None):
-            raise InvalidShapeError("planted support and coefficients must come together")
-        if self.support is not None:
-            sup = tuple(int(i) for i in self.support)
-            coef = _frozen_array(self.coefficients, ndim=1)
-            if len(sup) != coef.shape[0]:
-                raise InvalidShapeError("planted coefficients must align with support")
-            if len(set(sup)) != len(sup):
-                raise InvalidShapeError("planted support has repeated indices")
-            object.__setattr__(self, "support", sup)
-            object.__setattr__(self, "coefficients", coef)
+        sup = tuple(int(i) for i in self.support)
+        coef = _frozen_array(self.coefficients, ndim=1)
+        if len(sup) != coef.shape[0]:
+            raise InvalidShapeError("planted coefficients must align with support")
+        if len(set(sup)) != len(sup):
+            raise InvalidShapeError("planted support has repeated indices")
+        object.__setattr__(self, "support", sup)
+        object.__setattr__(self, "coefficients", coef)
 
 
 @dataclass(frozen=True)
@@ -167,6 +166,28 @@ def check_enumerable(n: int, k: int) -> None:
     count = math.comb(n, k)
     if count > _MAX_ENUM:
         raise TooLargeError(f"C({n},{k}) = {count} subsets exceeds {_MAX_ENUM}")
+
+
+def check_k(k: int, n: int) -> int:
+    """Return k as an int; InvalidKError unless 1 <= k <= n."""
+    if not 1 <= k <= n:
+        raise InvalidKError(f"k must be in [1, {n}], got {k}")
+    return int(k)
+
+
+def run_jobs(fn, jobs, workers: int) -> list:
+    """``[fn(job) for job in jobs]``, in job order, on up to ``workers`` processes.
+
+    Runs in this process when ``workers`` is 1 or there are fewer than two
+    jobs; otherwise ``fn`` and every job must pickle.
+    """
+    if workers < 1:
+        raise InvalidConfigError(f"workers must be >= 1, got {workers}")
+    jobs = list(jobs)
+    if workers == 1 or len(jobs) < 2:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray, support) -> np.ndarray:

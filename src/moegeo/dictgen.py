@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import TargetSignal, UnitDictionary, mutual_coherence
-from .errors import InvalidConfigError, InvalidKError, InvalidShapeError, UnreachableError
+from .core import TargetSignal, UnitDictionary, check_k, mutual_coherence
+from .errors import InvalidConfigError, InvalidShapeError, UnreachableError
 
 # Bisection on the blend parameter stops after this many halvings.
 _MAX_BISECT = 60
@@ -128,8 +128,7 @@ def planted_signal(dictionary: UnitDictionary, k: int, seed: int) -> TargetSigna
     signs: equal magnitudes are the adversarial case for greedy recovery.
     """
     n = dictionary.n_atoms
-    if not 1 <= k <= n:
-        raise InvalidKError(f"k must be in [1, {n}], got {k}")
+    check_k(k, n)
     gen = rng.stream(seed, "planted")
     support = np.sort(gen.choice(n, size=k, replace=False))
     coef = gen.integers(0, 2, size=k) * 2.0 - 1.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import topk_indices
+from .core import check_k, topk_indices
 from .errors import IdentityViolationError, InvalidKError, InvalidShapeError, ZeroProbabilityError
 
 
@@ -97,8 +97,7 @@ def kl_sparse_project(p: CategoricalDist, k: int) -> tuple[CategoricalDist, tupl
     Requires strictly positive p so that divergence stays finite.
     """
     e = p.size
-    if not 1 <= k <= e:
-        raise InvalidKError(f"k must be in [1, {e}], got {k}")
+    check_k(k, e)
     if np.any(p.probs < 1e-300):
         raise ZeroProbabilityError("projection needs strictly positive probabilities")
     support = tuple(int(i) for i in topk_indices(p.probs, k))

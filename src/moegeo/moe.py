@@ -16,12 +16,12 @@ results.
 import csv
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
-from .core import _frozen_array, psd_cholesky, softmax_rows, topk_indices
+from .core import _frozen_array, psd_cholesky, run_jobs, softmax_rows, topk_indices
 from .errors import (
     DegenerateProbeError,
     IdentityViolationError,
@@ -46,6 +46,11 @@ _GELU_A = 0.044715
 _NORM_FLOOR = 1e-8
 _PROBE_SIZE = 256
 _REG_KINDS = ("none", "ortho", "ncl", "dpp")
+# AdamW moment decays, denominator guard and decoupled weight decay.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
 
 
 def gelu(u):
@@ -85,10 +90,6 @@ class MoEConfig:
     reg_kind: str = "none"
     seed: int = 42
     dpp_epsilon: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.01
 
     def __post_init__(self):
         for f in fields(self):
@@ -105,14 +106,12 @@ class MoEConfig:
             raise InvalidConfigError("active_k cannot exceed experts")
         if self.epochs < 0:
             raise InvalidConfigError("epochs must be nonnegative")
-        for name in ("lr", "dpp_epsilon", "adam_eps"):
+        for name in ("lr", "dpp_epsilon"):
             if not getattr(self, name) > 0:
                 raise InvalidConfigError(f"{name} must be positive")
-        for name in ("aux_weight", "reg_weight", "weight_decay"):
+        for name in ("aux_weight", "reg_weight"):
             if getattr(self, name) < 0:
                 raise InvalidConfigError(f"{name} must be nonnegative")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise InvalidConfigError("betas must lie in [0, 1)")
         if self.reg_kind not in _REG_KINDS:
             raise InvalidConfigError(f"reg_kind must be one of {_REG_KINDS}")
         check_seed(self.seed)
@@ -422,19 +421,19 @@ def adamw_step(params, grads, config):
     """Decoupled weight decay + bias-corrected adaptive moments, in place."""
     params.step += 1
     t = params.step
-    bc1 = 1.0 - config.beta1**t
-    bc2 = 1.0 - config.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name in ("w_g", "w_in", "w_out"):
         w = getattr(params, name)
         g = getattr(grads, name)
         m = getattr(params, "m_" + name)
         v = getattr(params, "v_" + name)
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * g**2
-        w -= config.lr * config.weight_decay * w
-        w -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + config.adam_eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g**2
+        w -= config.lr * WEIGHT_DECAY * w
+        w -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params
 
 
@@ -494,13 +493,11 @@ def specialization_heatmap(selections, labels, experts, classes):
 def ambiguity_decomposition(expert_outputs, target):
     """Ensemble error = mean individual error - ambiguity, verified.
 
-    `expert_outputs` is (k,) of scalars or (k, C); the ensemble is their
-    unweighted mean. Returns (ensemble_err, mean_individual_err,
-    ambiguity, gap) with gap the numerical defect of the identity.
+    `expert_outputs` is (k, C); the ensemble is their unweighted mean.
+    Returns (ensemble_err, mean_individual_err, ambiguity, gap) with gap the
+    numerical defect of the identity.
     """
     y = np.asarray(expert_outputs, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
     target = np.asarray(target, dtype=float).reshape(-1)
     if y.ndim != 2 or y.shape[0] < 1 or y.shape[1] != target.size:
         raise InvalidShapeError("need k outputs matching the target dimension")
@@ -706,20 +703,11 @@ def cross_validate(config, dataset, folds=10, workers=1):
     Fold results are independent of `workers` because all randomness is
     keyed by (seed, fold).
     """
-    if workers < 1:
-        raise InvalidConfigError(f"workers must be >= 1, got {workers}")
     features = np.asarray(dataset.features)
     labels = np.asarray(dataset.labels)
     assignment = stratified_folds(labels, folds, config.seed)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_fold, config, features, labels, assignment, f)
-                       for f in range(folds)]
-            reports = [fut.result() for fut in futures]
-    else:
-        reports = [_run_fold(config, features, labels, assignment, f)
-                   for f in range(folds)]
-    reports.sort(key=lambda r: r.fold)
+    reports = run_jobs(partial(_run_fold, config, features, labels, assignment),
+                       range(folds), workers)
     accs = tuple(r.final_accuracy for r in reports)
     aggregate = AggregateReport(
         folds=folds,

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -25,17 +24,14 @@ from .core import (
     SparseSolution,
     _solve_gram,
     check_enumerable,
+    check_k,
     least_squares_on_support,
     mutual_coherence,
+    run_jobs,
     topk_indices,
 )
 from .dictgen import coherent_dictionary, planted_signal
-from .errors import (
-    InvalidConfigError,
-    InvalidKError,
-    InvalidShapeError,
-    SingularGramError,
-)
+from .errors import InvalidConfigError, InvalidShapeError, SingularGramError
 
 log = logging.getLogger(__name__)
 
@@ -45,12 +41,6 @@ def _vector(y) -> np.ndarray:
     if v.ndim != 1:
         raise InvalidShapeError(f"target must be a vector, got shape {v.shape}")
     return v
-
-
-def _check_k(k: int, n: int) -> int:
-    if not 1 <= k <= n:
-        raise InvalidKError(f"k must be in [1, {n}], got {k}")
-    return int(k)
 
 
 def brute_force_sss(dictionary: UnitDictionary, y, k: int) -> SparseSolution:
@@ -63,7 +53,7 @@ def brute_force_sss(dictionary: UnitDictionary, y, k: int) -> SparseSolution:
     """
     v = _vector(y)
     n = dictionary.n_atoms
-    k = _check_k(k, n)
+    k = check_k(k, n)
     check_enumerable(n, k)
     if v.shape[0] != dictionary.dim:
         raise InvalidShapeError(f"target length {v.shape[0]} != dictionary dim {dictionary.dim}")
@@ -92,7 +82,7 @@ def brute_force_sss(dictionary: UnitDictionary, y, k: int) -> SparseSolution:
 def greedy_topk_select(dictionary: UnitDictionary, y, k: int) -> tuple[int, ...]:
     """One-shot rule: the k atoms with largest |<E_i, y>|, ties to lower index."""
     v = _vector(y)
-    k = _check_k(k, dictionary.n_atoms)
+    k = check_k(k, dictionary.n_atoms)
     return tuple(int(i) for i in topk_indices(np.abs(dictionary.data.T @ v), k))
 
 
@@ -103,7 +93,7 @@ def omp_select(dictionary: UnitDictionary, y, k: int) -> tuple[int, ...]:
     running support ever becomes rank-deficient.
     """
     v = _vector(y)
-    k = _check_k(k, dictionary.n_atoms)
+    k = check_k(k, dictionary.n_atoms)
     residual = v
     support: list[int] = []
     for _ in range(k):
@@ -125,11 +115,8 @@ class RecoveryOutcome:
     omp_support: tuple[int, ...]
     greedy_exact: bool
     omp_exact: bool
-    greedy_residual_sq: float
 
     def __post_init__(self):
-        if self.greedy_residual_sq < 0:
-            raise InvalidShapeError("residuals must be nonnegative")
         if self.greedy_exact != (set(self.greedy_support) == set(self.planted_support)):
             raise InvalidShapeError("greedy_exact inconsistent with supports")
         if self.omp_exact != (set(self.omp_support) == set(self.planted_support)):
@@ -139,14 +126,10 @@ class RecoveryOutcome:
 def recovery_trial(dictionary: UnitDictionary, signal: TargetSignal, k: int) -> RecoveryOutcome:
     """Run both selectors on one instance.
 
-    The signal must carry its planted support; success means recovering it
-    exactly.
+    Success means recovering the planted support exactly.
     """
-    if signal.support is None:
-        raise InvalidShapeError("recovery_trial needs a signal with planted support")
     greedy = greedy_topk_select(dictionary, signal, k)
     omp = omp_select(dictionary, signal, k)
-    greedy_res = least_squares_on_support(dictionary, signal.vector, greedy).residual_sq
     planted = tuple(sorted(signal.support))
     return RecoveryOutcome(
         mu_measured=mutual_coherence(dictionary),
@@ -155,45 +138,53 @@ def recovery_trial(dictionary: UnitDictionary, signal: TargetSignal, k: int) -> 
         omp_support=omp,
         greedy_exact=set(greedy) == set(planted),
         omp_exact=set(omp) == set(planted),
-        greedy_residual_sq=greedy_res,
     )
 
 
 @dataclass(frozen=True)
 class BarrierCurve:
-    """Recovery rates along a coherence grid, with the guarantee threshold."""
+    """Every trial's outcome along a coherence grid, ``outcomes[i]`` at ``mu_grid[i]``.
+
+    The per-point means and rates, the trial count and the guarantee
+    threshold 1/(2k-1) are derived from the outcomes once, at construction.
+    """
 
     mu_grid: tuple[float, ...]
-    mu_measured_mean: tuple[float, ...]
-    success_rate_greedy: tuple[float, ...]
-    success_rate_omp: tuple[float, ...]
-    trials_per_point: int
     k: int
-    theoretical_bound: float
-    outcomes: tuple[tuple[RecoveryOutcome, ...], ...] | None = None
+    outcomes: tuple[tuple[RecoveryOutcome, ...], ...]
+    mu_measured_mean: tuple[float, ...] = field(init=False)
+    success_rate_greedy: tuple[float, ...] = field(init=False)
+    success_rate_omp: tuple[float, ...] = field(init=False)
+    trials_per_point: int = field(init=False)
+    theoretical_bound: float = field(init=False)
 
     def __post_init__(self):
-        n = len(self.mu_grid)
-        for name in ("mu_measured_mean", "success_rate_greedy", "success_rate_omp"):
-            if len(getattr(self, name)) != n:
-                raise InvalidShapeError(f"{name} not aligned with mu_grid")
+        if len(self.outcomes) != len(self.mu_grid):
+            raise InvalidShapeError("outcomes not aligned with mu_grid")
         if any(b < a for a, b in zip(self.mu_grid, self.mu_grid[1:])):
             raise InvalidShapeError("mu_grid must ascend")
-        rates = self.success_rate_greedy + self.success_rate_omp
-        if any(not 0.0 <= r <= 1.0 for r in rates):
-            raise InvalidShapeError("success rates must lie in [0, 1]")
-        if self.trials_per_point < 1:
-            raise InvalidShapeError("trials_per_point must be >= 1")
-        if self.theoretical_bound != 1.0 / (2 * self.k - 1):
-            raise InvalidShapeError("theoretical_bound must equal 1/(2k-1)")
+        counts = {len(point) for point in self.outcomes}
+        if len(counts) != 1 or 0 in counts:
+            raise InvalidShapeError(
+                f"grid points need one positive trial count, got {sorted(counts)}")
+
+        def per_point(attr):
+            return tuple(float(np.mean([getattr(o, attr) for o in point]))
+                         for point in self.outcomes)
+
+        object.__setattr__(self, "mu_measured_mean", per_point("mu_measured"))
+        object.__setattr__(self, "success_rate_greedy", per_point("greedy_exact"))
+        object.__setattr__(self, "success_rate_omp", per_point("omp_exact"))
+        object.__setattr__(self, "trials_per_point", counts.pop())
+        object.__setattr__(self, "theoretical_bound", 1.0 / (2 * self.k - 1))
 
 
 # Coherence tolerance passed to the dictionary generator inside sweeps.
 _SWEEP_TOL = 0.005
 
 
-def _run_grid_point(args) -> tuple[int, float, float, float, tuple]:
-    d, n, k, mu, trials, seed, grid_index, collect = args
+def _run_grid_point(args) -> tuple[RecoveryOutcome, ...]:
+    d, n, k, mu, trials, seed, grid_index = args
     outcomes = []
     for t in range(trials):
         dict_seed = rng.derive_state(seed, "barrier", grid_index, t, 0)
@@ -201,10 +192,7 @@ def _run_grid_point(args) -> tuple[int, float, float, float, tuple]:
         dictionary = coherent_dictionary(d, n, mu, _SWEEP_TOL, dict_seed)
         signal = planted_signal(dictionary, k, sig_seed)
         outcomes.append(recovery_trial(dictionary, signal, k))
-    mu_mean = float(np.mean([o.mu_measured for o in outcomes]))
-    rate_g = float(np.mean([o.greedy_exact for o in outcomes]))
-    rate_o = float(np.mean([o.omp_exact for o in outcomes]))
-    return grid_index, mu_mean, rate_g, rate_o, tuple(outcomes) if collect else ()
+    return tuple(outcomes)
 
 
 def barrier_sweep(
@@ -215,14 +203,12 @@ def barrier_sweep(
     trials: int,
     seed: int,
     workers: int = 1,
-    collect_outcomes: bool = False,
 ) -> BarrierCurve:
-    """Exact-recovery rates of both selectors across a coherence grid.
+    """Exact recovery by both selectors, trial by trial, across a coherence grid.
 
     Each (grid point, trial) pair draws its dictionary and planted signal from
     its own derived seed stream, so the curve is independent of scheduling and
-    of ``workers``. Set ``collect_outcomes`` to keep every trial's outcome on
-    the returned curve.
+    of ``workers``.
     """
     grid = [float(m) for m in mu_grid]
     if len(grid) < 1:
@@ -233,30 +219,12 @@ def barrier_sweep(
         raise InvalidConfigError("mu_grid values must lie in [0, 1)")
     if trials < 1:
         raise InvalidConfigError("trials must be >= 1")
-    if workers < 1:
-        raise InvalidConfigError(f"workers must be >= 1, got {workers}")
-    _check_k(k, n_atoms)
+    check_k(k, n_atoms)
     seed = rng.check_seed(seed)
 
-    jobs = [(d, n_atoms, k, mu, trials, seed, gi, collect_outcomes)
-            for gi, mu in enumerate(grid)]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = list(pool.map(_run_grid_point, jobs))
-    else:
-        results = [_run_grid_point(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
-
-    return BarrierCurve(
-        mu_grid=tuple(grid),
-        mu_measured_mean=tuple(r[1] for r in results),
-        success_rate_greedy=tuple(r[2] for r in results),
-        success_rate_omp=tuple(r[3] for r in results),
-        trials_per_point=trials,
-        k=k,
-        theoretical_bound=1.0 / (2 * k - 1),
-        outcomes=tuple(r[4] for r in results) if collect_outcomes else None,
-    )
+    jobs = [(d, n_atoms, k, mu, trials, seed, gi) for gi, mu in enumerate(grid)]
+    outcomes = run_jobs(_run_grid_point, jobs, workers)
+    return BarrierCurve(mu_grid=tuple(grid), k=k, outcomes=tuple(outcomes))
 
 
 def write_barrier_csv(curve: BarrierCurve, path) -> None:

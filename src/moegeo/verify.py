@@ -127,7 +127,7 @@ def check_coherence_barrier_region(seed, **_):
     """Below mu = 1/(2k-1) greedy recovery must be perfect, trial by trial."""
     k = 6
     curve = barrier_sweep(d=32, n_atoms=16, k=k, mu_grid=[0.0, 0.04, 0.08],
-                          trials=25, seed=seed, collect_outcomes=True)
+                          trials=25, seed=seed)
     bound = curve.theoretical_bound
     failures = 0
     in_region = 0

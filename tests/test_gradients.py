@@ -5,6 +5,8 @@ import pytest
 
 from moegeo.infotheory import mean_routing_probs, topk_conditional_entropy
 from moegeo.moe import (
+    ADAM_EPS,
+    WEIGHT_DECAY,
     MoEConfig,
     MoEGradients,
     MoEParams,
@@ -170,21 +172,8 @@ class TestSeededFuzz:
 
 
 class TestAdamW:
-    def test_zero_gradient_zero_decay_is_identity(self):
-        config = MoEConfig(weight_decay=0.0, **SMALL)
-        params = init_params(config, np.random.default_rng(0))
-        before = clone_params(params)
-        grads = MoEGradients(w_g=np.zeros_like(params.w_g),
-                             w_in=np.zeros_like(params.w_in),
-                             w_out=np.zeros_like(params.w_out))
-        adamw_step(params, grads, config)
-        np.testing.assert_array_equal(params.w_g, before.w_g)
-        np.testing.assert_array_equal(params.w_in, before.w_in)
-        np.testing.assert_array_equal(params.w_out, before.w_out)
-        assert params.step == 1
-
     def test_first_step_closed_form(self):
-        config = MoEConfig(weight_decay=0.0, **SMALL)
+        config = MoEConfig(**SMALL)
         rng = np.random.default_rng(1)
         params = init_params(config, rng)
         before = clone_params(params)
@@ -193,19 +182,21 @@ class TestAdamW:
                              w_out=rng.standard_normal(params.w_out.shape))
         adamw_step(params, grads, config)
         # bias correction makes m_hat = g, v_hat = g^2 on step 1
+        assert params.step == 1
         for name in ("w_g", "w_in", "w_out"):
             g = getattr(grads, name)
-            expected = getattr(before, name) - config.lr * g / (np.abs(g) + config.adam_eps)
+            decayed = getattr(before, name) * (1.0 - config.lr * WEIGHT_DECAY)
+            expected = decayed - config.lr * g / (np.abs(g) + ADAM_EPS)
             np.testing.assert_allclose(getattr(params, name), expected, atol=1e-12)
 
     def test_decay_shrinks_without_gradient(self):
-        config = MoEConfig(weight_decay=0.01, **SMALL)
+        config = MoEConfig(**SMALL)
         params = init_params(config, np.random.default_rng(2))
         before = clone_params(params)
         grads = MoEGradients(w_g=np.zeros_like(params.w_g),
                              w_in=np.zeros_like(params.w_in),
                              w_out=np.zeros_like(params.w_out))
         adamw_step(params, grads, config)
-        factor = 1.0 - config.lr * config.weight_decay
+        factor = 1.0 - config.lr * WEIGHT_DECAY
         np.testing.assert_allclose(params.w_g, before.w_g * factor, atol=1e-15)
         np.testing.assert_allclose(params.w_out, before.w_out * factor, atol=1e-15)

@@ -424,7 +424,7 @@ class TestEffectiveRank:
 
 class TestAmbiguity:
     def test_symmetric_scalar_pair(self):
-        assert ambiguity_decomposition(np.array([1.0, 3.0]), np.array([2.0])) == (0.0, 1.0, 1.0, 0.0)
+        assert ambiguity_decomposition(np.array([[1.0], [3.0]]), np.array([2.0])) == (0.0, 1.0, 1.0, 0.0)
 
     def test_all_equal_target(self):
         y = np.tile(np.array([[0.5, -1.0]]), (3, 1))

@@ -5,9 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from moegeo.core import UnitDictionary, normalize_columns
+from moegeo.core import UnitDictionary, least_squares_on_support, normalize_columns
 from moegeo.dictgen import coherent_dictionary, planted_signal, random_orthonormal_dictionary
-from moegeo.errors import InvalidConfigError, InvalidKError, TooLargeError
+from moegeo.errors import InvalidConfigError, InvalidKError, InvalidShapeError, TooLargeError
 from moegeo.sss import (
     BarrierCurve,
     barrier_sweep,
@@ -139,9 +139,10 @@ class TestRecoveryTrial:
             mu = float(rng.uniform(0.0, 0.8))
             d = coherent_dictionary(16, 10, mu, 0.01, seed=seed)
             sig = planted_signal(d, k=3, seed=seed + 77)
-            out = recovery_trial(d, sig, 3)
+            greedy = recovery_trial(d, sig, 3).greedy_support
+            greedy_res = least_squares_on_support(d, sig.vector, greedy).residual_sq
             oracle = brute_force_sss(d, sig, 3)
-            assert out.greedy_residual_sq >= oracle.residual_sq - 1e-9
+            assert greedy_res >= oracle.residual_sq - 1e-9
 
 
 class TestBarrierSweep:
@@ -151,11 +152,13 @@ class TestBarrierSweep:
         assert len(curve.success_rate_greedy) == 3
         assert curve.theoretical_bound == pytest.approx(1.0 / 3.0)
         assert all(0.0 <= r <= 1.0 for r in curve.success_rate_greedy)
+        assert curve.trials_per_point == 5
+        for point, rate in zip(curve.outcomes, curve.success_rate_omp):
+            assert rate == sum(o.omp_exact for o in point) / 5
 
     def test_guaranteed_region_is_perfect(self):
         # bound for k=2 is 1/3; both grid points sit far below it
-        curve = barrier_sweep(24, 12, 2, [0.05, 0.2], trials=25, seed=1,
-                              collect_outcomes=True)
+        curve = barrier_sweep(24, 12, 2, [0.05, 0.2], trials=25, seed=1)
         assert curve.success_rate_greedy == (1.0, 1.0)
         for point in curve.outcomes:
             for out in point:
@@ -178,12 +181,11 @@ class TestBarrierSweep:
             barrier_sweep(16, 8, 2, [1.0], trials=2, seed=0)
 
     def test_curve_type_validation(self):
-        with pytest.raises(Exception):
-            BarrierCurve(
-                mu_grid=(0.1,), mu_measured_mean=(0.1,),
-                success_rate_greedy=(1.5,), success_rate_omp=(1.0,),
-                trials_per_point=1, k=2, theoretical_bound=1.0 / 3.0,
-            )
+        outcomes = barrier_sweep(16, 8, 2, [0.1, 0.5], trials=3, seed=0).outcomes
+        with pytest.raises(InvalidShapeError):
+            BarrierCurve(mu_grid=(0.1,), k=2, outcomes=outcomes)
+        with pytest.raises(InvalidShapeError):
+            BarrierCurve(mu_grid=(0.1, 0.5), k=2, outcomes=(outcomes[0], outcomes[1][:2]))
 
 
 class TestBarrierCsv:
