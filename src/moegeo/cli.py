@@ -139,8 +139,10 @@ SCHEMAS = {
 def _coerce(key, kind, value):
     """Normalize a raw config-file or flag value to its schema type."""
     try:
+        if isinstance(value, bool) and kind != "bool":  # bool is an int subclass
+            raise ValueError
         if kind == "int":
-            if isinstance(value, bool) or (isinstance(value, float) and value != int(value)):
+            if isinstance(value, float) and value != int(value):
                 raise ValueError
             return int(value)
         if kind == "float":
@@ -165,7 +167,7 @@ def _coerce(key, kind, value):
         else:
             raise ValueError
         if kind == "floatlist":
-            return [float(p) for p in parts]
+            return [_coerce(key, "float", p) for p in parts]
         return [str(p).strip() for p in parts]
     except (TypeError, ValueError):
         raise InvalidConfigError(

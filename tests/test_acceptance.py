@@ -403,7 +403,7 @@ def test_08_gradient_correctness():
                            **GRAD_DIMS)
         gen = np.random.default_rng(config.seed)
         params, x, y = _selection_stable_batch(config, gen)
-        analytic = backward(params, forward(params, config, x), y, config)
+        _, analytic = backward(params, forward(params, config, x), y, config)
         numeric = _numeric_grads(params, config, x, y)
         err = 0.0
         for name in ("w_g", "w_in", "w_out"):

@@ -36,6 +36,22 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("config:")
 
+    @pytest.mark.parametrize("command, entry", [
+        ("train", '"lr": true, "samples": 40, "folds": 2, "epochs": 1, "workers": 1'),
+        ("train", '"seed": false, "samples": 40, "folds": 2, "epochs": 1, "workers": 1'),
+        ("barrier", '"mu_grid": [0.1, true]'),
+        ("kl-project", '"probs": [false, true]'),
+    ], ids=["train-lr", "train-seed", "barrier-mu_grid", "kl-project-probs"])
+    def test_json_boolean_is_not_a_number(self, tmp_path, capsys, command, entry):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("{" + entry + "}")
+        out = tmp_path / "o"
+        code = main([command, "--config", str(cfg), "--output_dir", str(out)])
+        assert code == 2
+        key = entry.split('"')[1]
+        assert capsys.readouterr().err.startswith(f"config: {key} expects ")
+        assert not (out / "resolved_config.json").exists()
+
     def test_bad_value_type(self, tmp_path, capsys):
         code = main(["barrier", "--trials", "two",
                      "--output_dir", str(tmp_path / "o")])

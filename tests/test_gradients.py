@@ -118,7 +118,7 @@ class TestBackwardAgainstFiniteDifferences:
         rng = np.random.default_rng(config.seed)
         params, x, y = stable_batch(config, rng)
         trace = forward(params, config, x)
-        analytic = backward(params, trace, y, config)
+        _, analytic = backward(params, trace, y, config)
         numeric = numeric_grads(params, config, x, y)
         err = max_rel_err(analytic, numeric)
         assert err < REL_TOL, f"reg_kind={reg_kind}: max rel err {err:.2e}"
@@ -129,7 +129,7 @@ class TestBackwardAgainstFiniteDifferences:
         params, x, y = stable_batch(config, rng)
         params.w_out[:] = 0.0
         trace = forward(params, config, x)
-        grads = backward(params, trace, y, config)
+        _, grads = backward(params, trace, y, config)
         assert np.max(np.abs(grads.w_out)) > 0
         np.testing.assert_allclose(grads.w_in, 0.0, atol=1e-15)
         np.testing.assert_allclose(grads.w_g, 0.0, atol=1e-15)
@@ -141,7 +141,7 @@ class TestBackwardAgainstFiniteDifferences:
         params, x, y = stable_batch(config, rng)
         params.w_out[:] = 0.0
         trace = forward(params, config, x)
-        grads = backward(params, trace, y, config)
+        _, grads = backward(params, trace, y, config)
         numeric = numeric_grads(params, config, x, y)
         # task term is constant (uniform probs) so FD isolates aux + task jitter
         denom = np.maximum(np.maximum(np.abs(grads.w_g), np.abs(numeric["w_g"])), 1e-6)
@@ -167,7 +167,8 @@ class TestSeededFuzz:
         assert np.sum(mean_routing_probs(trace.routing).probs ** 2) >= 1.0 / e - 1e-12
         assert topk_conditional_entropy(trace.routing) <= np.log(k) + 1e-9
         assert np.isfinite(total_loss(trace, y, config)[0])
-        err = max_rel_err(backward(params, trace, y, config), numeric_grads(params, config, x, y))
+        _, grads = backward(params, trace, y, config)
+        err = max_rel_err(grads, numeric_grads(params, config, x, y))
         assert err < REL_TOL, f"E={e} k={k} C={c} H={h} B={b} {config.reg_kind}: {err:.2e}"
 
 

@@ -8,6 +8,7 @@ from moegeo.core import softmax_rows, topk_indices
 from moegeo.dictgen import synthetic_classification
 from moegeo.errors import (
     DegenerateProbeError,
+    IdentityViolationError,
     InvalidConfigError,
     InvalidShapeError,
     NonFiniteError,
@@ -160,7 +161,7 @@ def per_expert_backward(params, trace, labels, config, cache):
     onehot[np.arange(b), labels] = 1.0
     g_logits = (trace.class_probs - onehot) / b
     d_outputs = trace.gates[..., None] * g_logits[:, None, :]
-    d_outputs = d_outputs + _reg_output_grad(trace, config)
+    d_outputs = d_outputs + _reg_output_grad(trace, config)[1]
     d_gates = np.einsum("bc,bkc->bk", g_logits, trace.expert_outputs)
     p, sel = trace.routing.dense_probs, trace.routing.selections
     active = np.take_along_axis(p, sel, axis=1)
@@ -221,7 +222,7 @@ class TestGroupedAgainstPerExpertLoops:
         np.testing.assert_array_equal(trace.expert_outputs, outputs)
         np.testing.assert_array_equal(trace.logits, logits)
         np.testing.assert_array_equal(trace.class_probs, class_probs)
-        grads = backward(params, trace, y, config)
+        _, grads = backward(params, trace, y, config)
         d_w_g, d_w_in, d_w_out = per_expert_backward(params, trace, y, config, cache)
         np.testing.assert_array_equal(grads.w_g, d_w_g)
         np.testing.assert_array_equal(grads.w_in, d_w_in)
@@ -244,11 +245,11 @@ class TestGroupedAgainstPerExpertLoops:
 class TestOrthoLoss:
     def test_orthogonal_pair_is_zero(self):
         out = np.array([[[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]])
-        assert ortho_loss(make_trace(out)) == pytest.approx(0.0, abs=1e-15)
+        assert ortho_loss(make_trace(out))[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_parallel_pair_counts_both_ordered_pairs(self):
         out = np.array([[[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]])
-        assert ortho_loss(make_trace(out)) == pytest.approx(2.0, abs=1e-12)
+        assert ortho_loss(make_trace(out))[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
@@ -265,11 +266,11 @@ class TestOrthoLoss:
                         nj = out[s, j] / np.linalg.norm(out[s, j])
                         expected += float(ni @ nj) ** 2
             expected /= b
-            assert ortho_loss(make_trace(out)) == pytest.approx(expected, abs=1e-12)
+            assert ortho_loss(make_trace(out))[0] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_norm_vector_contributes_nothing(self):
         out = np.array([[[1.0, 0.0], [0.0, 0.0]]])
-        assert ortho_loss(make_trace(out)) == pytest.approx(0.0, abs=1e-15)
+        assert ortho_loss(make_trace(out))[0] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestSoftDppLoss:
@@ -277,19 +278,19 @@ class TestSoftDppLoss:
         eps = 1e-4
         out = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
         expected = -2.0 * np.log(1.0 + eps)
-        assert softdpp_loss(make_trace(out), eps) == pytest.approx(expected, abs=1e-12)
+        assert softdpp_loss(make_trace(out), eps)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_parallel_pair(self):
         eps = 1e-4
         out = np.array([[[1.0, 1.0], [3.0, 3.0]]])
         expected = -np.log(eps * (2.0 + eps))
-        assert softdpp_loss(make_trace(out), eps) == pytest.approx(expected, abs=1e-9)
+        assert softdpp_loss(make_trace(out), eps)[0] == pytest.approx(expected, abs=1e-9)
 
     def test_batch_of_identical_samples(self):
         rng = np.random.default_rng(8)
         row = rng.standard_normal((1, 3, 4))
-        single = softdpp_loss(make_trace(row), 1e-4)
-        batch = softdpp_loss(make_trace(np.tile(row, (6, 1, 1))), 1e-4)
+        single = softdpp_loss(make_trace(row), 1e-4)[0]
+        batch = softdpp_loss(make_trace(np.tile(row, (6, 1, 1))), 1e-4)[0]
         assert batch == pytest.approx(single, abs=1e-12)
 
     def test_batched_loss_and_gradient_match_per_sample_loops(self):
@@ -305,9 +306,9 @@ class TestSoftDppLoss:
             total = 0.0
             for s in range(b):
                 total += 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(g[s])))))
-            assert softdpp_loss(make_trace(out), eps) == -total / b
-            per_sample = [_reg_output_grad(make_trace(out[s:s + 1]), config) for s in range(b)]
-            np.testing.assert_array_equal(_reg_output_grad(make_trace(out), config),
+            assert softdpp_loss(make_trace(out), eps)[0] == -total / b
+            per_sample = [_reg_output_grad(make_trace(out[s:s + 1]), config)[1] for s in range(b)]
+            np.testing.assert_array_equal(_reg_output_grad(make_trace(out), config)[1],
                                           np.concatenate(per_sample) / b)
 
     def test_epsilon_must_be_positive(self):
@@ -319,13 +320,13 @@ class TestSoftDppLoss:
 class TestNclLoss:
     def test_identical_outputs_zero(self):
         out = np.tile(np.array([[1.0, 2.0, 0.5]]), (3, 1)).reshape(1, 3, 3)
-        assert ncl_loss(make_trace(out)) == pytest.approx(0.0, abs=1e-15)
+        assert ncl_loss(make_trace(out))[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_two_expert_algebra(self):
         out = np.array([[[2.0, 0.0], [0.0, 1.0]]])
         p1, p2 = softmax(out[0, 0]), softmax(out[0, 1])
         expected = -2.0 * float(np.sum(((p1 - p2) / 2.0) ** 2))
-        assert ncl_loss(make_trace(out)) == pytest.approx(expected, abs=1e-12)
+        assert ncl_loss(make_trace(out))[0] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(9)
@@ -341,7 +342,7 @@ class TestNclLoss:
                         if i != j:
                             expected += float(d[i] @ d[j])
             expected /= b
-            assert ncl_loss(make_trace(out)) == pytest.approx(expected, abs=1e-12)
+            assert ncl_loss(make_trace(out))[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestTotalLoss:
@@ -379,6 +380,33 @@ class TestTotalLoss:
         trace = forward(params, config, rng.standard_normal((8, 16)))
         value, comps = total_loss(trace, rng.integers(0, 5, 8), config)
         assert value == pytest.approx(comps.task + comps.aux + comps.reg, abs=1e-15)
+
+
+class TestOneRegularizerPassPerStep:
+    @pytest.mark.parametrize("reg_kind", ["ortho", "ncl", "dpp"])
+    def test_step_normalizes_or_softmaxes_outputs_once(self, reg_kind, monkeypatch):
+        config = MoEConfig(reg_kind=reg_kind, **QUICK)
+        gen = stream(7, "one-pass", reg_kind)
+        params = init_params(config, gen)
+        trace = forward(params, config, gen.standard_normal((16, 16)))
+        y = gen.integers(0, 5, 16)
+        calls = []
+        normalize, softmax_of = moe._normalized_outputs, moe.softmax_rows
+
+        def counting_normalize(t):
+            calls.append("normalize")
+            return normalize(t)
+
+        def counting_softmax(z):
+            if z is trace.expert_outputs:
+                calls.append("softmax")
+            return softmax_of(z)
+
+        monkeypatch.setattr(moe, "_normalized_outputs", counting_normalize)
+        monkeypatch.setattr(moe, "softmax_rows", counting_softmax)
+        comps, _ = backward(params, trace, y, config)
+        assert calls == ["softmax" if reg_kind == "ncl" else "normalize"]
+        assert comps.total == total_loss(trace, y, config)[0]
 
 
 class TestEffectiveRank:
@@ -439,6 +467,24 @@ class TestAmbiguity:
             assert gap <= 1e-10
             assert ens <= mean_ind + 1e-12  # ambiguity is nonnegative
             assert amb >= -1e-12
+
+    def large_output_model(self):
+        config = MoEConfig(input_dim=8, experts=4, active_k=2, expert_hidden=6, classes=5, seed=1)
+        gen = stream(1, "t")
+        params = init_params(config, gen)
+        params.w_out *= 1000
+        return params, config, gen.standard_normal((64, 8)), gen.integers(0, 5, size=64)
+
+    def test_audit_bound_scales_with_output_size(self):
+        # outputs of order 1e3 leave rounding gaps above 1e-10 in the exact identity
+        params, config, x, y = self.large_output_model()
+        assert moe._eval_metrics(params, config, x, y)["test_acc"] >= 0.0
+
+    def test_audit_still_catches_a_relative_violation(self, monkeypatch):
+        params, config, x, y = self.large_output_model()
+        monkeypatch.setattr(moe, "ambiguity_decomposition", lambda y, t: (0.0, 1e6, 0.0, 1e-3))
+        with pytest.raises(IdentityViolationError, match="ambiguity identity violated"):
+            moe._eval_metrics(params, config, x, y)
 
 
 def heatmap_of(params, config, x, y):
