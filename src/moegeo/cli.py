@@ -30,6 +30,7 @@ from .errors import (
     InvalidKError,
     InvalidShapeError,
     MoegeoError,
+    ZeroProbabilityError,
 )
 from .core import check_k, mutual_coherence, softmax_rows, topk_indices
 from .infotheory import (
@@ -58,7 +59,7 @@ _CONFIG_ERRORS = (InvalidConfigError, InvalidKError, InvalidShapeError)
 @dataclass(frozen=True)
 class Field:
     default: object
-    kind: str  # int | float | str | bool | floatlist | strlist
+    kind: str  # int | float | str | floatlist | strlist
     help: str
 
 
@@ -128,8 +129,6 @@ SCHEMAS = {
     "verify": {
         "checks": Field(None, "strlist",
                         "comma-separated subset of: " + ", ".join(ALL_CHECKS)),
-        "inject_fault": Field(False, "bool",
-                              "corrupt the projection check (harness self-test)"),
         "seed": Field(42, "int", "master seed"),
         "output_dir": Field("out/verify", "str", "artifact directory"),
     },
@@ -139,7 +138,7 @@ SCHEMAS = {
 def _coerce(key, kind, value):
     """Normalize a raw config-file or flag value to its schema type."""
     try:
-        if isinstance(value, bool) and kind != "bool":  # bool is an int subclass
+        if isinstance(value, bool):  # bool is an int subclass
             raise ValueError
         if kind == "int":
             if isinstance(value, float) and value != int(value):
@@ -151,12 +150,6 @@ def _coerce(key, kind, value):
             if not isinstance(value, str):
                 raise ValueError
             return value
-        if kind == "bool":
-            if isinstance(value, bool):
-                return value
-            if isinstance(value, str) and value.lower() in ("true", "false"):
-                return value.lower() == "true"
-            raise ValueError
         # list kinds: JSON lists from files, comma-separated text from flags
         if value is None:
             return None
@@ -286,7 +279,10 @@ def cmd_kl_project(cfg, config_path):
         p = gen.random(cfg["experts"]) + 1e-3
         p /= p.sum()
     dist = CategoricalDist(p)
-    q, support, kl = kl_sparse_project(dist, cfg["k"])
+    try:
+        q, support, kl = kl_sparse_project(dist, cfg["k"])
+    except ZeroProbabilityError as exc:  # only a given distribution can hold a zero
+        raise InvalidConfigError(f"probs: {exc}") from None
     _write_json(out / "projection.json", {
         "p": [float(v) for v in dist.probs],
         "q": [float(v) for v in q.probs],
@@ -347,8 +343,7 @@ def cmd_info(cfg, config_path):
 def cmd_verify(cfg, config_path):
     out = _prepare_output(cfg, config_path)
     try:
-        results = run_verification(seed=cfg["seed"], checks=cfg["checks"],
-                                   inject_fault=cfg["inject_fault"])
+        results = run_verification(seed=cfg["seed"], checks=cfg["checks"])
     except KeyError as exc:
         raise InvalidConfigError(str(exc.args[0])) from None
     all_pass = all(r.passed for r in results)
@@ -391,14 +386,9 @@ def build_parser():
         p.add_argument("--config", default=None,
                        help="JSON config file; flags override its values")
         for key, field in schema.items():
-            flag = "--" + key
-            if field.kind == "bool":
-                p.add_argument(flag, dest=key, action="store_const", const="true",
-                               default=None, help=field.help)
-            else:
-                p.add_argument(flag, dest=key.replace("-", "_"), default=None,
-                               metavar=field.kind.upper(),
-                               help=f"{field.help} (default: {field.default})")
+            p.add_argument("--" + key, dest=key.replace("-", "_"), default=None,
+                           metavar=field.kind.upper(),
+                           help=f"{field.help} (default: {field.default})")
     return parser
 
 

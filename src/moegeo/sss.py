@@ -113,14 +113,14 @@ class RecoveryOutcome:
     planted_support: tuple[int, ...]
     greedy_support: tuple[int, ...]
     omp_support: tuple[int, ...]
-    greedy_exact: bool
-    omp_exact: bool
 
-    def __post_init__(self):
-        if self.greedy_exact != (set(self.greedy_support) == set(self.planted_support)):
-            raise InvalidShapeError("greedy_exact inconsistent with supports")
-        if self.omp_exact != (set(self.omp_support) == set(self.planted_support)):
-            raise InvalidShapeError("omp_exact inconsistent with supports")
+    @property
+    def greedy_exact(self) -> bool:
+        return set(self.greedy_support) == set(self.planted_support)
+
+    @property
+    def omp_exact(self) -> bool:
+        return set(self.omp_support) == set(self.planted_support)
 
 
 def recovery_trial(dictionary: UnitDictionary, signal: TargetSignal, k: int) -> RecoveryOutcome:
@@ -128,16 +128,11 @@ def recovery_trial(dictionary: UnitDictionary, signal: TargetSignal, k: int) -> 
 
     Success means recovering the planted support exactly.
     """
-    greedy = greedy_topk_select(dictionary, signal, k)
-    omp = omp_select(dictionary, signal, k)
-    planted = tuple(sorted(signal.support))
     return RecoveryOutcome(
         mu_measured=mutual_coherence(dictionary),
-        planted_support=planted,
-        greedy_support=greedy,
-        omp_support=omp,
-        greedy_exact=set(greedy) == set(planted),
-        omp_exact=set(omp) == set(planted),
+        planted_support=tuple(sorted(signal.support)),
+        greedy_support=greedy_topk_select(dictionary, signal, k),
+        omp_support=omp_select(dictionary, signal, k),
     )
 
 

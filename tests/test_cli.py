@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from moegeo import cli
+from moegeo import cli, verify
 from moegeo.cli import build_parser, main
 
 
@@ -64,11 +65,21 @@ class TestExitCodes:
         assert "nonsense" in capsys.readouterr().err
 
     def test_numerical_abort_is_exit_3(self, tmp_path, capsys):
-        # a hard zero inside the projection support is a numerical refusal
-        code = main(["kl-project", "--probs", "1,0", "--k", "1",
-                     "--output_dir", str(tmp_path / "o")])
+        # a learning rate this large overflows the first update: a diverged fold
+        with np.errstate(all="ignore"):
+            code = main(["train", "--lr", "1e300", "--samples", "40", "--folds", "2",
+                         "--epochs", "1", "--workers", "1",
+                         "--output_dir", str(tmp_path / "o")])
         assert code == 3
         assert capsys.readouterr().err.startswith("abort:")
+
+    @pytest.mark.parametrize("probs", ["0,1", "1,0"])
+    def test_zero_probability_is_config_error(self, tmp_path, capsys, probs):
+        code = main(["kl-project", "--probs", probs, "--k", "1",
+                     "--output_dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            "config: probs: projection needs strictly positive probabilities")
 
     def test_single_expert_is_config_error(self, tmp_path, capsys):
         code = main(["train", "--experts", "1", "--k", "1", "--samples", "40",
@@ -151,10 +162,17 @@ class TestExitCodes:
         assert err.startswith("internal: ValueError: not a library error\n")
         assert "in broken" in err
 
-    def test_verify_failure_is_exit_1(self, tmp_path):
+    def test_verify_failure_is_exit_1(self, tmp_path, monkeypatch):
+        real = verify.kl_sparse_project
+
+        def negated_kl(p, k):
+            q, support, kl = real(p, k)
+            return q, support, -kl
+
+        monkeypatch.setattr(verify, "kl_sparse_project", negated_kl)
         out = tmp_path / "v"
         code = main(["verify", "--checks", "kl-projection-oracle",
-                     "--inject_fault", "--output_dir", str(out)])
+                     "--output_dir", str(out)])
         assert code == 1
         payload = json.loads((out / "verify.json").read_text())
         assert payload["all_pass"] is False

@@ -1,11 +1,11 @@
-"""The self-audit suite audits itself: clean pass, filtering, fault wiring."""
+"""The self-audit suite audits itself: clean pass, filtering, planted faults."""
 
 import numpy as np
 import pytest
 
-from moegeo import infotheory
+from moegeo import diversity, infotheory, sss, verify
 from moegeo.errors import IdentityViolationError
-from moegeo.verify import ALL_CHECKS, check_topk_entropy_bound, run_verification
+from moegeo.verify import ALL_CHECKS, run_verification
 
 
 def test_all_checks_pass_on_clean_build():
@@ -26,13 +26,52 @@ def test_unknown_check_rejected():
         run_verification(checks=["no-such-check"])
 
 
-def test_fault_injection_fails_only_the_projection_check():
+def _plant(monkeypatch, module, name, wrong):
+    """Make module.name return wrong(real result, *args)."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: wrong(real(*args), *args))
+
+
+def test_fault_injection_fails_only_the_projection_check(monkeypatch):
+    _plant(monkeypatch, verify, "kl_sparse_project", lambda r, *_: (r[0], r[1], -r[2]))
     results = run_verification(seed=42, checks=["kl-projection-oracle",
-                                                "collision-identity"],
-                               inject_fault=True)
+                                                "collision-identity"])
     assert results[0].passed is False
     assert results[0].margin < 0
     assert results[1].passed is True
+
+
+def _shift(support, *_):
+    return tuple(i + 1 for i in support)
+
+
+# A wrong answer planted in the library function each check audits.
+PLANTED = {
+    "kl-projection-oracle": (verify, "kl_sparse_project", lambda r, *_: (r[0], r[1], -r[2])),
+    "collision-identity": (verify, "collision_identity_check",
+                           lambda r, *_: (r[0], r[1] + 1e-6, r[2])),
+    "topk-entropy-bound": (verify, "topk_conditional_entropy", lambda h, *_: h + 1.0),
+    "orthogonal-greedy-optimality": (verify, "greedy_topk_select", _shift),
+    "coherence-barrier-region": (sss, "greedy_topk_select", _shift),
+    "submodularity": (diversity, "marginal_gain",
+                      lambda g, kernel, subset, e: g + len(subset)),
+    "nemhauser-ratio": (diversity, "dpp_greedy_select", lambda s, *_: s[:-1]),
+    "ambiguity-identity": (verify, "ambiguity_decomposition",
+                           lambda r, *_: (r[0] + 1e-6, *r[1:])),
+}
+
+
+def test_every_check_has_a_planted_fault():
+    assert set(PLANTED) == set(ALL_CHECKS)
+
+
+@pytest.mark.parametrize("name", list(PLANTED))
+def test_planted_fault_fails_its_check(monkeypatch, name):
+    module, attr, wrong = PLANTED[name]
+    _plant(monkeypatch, module, attr, wrong)
+    [result] = run_verification(seed=42, checks=[name])
+    assert result.passed is False
+    assert result.margin < 0
 
 
 def test_entropy_bound_violation_is_typed_and_fails_the_check(monkeypatch):
@@ -42,7 +81,7 @@ def test_entropy_bound_violation_is_typed_and_fails_the_check(monkeypatch):
                         lambda b: np.full((b.n_tokens, b.n_experts), 1.0 / np.e))
     with pytest.raises(IdentityViolationError, match="exceeds log k"):
         infotheory.topk_conditional_entropy(batch)
-    result = check_topk_entropy_bound(seed=42)
+    [result] = run_verification(seed=42, checks=["topk-entropy-bound"])
     assert result.passed is False
     assert "exceeds log k" in result.detail
 
