@@ -215,10 +215,10 @@ def _prepare_output(cfg, config_path):
 
 
 def cmd_barrier(cfg, config_path):
-    out = _prepare_output(cfg, config_path)
     curve = barrier_sweep(d=cfg["d"], n_atoms=cfg["n_atoms"], k=cfg["k"],
                           mu_grid=cfg["mu_grid"], trials=cfg["trials"],
                           seed=cfg["seed"], workers=cfg["workers"])
+    out = _prepare_output(cfg, config_path)
     write_barrier_csv(curve, out / "barrier.csv")
     full = [m for m, r in zip(curve.mu_measured_mean, curve.success_rate_greedy)
             if r == 1.0]
@@ -238,7 +238,6 @@ def cmd_barrier(cfg, config_path):
 
 
 def cmd_train(cfg, config_path):
-    out = _prepare_output(cfg, config_path)
     dataset = synthetic_classification(
         samples=cfg["samples"], features=cfg["features"],
         informative=cfg["informative"], classes=cfg["classes"],
@@ -251,6 +250,7 @@ def cmd_train(cfg, config_path):
         dpp_epsilon=cfg["dpp_epsilon"])
     reports, agg = cross_validate(config, dataset, folds=cfg["folds"],
                                   workers=cfg["workers"])
+    out = _prepare_output(cfg, config_path)
     write_run_csv(out / "run.csv", reports)
     write_heatmap_csv(out / "heatmap.csv",
                       np.mean([r.heatmap for r in reports], axis=0))
@@ -271,7 +271,6 @@ def cmd_train(cfg, config_path):
 
 
 def cmd_kl_project(cfg, config_path):
-    out = _prepare_output(cfg, config_path)
     if cfg["probs"] is not None:
         p = np.asarray(cfg["probs"], dtype=float)
     else:
@@ -283,6 +282,7 @@ def cmd_kl_project(cfg, config_path):
         q, support, kl = kl_sparse_project(dist, cfg["k"])
     except ZeroProbabilityError as exc:  # only a given distribution can hold a zero
         raise InvalidConfigError(f"probs: {exc}") from None
+    out = _prepare_output(cfg, config_path)
     _write_json(out / "projection.json", {
         "p": [float(v) for v in dist.probs],
         "q": [float(v) for v in q.probs],
@@ -294,7 +294,6 @@ def cmd_kl_project(cfg, config_path):
 
 
 def cmd_dpp_select(cfg, config_path):
-    out = _prepare_output(cfg, config_path)
     dictionary = coherent_dictionary(cfg["d"], cfg["n_atoms"], cfg["coherence"],
                                      0.005, cfg["seed"])
     kernel = Kernel.from_dictionary(dictionary)
@@ -302,6 +301,7 @@ def cmd_dpp_select(cfg, config_path):
     gains = []
     for i in range(len(selection)):
         gains.append(marginal_gain(kernel, selection[:i], selection[i]))
+    out = _prepare_output(cfg, config_path)
     _write_json(out / "selection.json", {
         "selection": list(selection),
         "marginal_gains": gains,
@@ -341,11 +341,11 @@ def cmd_info(cfg, config_path):
 
 
 def cmd_verify(cfg, config_path):
-    out = _prepare_output(cfg, config_path)
     try:
         results = run_verification(seed=cfg["seed"], checks=cfg["checks"])
     except KeyError as exc:
         raise InvalidConfigError(str(exc.args[0])) from None
+    out = _prepare_output(cfg, config_path)
     all_pass = all(r.passed for r in results)
     _write_json(out / "verify.json", {
         "all_pass": all_pass,

@@ -6,6 +6,8 @@ All functions take a 64-bit master seed and draw from derived Philox streams
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,19 +46,24 @@ def _blend(base: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
     return m / np.linalg.norm(m, axis=0)
 
 
-def _blend_coherence(a: np.ndarray, t: float) -> float:
-    """Mutual coherence of _blend(base, u, t) from a = base^T u alone.
+def _extreme_entries(a: np.ndarray) -> list[float]:
+    """The two smallest and two largest entries of a, all of them when N <= 4."""
+    s = sorted(a.tolist())
+    return s if len(s) <= 4 else s[:2] + s[-2:]
+
+
+def _blend_coherence(ext: list[float], t: float) -> float:
+    """Mutual coherence of _blend(base, u, t) from ext = _extreme_entries(base^T u).
 
     The base columns are orthonormal and u is a unit vector, so with
     c = (1-t)t column i has squared norm n_i^2 = (1-t)^2 + 2c a_i + t^2 and
-    cosine (c (a_i + a_j) + t^2) / (n_i n_j) with column j. Every cosine is
-    positive because a >= 0. O(N^2), with no d x N matrix built.
+    cosine (c (a_i + a_j) + t^2) / (n_i n_j) with column j, positive because
+    a >= 0. The pairs of ext, at most 6, are evaluated in floats: O(1).
     """
     c = (1.0 - t) * t
-    inv_norm = 1.0 / np.sqrt((1.0 - t) ** 2 + 2.0 * c * a + t * t)
-    cos = (c * (a[:, None] + a[None, :]) + t * t) * np.outer(inv_norm, inv_norm)
-    np.fill_diagonal(cos, 0.0)
-    return float(cos.max())
+    inv_norm = [1.0 / math.sqrt((1.0 - t) ** 2 + 2.0 * c * x + t * t) for x in ext]
+    return max((c * (ext[i] + ext[j]) + t * t) * (inv_norm[i] * inv_norm[j])
+               for i, j in itertools.combinations(range(len(ext)), 2))
 
 
 def coherent_dictionary(
@@ -71,13 +78,17 @@ def coherent_dictionary(
     the target is found by bisection. Raises UnreachableError when the target
     cannot be bracketed or hit within tol.
 
-    Each bisection step reads the coherence from the closed form of
-    _blend_coherence, O(N^2), instead of building the d x N dictionary. The
-    two agree to about 1e-15, so a step whose closed-form coherence lies within
-    _GUARD_BAND of target_mu is decided on the built dictionary: every step
-    branches as it would on the built dictionary, and the result is the same
-    to the bit. The loop stops once the midpoint equals an end of the bracket,
-    since later steps cannot move it.
+    The ceiling check and each bisection step read the coherence from the
+    closed form of _blend_coherence, not the built d x N dictionary. For
+    t in (0, 1) and column j fixed, d/da_i log cos_ij has the sign of
+    (1-t)^2 + (1-t)t (a_i - a_j), increasing in a_i, so cos_ij is quasiconvex
+    in a_i and its maximum over i != j sits at the smallest or largest a_i:
+    the maximizing pair is among the two smallest and two largest entries of
+    a = base^T u, and a step costs O(1) where all pairs cost O(N^2). The
+    closed form is within about 1e-15 of the built coherence, so a step within
+    _GUARD_BAND of target_mu is decided on the built dictionary: each step
+    branches as the built dictionary would, and the result is the same to the
+    bit. The loop stops once the midpoint equals an end of the bracket.
     """
     if not 0.0 <= target_mu < 1.0:
         raise InvalidConfigError(f"target_mu must be in [0, 1), got {target_mu}")
@@ -95,21 +106,25 @@ def coherent_dictionary(
     if target_mu == 0.0:
         return UnitDictionary(base)
 
+    ext = _extreme_entries(base.T @ u)
+
+    def coherence(t):
+        mu = _blend_coherence(ext, t)
+        if abs(mu - target_mu) <= _GUARD_BAND:
+            mu = mutual_coherence(UnitDictionary(_blend(base, u, t)))
+        return mu
+
     lo, hi = 0.0, 1.0 - 1e-9
-    mu_hi = mutual_coherence(UnitDictionary(_blend(base, u, hi)))
+    mu_hi = coherence(hi)
     if mu_hi < target_mu:
         raise UnreachableError(
             f"coherence {target_mu} exceeds the construction's ceiling {mu_hi:.6f}"
         )
-    a = base.T @ u
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        mu = _blend_coherence(a, mid)
-        if abs(mu - target_mu) <= _GUARD_BAND:
-            mu = mutual_coherence(UnitDictionary(_blend(base, u, mid)))
-        if mu < target_mu:
+        if coherence(mid) < target_mu:
             lo = mid
         else:
             hi = mid

@@ -21,6 +21,17 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.strip() == "config: mu_grid must ascend"
 
+    @pytest.mark.parametrize("argv", [
+        ["barrier", "--mu_grid", "0.5,0.2", "--trials", "1"],
+        ["kl-project", "--probs", "0.6,0.6"],
+    ], ids=["barrier-descending-grid", "kl-project-bad-sum"])
+    def test_config_error_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "D"
+        code = main([*argv, "--output_dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config:")
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"bogus": 1}')

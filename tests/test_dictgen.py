@@ -8,8 +8,10 @@ from moegeo import rng
 from moegeo import dictgen
 from moegeo.core import UnitDictionary, mutual_coherence, normalize_columns
 from moegeo.dictgen import (
+    _GUARD_BAND,
     _blend,
     _blend_coherence,
+    _extreme_entries,
     _haar_columns,
     coherent_dictionary,
     planted_signal,
@@ -56,6 +58,15 @@ def reference_coherent_dictionary(dim, n_atoms, target_mu, tol, seed):
     if abs(mutual_coherence(result) - target_mu) > tol:
         raise UnreachableError("missed")
     return result
+
+
+def all_pairs_blend_coherence(a, t):
+    """The O(N^2) closed form over every pair of columns: the extreme-pair oracle."""
+    c = (1.0 - t) * t
+    inv_norm = 1.0 / np.sqrt((1.0 - t) ** 2 + 2.0 * c * a + t * t)
+    cos = (c * (a[:, None] + a[None, :]) + t * t) * np.outer(inv_norm, inv_norm)
+    np.fill_diagonal(cos, 0.0)
+    return float(cos.max())
 
 
 def linear_probe_accuracy(x, labels, n_classes):
@@ -132,10 +143,25 @@ class TestClosedFormBisection:
     def test_closed_form_matches_built_dictionary(self):
         for dim, n_atoms, seed in ((128, 64, 0), (128, 64, 1), (256, 256, 2), (10, 5, 3)):
             base, u = sign_aligned_base(dim, n_atoms, seed)
-            a = base.T @ u
+            ext = _extreme_entries(base.T @ u)
             for t in np.linspace(0.0, 1.0 - 1e-9, 40):
                 built = mutual_coherence(UnitDictionary(_blend(base, u, t)))
-                assert abs(_blend_coherence(a, t) - built) <= 1e-14
+                assert abs(_blend_coherence(ext, t) - built) <= 1e-14
+
+    def test_extreme_pairs_match_all_pairs(self):
+        # cos_ij is quasiconvex in a_i, so the maximum over all pairs sits on
+        # the pairs of the two smallest and two largest entries of a
+        gen = np.random.default_rng(11)
+        ts = np.concatenate([np.linspace(1e-12, 1.0 - 1e-9, 40),
+                             1.0 - np.logspace(-1, -9, 25)])
+        vectors = [gen.random(n) for n in (2, 3, 4, 5, 64, 256) for _ in range(8)]
+        vectors += [np.full(6, 0.4), np.repeat(gen.random(4), 3),
+                    np.array([0.0, 0.0, 0.5, 0.9, 0.9]), np.array([0.2, 0.7, 0.7])]
+        for a in vectors:
+            ext = _extreme_entries(a)
+            for t in ts:
+                assert abs(_blend_coherence(ext, t) - all_pairs_blend_coherence(a, t)) <= 1e-15
+            assert len(ext) == min(a.size, 4)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_barrier_grid_bytes(self, seed):
@@ -172,8 +198,40 @@ class TestClosedFormBisection:
         monkeypatch.undo()
         ref = reference_coherent_dictionary(128, 64, target, 0.005, 6)
         assert new.data.tobytes() == ref.data.tobytes()
-        # the ceiling and the final check, plus at least one guarded step
+        # the final check, plus the guarded steps
         assert len(calls) > 2
+
+    def test_generic_target_builds_only_guarded_steps(self, monkeypatch):
+        # Only steps within the guard band and the final tol check build the
+        # dictionary; the ceiling check is decided in closed form.
+        target = 0.3
+        closed, built, measured = [], [], []
+
+        def recording_closed_form(ext, t):
+            mu = _blend_coherence(ext, t)
+            closed.append((t, mu))
+            return mu
+
+        def recording_blend(base, u, t):
+            built.append(t)
+            return _blend(base, u, t)
+
+        def counting(dictionary):
+            measured.append(1)
+            return mutual_coherence(dictionary)
+
+        monkeypatch.setattr(dictgen, "_blend_coherence", recording_closed_form)
+        monkeypatch.setattr(dictgen, "_blend", recording_blend)
+        monkeypatch.setattr(dictgen, "mutual_coherence", counting)
+        new = coherent_dictionary(128, 64, target, 0.005, 5)
+        monkeypatch.undo()
+        guarded = [t for t, mu in closed if abs(mu - target) <= _GUARD_BAND]
+        assert closed[0][0] == 1.0 - 1e-9
+        assert len(guarded) >= 1
+        assert built[:-1] == guarded
+        assert len(measured) == len(built) == len(guarded) + 1
+        ref = reference_coherent_dictionary(128, 64, target, 0.005, 5)
+        assert new.data.tobytes() == ref.data.tobytes()
 
 
 class TestPlantedSignal:
