@@ -10,6 +10,8 @@ the k-range check and the job runner live here once, for every module.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -24,6 +26,10 @@ from .errors import (
 _PIVOT_RTOL = 1e-12
 # Hard ceiling on the subsets an exhaustive search may enumerate.
 _MAX_ENUM = 10**7
+# BLAS reads its thread count when numpy is first imported, so pool workers get
+# it from the environment they are started in: one thread each, since the
+# workers already share out the cores.
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def _frozen_array(x, dtype=np.float64, ndim=None) -> np.ndarray:
@@ -179,15 +185,30 @@ def run_jobs(fn, jobs, workers: int) -> list:
     """``[fn(job) for job in jobs]``, in job order, on up to ``workers`` processes.
 
     Runs in this process when ``workers`` is 1 or there are fewer than two
-    jobs; otherwise ``fn`` and every job must pickle.
+    jobs; otherwise ``fn`` and every job must pickle. Workers are spawned,
+    fresh interpreters rather than forks, with one BLAS thread each: a forked
+    worker would keep the parent's BLAS thread pool, and workers times BLAS
+    threads would oversubscribe the cores. The environment of this process is
+    restored once the pool has shut down. Spawned workers import the main
+    module, so a script that gets here must guard its entry point.
     """
     if workers < 1:
         raise InvalidConfigError(f"workers must be >= 1, got {workers}")
     jobs = list(jobs)
     if workers == 1 or len(jobs) < 2:
         return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return list(pool.map(fn, jobs))
+    saved = {name: os.environ.get(name) for name in _WORKER_ENV}
+    os.environ.update(_WORKER_ENV)
+    try:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, jobs))
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray, support) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -22,6 +23,7 @@ from .core import (
     TargetSignal,
     UnitDictionary,
     SparseSolution,
+    _PIVOT_RTOL,
     _solve_gram,
     check_enumerable,
     check_k,
@@ -34,6 +36,13 @@ from .dictgen import coherent_dictionary, planted_signal
 from .errors import InvalidConfigError, InvalidShapeError, SingularGramError
 
 log = logging.getLogger(__name__)
+
+# OMP picks whose runner-up lies within this many |y| / lambda_min of the best
+# score are rescored on the refit route.
+_SCORE_BAND = 1e-9
+# Supports whose Gram has a certified lambda_min of at least this pass the
+# refit route's pivot check with room for its rounding.
+_CERT_RTOL = 1e3 * _PIVOT_RTOL
 
 
 def _vector(y) -> np.ndarray:
@@ -86,22 +95,87 @@ def greedy_topk_select(dictionary: UnitDictionary, y, k: int) -> tuple[int, ...]
     return tuple(int(i) for i in topk_indices(np.abs(dictionary.data.T @ v), k))
 
 
+def _refit_scores(dictionary: UnitDictionary, v: np.ndarray, support: list[int]) -> np.ndarray:
+    """|<E_i, v - E_S coef>| for the least-squares coef on sorted(support), the support at -inf.
+
+    The reference route of omp_select, one refit per call; raises
+    SingularGramError exactly where least_squares_on_support does.
+    """
+    sol = least_squares_on_support(dictionary, v, sorted(support))
+    scores = np.abs(dictionary.data.T @ (v - dictionary.data[:, sol.support] @ sol.coefficients))
+    scores[support] = -np.inf
+    return scores
+
+
 def omp_select(dictionary: UnitDictionary, y, k: int) -> tuple[int, ...]:
     """Orthogonal matching pursuit: argmax correlation, refit, repeat.
 
     Same tie rule as the one-shot selector. Raises SingularGramError if the
     running support ever becomes rank-deficient.
+
+    The reference route refits least squares on the sorted support after every
+    pick and correlates the residual with every atom. Here a Cholesky factor L
+    of the support's Gram, in pick order, grows one row per pick (the
+    incremental pattern of dpp_greedy_select). rows = L^-1 G[S, :] holds every
+    atom's coordinates in an orthonormal basis of the support's span; a pick j
+    with d^2 = G_jj - |rows[:, j]|^2 appends the row
+    e = (G[j, :] - rows[:, j]^T rows) / d, and the residual correlations
+    c0 - G[:, S] coef, c0 = E^T y, lose (corr_j / d) e. A pick costs one
+    E^T E_j product and O(N k), with no refit.
+
+    The two routes round differently, so a pick whose runner-up score lies
+    within _SCORE_BAND * |y| / lam of the best is rescored on the reference
+    route, where lam = 1 / |L^-1|_F^2 <= lambda_min(G_SS) bounds how far the
+    rounding can carry the scores apart. The first pick reads E^T y on both
+    routes alike.
+
+    The reference route raises SingularGramError when a pivot of the sorted
+    support's Cholesky falls below _PIVOT_RTOL times the largest. Every pivot
+    is at least lambda_min(G_SS) >= lam, and at most max G_ii, within 3e-10
+    of 1 for unit columns, so a support with lam >= _CERT_RTOL passes that
+    check with room for its rounding. From the first support without this
+    certificate on, every pick is the reference route's own, refits included,
+    so SingularGramError is raised for exactly the supports it raises for.
     """
     v = _vector(y)
-    k = check_k(k, dictionary.n_atoms)
-    residual = v
+    n = dictionary.n_atoms
+    k = check_k(k, n)
+    data = dictionary.data
+    norm_v = float(np.linalg.norm(v))
+    corr = data.T @ v
+    rows = np.zeros((k, n))
+    linv = np.zeros((k, k))
+    inv_fro2 = 0.0
+    certified = True
     support: list[int] = []
-    for _ in range(k):
-        scores = np.abs(dictionary.data.T @ residual)
-        scores[support] = -np.inf
-        support.append(int(np.argmax(scores)))
-        sol = least_squares_on_support(dictionary, v, sorted(support))
-        residual = v - dictionary.data[:, sol.support] @ sol.coefficients
+    for r in range(k):
+        if certified:
+            scores = np.abs(corr)
+            scores[support] = -np.inf
+            j = int(np.argmax(scores))
+        if not certified or r and np.count_nonzero(scores >= scores[j] - band) > 1:
+            j = int(np.argmax(_refit_scores(dictionary, v, support)))
+        support.append(j)
+        if not certified:
+            continue
+        w = rows[:r, j]
+        g = data.T @ data[:, j]
+        d2 = g[j] - w @ w
+        if not d2 > 0.0:
+            certified = False
+            continue
+        d = math.sqrt(d2)
+        rows[r] = (g - w @ rows[:r]) / d
+        corr -= (corr[j] / d) * rows[r]
+        linv[r, :r] = -(w @ linv[:r, :r]) / d
+        linv[r, r] = 1.0 / d
+        inv_fro2 += float(linv[r, :r + 1] @ linv[r, :r + 1])
+        lam = 1.0 / inv_fro2
+        certified = lam >= _CERT_RTOL
+        band = _SCORE_BAND * norm_v / lam
+    if not certified:
+        # the refit the reference route makes after its last pick
+        _refit_scores(dictionary, v, support)
     return tuple(sorted(support))
 
 

@@ -8,11 +8,14 @@ from moegeo import rng
 from moegeo import dictgen
 from moegeo.core import UnitDictionary, mutual_coherence, normalize_columns
 from moegeo.dictgen import (
+    _CERT_MARGIN,
     _GUARD_BAND,
     _blend,
     _blend_coherence,
     _extreme_entries,
+    _guarded_coherence,
     _haar_columns,
+    _outside_bound,
     coherent_dictionary,
     planted_signal,
     random_orthonormal_dictionary,
@@ -60,13 +63,31 @@ def reference_coherent_dictionary(dim, n_atoms, target_mu, tol, seed):
     return result
 
 
-def all_pairs_blend_coherence(a, t):
-    """The O(N^2) closed form over every pair of columns: the extreme-pair oracle."""
+def all_pairs_cosines(a, t):
+    """The O(N^2) closed form of every pair's cosine, 0 on the diagonal."""
     c = (1.0 - t) * t
     inv_norm = 1.0 / np.sqrt((1.0 - t) ** 2 + 2.0 * c * a + t * t)
     cos = (c * (a[:, None] + a[None, :]) + t * t) * np.outer(inv_norm, inv_norm)
     np.fill_diagonal(cos, 0.0)
-    return float(cos.max())
+    return cos
+
+
+def all_pairs_blend_coherence(a, t):
+    """The closed form over every pair of columns: the extreme-pair oracle."""
+    return float(all_pairs_cosines(a, t).max())
+
+
+def recording_blend(monkeypatch):
+    """Patch dictgen._blend to record (columns of the base, t, result) per build."""
+    builds = []
+
+    def recording(base, u, t):
+        m = _blend(base, u, t)
+        builds.append((base.shape[1], t, m))
+        return m
+
+    monkeypatch.setattr(dictgen, "_blend", recording)
+    return builds
 
 
 def linear_probe_accuracy(x, labels, n_classes):
@@ -143,7 +164,7 @@ class TestClosedFormBisection:
     def test_closed_form_matches_built_dictionary(self):
         for dim, n_atoms, seed in ((128, 64, 0), (128, 64, 1), (256, 256, 2), (10, 5, 3)):
             base, u = sign_aligned_base(dim, n_atoms, seed)
-            ext = _extreme_entries(base.T @ u)
+            _, ext, _ = _extreme_entries(base.T @ u)
             for t in np.linspace(0.0, 1.0 - 1e-9, 40):
                 built = mutual_coherence(UnitDictionary(_blend(base, u, t)))
                 assert abs(_blend_coherence(ext, t) - built) <= 1e-14
@@ -158,7 +179,7 @@ class TestClosedFormBisection:
         vectors += [np.full(6, 0.4), np.repeat(gen.random(4), 3),
                     np.array([0.0, 0.0, 0.5, 0.9, 0.9]), np.array([0.2, 0.7, 0.7])]
         for a in vectors:
-            ext = _extreme_entries(a)
+            _, ext, _ = _extreme_entries(a)
             for t in ts:
                 assert abs(_blend_coherence(ext, t) - all_pairs_blend_coherence(a, t)) <= 1e-15
             assert len(ext) == min(a.size, 4)
@@ -202,36 +223,106 @@ class TestClosedFormBisection:
         assert len(calls) > 2
 
     def test_generic_target_builds_only_guarded_steps(self, monkeypatch):
-        # Only steps within the guard band and the final tol check build the
-        # dictionary; the ceiling check is decided in closed form.
+        # Only steps within the guard band and the final tol check build a
+        # dictionary, the guarded steps from the four extreme columns; the
+        # ceiling check is decided in closed form.
         target = 0.3
-        closed, built, measured = [], [], []
+        closed, measured = [], []
 
         def recording_closed_form(ext, t):
             mu = _blend_coherence(ext, t)
             closed.append((t, mu))
             return mu
 
-        def recording_blend(base, u, t):
-            built.append(t)
-            return _blend(base, u, t)
-
         def counting(dictionary):
             measured.append(1)
             return mutual_coherence(dictionary)
 
         monkeypatch.setattr(dictgen, "_blend_coherence", recording_closed_form)
-        monkeypatch.setattr(dictgen, "_blend", recording_blend)
+        builds = recording_blend(monkeypatch)
         monkeypatch.setattr(dictgen, "mutual_coherence", counting)
         new = coherent_dictionary(128, 64, target, 0.005, 5)
         monkeypatch.undo()
         guarded = [t for t, mu in closed if abs(mu - target) <= _GUARD_BAND]
         assert closed[0][0] == 1.0 - 1e-9
         assert len(guarded) >= 1
-        assert built[:-1] == guarded
-        assert len(measured) == len(built) == len(guarded) + 1
+        assert [t for _, t, _ in builds[:-1]] == guarded
+        assert [n for n, _, _ in builds] == [4] * len(guarded) + [64]
+        assert len(measured) == len(builds) == len(guarded) + 1
         ref = reference_coherent_dictionary(128, 64, target, 0.005, 5)
         assert new.data.tobytes() == ref.data.tobytes()
+
+
+class TestFourColumnDecider:
+    """Guarded steps read the coherence of the four extreme columns alone."""
+
+    @pytest.mark.parametrize("dim, n_atoms, target, seeds", [
+        # the barrier grid's shape and trial seeds, and dpp-select's shape
+        (128, 64, None, [rng.derive_state(42, "barrier", gi, t, 0)
+                         for gi in (3, 12, 24) for t in range(3)]),
+        (256, 256, 0.5, [42, 7, 101]),
+    ])
+    def test_sub_build_equals_full_build(self, monkeypatch, dim, n_atoms, target, seeds):
+        # The C-contiguous slice makes the sub-build's columns and its 4 x 4
+        # Gram the full build's, to the bit; a numpy or BLAS that breaks this
+        # would move the dictionaries' bytes.
+        checked = 0
+        for i, seed in enumerate(seeds):
+            mu = target if target is not None else BARRIER_GRID[(3, 12, 24)[i // 3]]
+            builds = recording_blend(monkeypatch)
+            coherent_dictionary(dim, n_atoms, mu, 0.005, seed)
+            monkeypatch.undo()
+            base, u = sign_aligned_base(dim, n_atoms, seed)
+            idx, _, _ = _extreme_entries(base.T @ u)
+            for n, t, sub in builds[:-1]:
+                assert n == 4
+                full = _blend(base, u, t)
+                assert sub.tobytes() == np.ascontiguousarray(full[:, idx]).tobytes()
+                sub_gram = UnitDictionary(sub).data.T @ UnitDictionary(sub).data
+                full_gram = UnitDictionary(full).data.T @ UnitDictionary(full).data
+                assert sub_gram.tobytes() == np.ascontiguousarray(
+                    full_gram[np.ix_(idx, idx)]).tobytes()
+                checked += 1
+        assert checked >= len(seeds)
+
+    def test_outside_bound_holds_against_all_pairs(self):
+        # every pair with an index outside the four extremes, ties included
+        gen = np.random.default_rng(12)
+        ts = np.concatenate([np.linspace(1e-12, 1.0 - 1e-9, 30),
+                             1.0 - np.logspace(-1, -9, 15)])
+        vectors = [gen.random(n) for n in (5, 6, 7, 64, 256) for _ in range(8)]
+        vectors += [np.repeat(gen.random(3), 3), np.full(7, 0.25),
+                    np.array([0.1, 0.2, 0.2, 0.5, 0.8, 0.8, 0.9])]
+        base, u = sign_aligned_base(128, 64, 3)
+        vectors.append(base.T @ u)
+        for a in vectors:
+            idx, ext, thirds = _extreme_entries(a)
+            for t in ts:
+                cos = all_pairs_cosines(a, t)
+                cos[np.ix_(idx, idx)] = 0.0
+                assert cos.max() <= _outside_bound(ext, thirds, t) + 1e-15
+
+    @pytest.mark.parametrize("tied, columns", [(True, 6), (False, 4)])
+    def test_tied_third_entry_builds_full_dictionary(self, monkeypatch, tied, columns):
+        # With the third-ranked entries tied to the second at both ends, the
+        # bound reaches the four columns' coherence and the certificate fails
+        # (at these t the most coherent pair is not the smallest with the
+        # largest entry, the one pair the ties leave out of the bound).
+        a = (np.array([0.1, 0.2, 0.2, 0.5, 0.5, 0.6]) if tied
+             else np.array([0.1, 0.2, 0.3, 0.45, 0.55, 0.6]))
+        u = np.concatenate([a, [0.3, 0.4]])
+        u /= np.linalg.norm(u)
+        base = np.eye(8)[:, :6]
+        idx, ext, thirds = _extreme_entries(base.T @ u)
+        for t in (0.05, 0.3, 0.5):
+            target = _blend_coherence(ext, t)
+            cleared = target - _outside_bound(ext, thirds, t) > _CERT_MARGIN
+            assert cleared is not tied
+            builds = recording_blend(monkeypatch)
+            mu = _guarded_coherence(base, u, target)(t)
+            monkeypatch.undo()
+            assert [n for n, _, _ in builds] == [columns]
+            assert mu == mutual_coherence(UnitDictionary(_blend(base, u, t)))
 
 
 class TestPlantedSignal:

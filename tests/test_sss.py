@@ -5,9 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
+from moegeo import rng, sss
 from moegeo.core import UnitDictionary, least_squares_on_support, normalize_columns
 from moegeo.dictgen import coherent_dictionary, planted_signal, random_orthonormal_dictionary
-from moegeo.errors import InvalidConfigError, InvalidKError, InvalidShapeError, TooLargeError
+from moegeo.errors import (
+    InvalidConfigError, InvalidKError, InvalidShapeError, SingularGramError, TooLargeError,
+)
 from moegeo.sss import (
     BarrierCurve,
     barrier_sweep,
@@ -30,6 +33,28 @@ def enumeration_oracle(dictionary, y, k):
         if best is None or res < best[0] - 1e-12:
             best = (res, sup)
     return best
+
+
+def refit_omp(dictionary, y, k):
+    """OMP that refits least squares on the sorted support after every pick."""
+    v = np.asarray(y.vector if hasattr(y, "vector") else y, dtype=np.float64)
+    residual = v
+    support = []
+    for _ in range(k):
+        scores = np.abs(dictionary.data.T @ residual)
+        scores[support] = -np.inf
+        support.append(int(np.argmax(scores)))
+        sol = least_squares_on_support(dictionary, v, sorted(support))
+        residual = v - dictionary.data[:, sol.support] @ sol.coefficients
+    return tuple(sorted(support))
+
+
+def outcome(select, dictionary, y, k):
+    """The support, or the support SingularGramError names."""
+    try:
+        return select(dictionary, y, k)
+    except SingularGramError as err:
+        return ("singular", err.args)
 
 
 class TestBruteForce:
@@ -123,6 +148,74 @@ class TestOmp:
             d = coherent_dictionary(32, 16, target_mu=0.1, tol=0.005, seed=seed)
             sig = planted_signal(d, k=3, seed=seed + 1000)
             assert omp_select(d, sig, 3) == sig.support
+
+
+class TestOmpMatchesRefitRoute:
+    """The incremental factor picks the refit route's supports and raises where it raises."""
+
+    def test_barrier_grid_seeds(self):
+        grid = [round(x, 10) for x in np.linspace(0.0, 0.95, 25)]
+        for gi, mu in enumerate(grid):
+            for t in range(3):
+                d = coherent_dictionary(128, 64, mu, 0.005, rng.derive_state(42, "barrier", gi, t, 0))
+                sig = planted_signal(d, 6, rng.derive_state(42, "barrier", gi, t, 1))
+                assert omp_select(d, sig, 6) == refit_omp(d, sig, 6)
+
+    def test_noisy_targets(self):
+        gen = np.random.default_rng(21)
+        for trial in range(60):
+            mu = float(gen.uniform(0.0, 0.9))
+            d = coherent_dictionary(32, 24, mu, 0.01, seed=trial)
+            y = planted_signal(d, 4, seed=trial + 500).vector + 0.3 * gen.standard_normal(32)
+            for k in (1, 3, 6, 12):
+                assert omp_select(d, y, k) == refit_omp(d, y, k)
+
+    def test_every_k_on_small_shapes(self):
+        # N > d makes the later supports rank-deficient
+        gen = np.random.default_rng(22)
+        for dim in (3, 5, 8):
+            for n in (2, 4, 7, 10):
+                for _ in range(4):
+                    d = normalize_columns(gen.standard_normal((dim, n)))
+                    y = gen.standard_normal(dim) * 10.0 ** gen.uniform(-3, 3)
+                    for k in range(1, n + 1):
+                        assert outcome(omp_select, d, y, k) == outcome(refit_omp, d, y, k)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-14, 1e-9, 1e-7, 1e-5, 1e-3])
+    def test_singular_supports_raise_alike(self, offset):
+        # duplicate and near-duplicate columns, on both sides of the pivot check
+        gen = np.random.default_rng(23)
+        raised = 0
+        for _ in range(20):
+            m = gen.standard_normal((10, 8))
+            m[:, 5] = m[:, 2] + offset * gen.standard_normal(10)
+            d = normalize_columns(m)
+            y = d.data[:, [2, 5, 7]] @ gen.standard_normal(3)
+            for k in (2, 4, 8):
+                expected = outcome(refit_omp, d, y, k)
+                assert outcome(omp_select, d, y, k) == expected
+                raised += expected[0] == "singular"
+        assert raised > 0 or offset >= 1e-5
+
+    @pytest.mark.parametrize("frame", ["orthonormal", "simplex"])
+    def test_equiangular_ties_are_rescored(self, monkeypatch, frame):
+        # Equal-magnitude correlations tie in exact arithmetic, so rounding
+        # decides which 3 of the 6 planted atoms are picked; the band hands
+        # those picks to the refit route.
+        refits = []
+        monkeypatch.setattr(sss, "least_squares_on_support",
+                            lambda *a: refits.append(1) or least_squares_on_support(*a))
+        for seed in range(12):
+            if frame == "orthonormal":
+                d = random_orthonormal_dictionary(16, 12, seed=seed)
+            else:
+                # 13 unit vectors in R^12 with every inner product -1/12
+                q = random_orthonormal_dictionary(13, 13, seed=seed).data
+                centered = q - q.mean(axis=1, keepdims=True)
+                d = normalize_columns(np.linalg.svd(centered)[0][:, :12].T @ centered)
+            sig = planted_signal(d, 6, seed=seed + 100)
+            assert omp_select(d, sig, 3) == refit_omp(d, sig, 3)
+        assert refits
 
 
 class TestRecoveryTrial:
