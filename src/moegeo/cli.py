@@ -162,16 +162,18 @@ def _coerce(key, kind, value):
         if kind == "floatlist":
             return [_coerce(key, "float", p) for p in parts]
         return [str(p).strip() for p in parts]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         raise InvalidConfigError(
             f"{key} expects {kind}, got {value!r}") from None
 
 
 def _load_file(path, schema):
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise InvalidConfigError(f"no such config file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfigError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidConfigError(f"cannot parse {path}: {exc}") from None
     if not isinstance(raw, dict):
@@ -204,7 +206,10 @@ def _write_json(path, payload):
 
 def _prepare_output(cfg, config_path):
     out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise InvalidConfigError(f"output_dir {out}: {exc.strerror}") from None
     if config_path:
         dest = out / "config.json"
         if not (dest.exists() and os.path.samefile(config_path, dest)):

@@ -18,13 +18,6 @@ from .errors import InvalidConfigError, InvalidShapeError, UnreachableError
 
 # Bisection on the blend parameter stops after this many halvings.
 _MAX_BISECT = 60
-# Closed-form coherences this close to the target are recomputed on a built
-# dictionary before the bisection step is decided.
-_GUARD_BAND = 1e-13
-# A guarded step is built from the four extreme columns alone when their
-# closed-form coherence exceeds every other pair's closed-form bound by this
-# much, far above the closed form's error of about 1.1e-15.
-_CERT_MARGIN = 1e-12
 
 
 def _haar_columns(gen: np.random.Generator, dim: int, n: int) -> np.ndarray:
@@ -50,79 +43,25 @@ def _blend(base: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
     return m / np.linalg.norm(m, axis=0)
 
 
-def _extreme_entries(a: np.ndarray) -> tuple[np.ndarray, list[float], list[float]]:
-    """(idx, ext, thirds) for a = base^T u, ties to the lower index.
-
-    idx holds, ascending, the indices of the two smallest and two largest
-    entries of a, and ext their values in ascending order: all of a when
-    N <= 4. thirds holds the third-smallest and third-largest values, none when
-    N <= 4.
-    """
-    order = np.argsort(a, kind="stable")
-    if a.size <= 4:
-        return np.arange(a.size), a[order].tolist(), []
-    ends = np.concatenate([order[:2], order[-2:]])
-    return np.sort(ends), a[ends].tolist(), a[order[[2, -3]]].tolist()
+def _extreme_entries(a: np.ndarray) -> list[float]:
+    """Two smallest and two largest entries of a = base^T u, ascending; all of a when N <= 4."""
+    ranked = sorted(a.tolist())
+    return ranked if len(ranked) <= 4 else ranked[:2] + ranked[-2:]
 
 
-def _max_cosine(entries: list[float], t: float, pairs) -> float:
-    """Largest closed-form cosine over index pairs of entries, values of base^T u.
+def _blend_coherence(ext: list[float], t: float) -> float:
+    """Mutual coherence of _blend(base, u, t) from ext = _extreme_entries(base^T u).
 
     The base columns are orthonormal and u is a unit vector, so with
     c = (1-t)t column i of _blend(base, u, t) has squared norm
     n_i^2 = (1-t)^2 + 2c a_i + t^2 and cosine (c (a_i + a_j) + t^2) / (n_i n_j)
-    with column j, positive because a >= 0. Evaluated in floats: O(1) a pair.
+    with column j, positive because a >= 0. Evaluated in floats over the
+    pairs of ext: O(1) a call (see coherent_dictionary for why they suffice).
     """
     c = (1.0 - t) * t
-    inv_norm = [1.0 / math.sqrt((1.0 - t) ** 2 + 2.0 * c * x + t * t) for x in entries]
-    return max((c * (entries[i] + entries[j]) + t * t) * (inv_norm[i] * inv_norm[j])
-               for i, j in pairs)
-
-
-def _blend_coherence(ext: list[float], t: float) -> float:
-    """Mutual coherence of _blend(base, u, t) from ext of _extreme_entries(base^T u)."""
-    return _max_cosine(ext, t, itertools.combinations(range(len(ext)), 2))
-
-
-def _outside_bound(ext: list[float], thirds: list[float], t: float) -> float:
-    """Closed-form bound on the cosine of every pair outside the four extreme columns.
-
-    For t in (0, 1), cos_ij is quasiconvex in a_i (see coherent_dictionary).
-    So a pair (i, j) with a_i strictly inside the ranks of the four extremes
-    has cos_ij at most the cosine of the third-smallest or third-largest entry
-    with a_j; when a_j is inside too, a_i may first be moved to the smallest or
-    largest entry. Every such pair is thus bounded by the cosines of the two
-    thirds with the four ext entries. Needs N > 4.
-    """
-    return _max_cosine(ext + thirds, t, itertools.product((4, 5), range(4)))
-
-
-def _guarded_coherence(base: np.ndarray, u: np.ndarray, target_mu: float):
-    """The coherence of _blend(base, u, t) as a function of t, as bisection reads it.
-
-    The closed form of _blend_coherence, except within _GUARD_BAND of
-    target_mu, where the coherence is taken from a built dictionary: the four
-    extreme columns of _extreme_entries when their closed-form coherence
-    exceeds _outside_bound by _CERT_MARGIN, all N columns otherwise (as when a
-    third-ranked entry ties the second). Every built Gram entry is within about
-    1.1e-15 of its closed form, so past that margin the built maximum over all
-    N columns is attained among the four, and it is the same float:
-    the sub-build slices the base C-contiguously, so _blend sums each column
-    norm in the full build's order and the 4 x 4 Gram equals the full Gram's
-    entries. An F-ordered slice, as base[:, idx] is, has numpy sum the norms
-    pairwise instead, and misses the last bit.
-    """
-    idx, ext, thirds = _extreme_entries(base.T @ u)
-    sub_base = np.ascontiguousarray(base[:, idx])
-
-    def coherence(t):
-        mu = _blend_coherence(ext, t)
-        if abs(mu - target_mu) <= _GUARD_BAND:
-            cleared = not thirds or mu - _outside_bound(ext, thirds, t) > _CERT_MARGIN
-            mu = mutual_coherence(UnitDictionary(_blend(sub_base if cleared else base, u, t)))
-        return mu
-
-    return coherence
+    inv_norm = [1.0 / math.sqrt((1.0 - t) ** 2 + 2.0 * c * x + t * t) for x in ext]
+    return max((c * (ext[i] + ext[j]) + t * t) * (inv_norm[i] * inv_norm[j])
+               for i, j in itertools.combinations(range(len(ext)), 2))
 
 
 def coherent_dictionary(
@@ -138,22 +77,15 @@ def coherent_dictionary(
     cannot be bracketed or hit within tol.
 
     The ceiling check and each bisection step read the coherence from the
-    closed form of _blend_coherence, not the built d x N dictionary. For
+    closed form of _blend_coherence, not a built d x N dictionary. For
     t in (0, 1) and column j fixed, d/da_i log cos_ij has the sign of
     (1-t)^2 + (1-t)t (a_i - a_j), increasing in a_i, so cos_ij is quasiconvex
     in a_i and its maximum over i != j sits at the smallest or largest a_i:
     the maximizing pair is among the two smallest and two largest entries of
     a = base^T u, and a step costs O(1) where all pairs cost O(N^2). The
-    closed form is within about 1.1e-15 of the built coherence, so a step
-    within _GUARD_BAND of target_mu is decided on a built dictionary: each step
-    branches as the built d x N dictionary would, and the result is the same to
-    the bit. The built dictionary is the 4 columns of those extreme entries
-    whenever a closed-form certificate shows that no other pair can reach
-    their coherence; it then equals the full build's coherence to the bit, the
-    sub-build being sliced C-contiguously (see _guarded_coherence). Otherwise,
-    as when the third-ranked entry ties the second, it is all N columns. The
-    loop stops once the midpoint equals an end of the bracket; the final
-    dictionary and its tol check are built at full size.
+    closed form is within a few ULP of the built coherence, far inside tol.
+    The loop stops once the midpoint equals an end of the bracket; only the
+    final dictionary is built, and its tol check reads the built coherence.
     """
     if not 0.0 <= target_mu < 1.0:
         raise InvalidConfigError(f"target_mu must be in [0, 1), got {target_mu}")
@@ -171,9 +103,9 @@ def coherent_dictionary(
     if target_mu == 0.0:
         return UnitDictionary(base)
 
-    coherence = _guarded_coherence(base, u, target_mu)
+    ext = _extreme_entries(base.T @ u)
     lo, hi = 0.0, 1.0 - 1e-9
-    mu_hi = coherence(hi)
+    mu_hi = _blend_coherence(ext, hi)
     if mu_hi < target_mu:
         raise UnreachableError(
             f"coherence {target_mu} exceeds the construction's ceiling {mu_hi:.6f}"
@@ -182,7 +114,7 @@ def coherent_dictionary(
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if coherence(mid) < target_mu:
+        if _blend_coherence(ext, mid) < target_mu:
             lo = mid
         else:
             hi = mid

@@ -48,12 +48,37 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("config:")
 
+    @pytest.mark.parametrize("make", [
+        lambda p: p.mkdir(),
+        lambda p: p.write_bytes(b"\xff\xfe{}"),
+    ], ids=["directory", "not-utf8"])
+    def test_unreadable_config(self, tmp_path, capsys, make):
+        cfg = tmp_path / "c.json"
+        make(cfg)
+        out = tmp_path / "o"
+        code = main(["info", "--config", str(cfg), "--output_dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config: cannot read {cfg}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["sub", ""], ids=["under-file", "is-file"])
+    def test_output_dir_blocked_by_file(self, tmp_path, capsys, sub):
+        blocker = tmp_path / "f"
+        blocker.write_text("")
+        code = main(["info", "--output_dir", str(blocker / sub)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config: output_dir ")
+        assert blocker.read_text() == ""
+
     @pytest.mark.parametrize("command, entry", [
         ("train", '"lr": true, "samples": 40, "folds": 2, "epochs": 1, "workers": 1'),
         ("train", '"seed": false, "samples": 40, "folds": 2, "epochs": 1, "workers": 1'),
         ("barrier", '"mu_grid": [0.1, true]'),
         ("kl-project", '"probs": [false, true]'),
-    ], ids=["train-lr", "train-seed", "barrier-mu_grid", "kl-project-probs"])
+        ("barrier", '"trials": 1e999'),
+        ("info", '"seed": -1e999'),
+    ], ids=["train-lr", "train-seed", "barrier-mu_grid", "kl-project-probs",
+            "barrier-trials-inf", "info-seed-minus-inf"])
     def test_json_boolean_is_not_a_number(self, tmp_path, capsys, command, entry):
         cfg = tmp_path / "c.json"
         cfg.write_text("{" + entry + "}")

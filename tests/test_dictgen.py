@@ -8,14 +8,10 @@ from moegeo import rng
 from moegeo import dictgen
 from moegeo.core import UnitDictionary, mutual_coherence, normalize_columns
 from moegeo.dictgen import (
-    _CERT_MARGIN,
-    _GUARD_BAND,
     _blend,
     _blend_coherence,
     _extreme_entries,
-    _guarded_coherence,
     _haar_columns,
-    _outside_bound,
     coherent_dictionary,
     planted_signal,
     random_orthonormal_dictionary,
@@ -42,52 +38,19 @@ def sign_aligned_base(dim, n_atoms, seed):
     return q * np.where(q.T @ u < 0, -1.0, 1.0), u
 
 
-def reference_coherent_dictionary(dim, n_atoms, target_mu, tol, seed):
-    """Bisection that builds the dictionary and its Gram matrix at every step."""
-    base, u = sign_aligned_base(dim, n_atoms, seed)
-    if target_mu == 0.0:
-        return UnitDictionary(base)
-    lo, hi = 0.0, 1.0 - 1e-9
-    mu_hi = mutual_coherence(UnitDictionary(_blend(base, u, hi)))
-    if mu_hi < target_mu:
-        raise UnreachableError("above the ceiling")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mutual_coherence(UnitDictionary(_blend(base, u, mid))) < target_mu:
-            lo = mid
-        else:
-            hi = mid
-    result = UnitDictionary(_blend(base, u, 0.5 * (lo + hi)))
-    if abs(mutual_coherence(result) - target_mu) > tol:
-        raise UnreachableError("missed")
-    return result
-
-
-def all_pairs_cosines(a, t):
-    """The O(N^2) closed form of every pair's cosine, 0 on the diagonal."""
-    c = (1.0 - t) * t
-    inv_norm = 1.0 / np.sqrt((1.0 - t) ** 2 + 2.0 * c * a + t * t)
-    cos = (c * (a[:, None] + a[None, :]) + t * t) * np.outer(inv_norm, inv_norm)
-    np.fill_diagonal(cos, 0.0)
-    return cos
+def barrier_seeds(trials):
+    """(target, dictionary seed) of the first trials of every barrier grid point at seed 42."""
+    return [(mu, rng.derive_state(42, "barrier", gi, t, 0))
+            for gi, mu in enumerate(BARRIER_GRID) for t in range(trials)]
 
 
 def all_pairs_blend_coherence(a, t):
     """The closed form over every pair of columns: the extreme-pair oracle."""
-    return float(all_pairs_cosines(a, t).max())
-
-
-def recording_blend(monkeypatch):
-    """Patch dictgen._blend to record (columns of the base, t, result) per build."""
-    builds = []
-
-    def recording(base, u, t):
-        m = _blend(base, u, t)
-        builds.append((base.shape[1], t, m))
-        return m
-
-    monkeypatch.setattr(dictgen, "_blend", recording)
-    return builds
+    c = (1.0 - t) * t
+    inv_norm = 1.0 / np.sqrt((1.0 - t) ** 2 + 2.0 * c * a + t * t)
+    cos = (c * (a[:, None] + a[None, :]) + t * t) * np.outer(inv_norm, inv_norm)
+    np.fill_diagonal(cos, 0.0)
+    return float(cos.max())
 
 
 def linear_probe_accuracy(x, labels, n_classes):
@@ -159,15 +122,17 @@ class TestCoherentDictionary:
 
 
 class TestClosedFormBisection:
-    """Bisecting on the closed form returns the matrix route's bytes."""
+    """Bisecting on the closed form lands within a few ULP of the target."""
 
     def test_closed_form_matches_built_dictionary(self):
-        for dim, n_atoms, seed in ((128, 64, 0), (128, 64, 1), (256, 256, 2), (10, 5, 3)):
+        cases = [(128, 64, 0), (128, 64, 1), (256, 256, 2), (10, 5, 3)]
+        cases += [(128, 64, seed) for _, seed in barrier_seeds(1)]
+        for dim, n_atoms, seed in cases:
             base, u = sign_aligned_base(dim, n_atoms, seed)
-            _, ext, _ = _extreme_entries(base.T @ u)
+            ext = _extreme_entries(base.T @ u)
             for t in np.linspace(0.0, 1.0 - 1e-9, 40):
                 built = mutual_coherence(UnitDictionary(_blend(base, u, t)))
-                assert abs(_blend_coherence(ext, t) - built) <= 1e-14
+                assert abs(_blend_coherence(ext, t) - built) <= 2e-15
 
     def test_extreme_pairs_match_all_pairs(self):
         # cos_ij is quasiconvex in a_i, so the maximum over all pairs sits on
@@ -179,150 +144,41 @@ class TestClosedFormBisection:
         vectors += [np.full(6, 0.4), np.repeat(gen.random(4), 3),
                     np.array([0.0, 0.0, 0.5, 0.9, 0.9]), np.array([0.2, 0.7, 0.7])]
         for a in vectors:
-            _, ext, _ = _extreme_entries(a)
+            ext = _extreme_entries(a)
             for t in ts:
                 assert abs(_blend_coherence(ext, t) - all_pairs_blend_coherence(a, t)) <= 1e-15
             assert len(ext) == min(a.size, 4)
 
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_barrier_grid_bytes(self, seed):
+    @pytest.mark.parametrize("dim, n_atoms, cases", [
         # the grid starts at target 0, which returns the base unblended
-        for target in BARRIER_GRID:
-            new = coherent_dictionary(128, 64, target, 0.005, seed)
-            ref = reference_coherent_dictionary(128, 64, target, 0.005, seed)
-            assert new.data.tobytes() == ref.data.tobytes()
+        (128, 64, barrier_seeds(8)),
+        (256, 256, [(0.5, seed) for seed in (3, 42, 7, 101)]),
+        (16, 8, [(mu, seed) for mu in BARRIER_GRID for seed in range(3)]),
+        # at t = 1 - 1e-9 the coherence rounds to the ceiling 1.0
+        (128, 64, [(mu, 4) for mu in (0.999, 1.0 - 1e-9, 1.0 - 1e-13)]),
+    ], ids=["barrier-grid", "large-square", "small", "near-ceiling"])
+    def test_final_coherence_within_ulps_of_target(self, dim, n_atoms, cases):
+        for target, seed in cases:
+            built = mutual_coherence(coherent_dictionary(dim, n_atoms, target, 0.005, seed))
+            assert abs(built - target) <= 4e-15
 
-    def test_large_square_dictionary_bytes(self):
-        new = coherent_dictionary(256, 256, 0.5, 0.005, 3)
-        ref = reference_coherent_dictionary(256, 256, 0.5, 0.005, 3)
-        assert new.data.tobytes() == ref.data.tobytes()
+    @pytest.mark.parametrize("target", [0.3, 0.999])
+    def test_only_the_final_dictionary_is_built(self, monkeypatch, target):
+        # the ceiling check and every step are decided in closed form
+        builds, measured = [], []
 
-    def test_target_near_ceiling_bytes(self):
-        # at t = 1 - 1e-9 the built coherence rounds to the ceiling 1.0
-        for target in (0.999, 1.0 - 1e-9, 1.0 - 1e-13):
-            new = coherent_dictionary(128, 64, target, 0.005, 4)
-            ref = reference_coherent_dictionary(128, 64, target, 0.005, 4)
-            assert new.data.tobytes() == ref.data.tobytes()
-
-    def test_attained_target_decided_on_built_dictionary(self, monkeypatch):
-        # A target the construction hits exactly drives the last steps into
-        # the guard band, where the built dictionary decides.
-        target = mutual_coherence(coherent_dictionary(128, 64, 0.3, 0.005, 6))
-        calls = []
+        def recording(base, u, t):
+            builds.append(base.shape[1])
+            return _blend(base, u, t)
 
         def counting(dictionary):
-            calls.append(1)
+            measured.append(dictionary.n_atoms)
             return mutual_coherence(dictionary)
 
+        monkeypatch.setattr(dictgen, "_blend", recording)
         monkeypatch.setattr(dictgen, "mutual_coherence", counting)
-        new = coherent_dictionary(128, 64, target, 0.005, 6)
-        monkeypatch.undo()
-        ref = reference_coherent_dictionary(128, 64, target, 0.005, 6)
-        assert new.data.tobytes() == ref.data.tobytes()
-        # the final check, plus the guarded steps
-        assert len(calls) > 2
-
-    def test_generic_target_builds_only_guarded_steps(self, monkeypatch):
-        # Only steps within the guard band and the final tol check build a
-        # dictionary, the guarded steps from the four extreme columns; the
-        # ceiling check is decided in closed form.
-        target = 0.3
-        closed, measured = [], []
-
-        def recording_closed_form(ext, t):
-            mu = _blend_coherence(ext, t)
-            closed.append((t, mu))
-            return mu
-
-        def counting(dictionary):
-            measured.append(1)
-            return mutual_coherence(dictionary)
-
-        monkeypatch.setattr(dictgen, "_blend_coherence", recording_closed_form)
-        builds = recording_blend(monkeypatch)
-        monkeypatch.setattr(dictgen, "mutual_coherence", counting)
-        new = coherent_dictionary(128, 64, target, 0.005, 5)
-        monkeypatch.undo()
-        guarded = [t for t, mu in closed if abs(mu - target) <= _GUARD_BAND]
-        assert closed[0][0] == 1.0 - 1e-9
-        assert len(guarded) >= 1
-        assert [t for _, t, _ in builds[:-1]] == guarded
-        assert [n for n, _, _ in builds] == [4] * len(guarded) + [64]
-        assert len(measured) == len(builds) == len(guarded) + 1
-        ref = reference_coherent_dictionary(128, 64, target, 0.005, 5)
-        assert new.data.tobytes() == ref.data.tobytes()
-
-
-class TestFourColumnDecider:
-    """Guarded steps read the coherence of the four extreme columns alone."""
-
-    @pytest.mark.parametrize("dim, n_atoms, target, seeds", [
-        # the barrier grid's shape and trial seeds, and dpp-select's shape
-        (128, 64, None, [rng.derive_state(42, "barrier", gi, t, 0)
-                         for gi in (3, 12, 24) for t in range(3)]),
-        (256, 256, 0.5, [42, 7, 101]),
-    ])
-    def test_sub_build_equals_full_build(self, monkeypatch, dim, n_atoms, target, seeds):
-        # The C-contiguous slice makes the sub-build's columns and its 4 x 4
-        # Gram the full build's, to the bit; a numpy or BLAS that breaks this
-        # would move the dictionaries' bytes.
-        checked = 0
-        for i, seed in enumerate(seeds):
-            mu = target if target is not None else BARRIER_GRID[(3, 12, 24)[i // 3]]
-            builds = recording_blend(monkeypatch)
-            coherent_dictionary(dim, n_atoms, mu, 0.005, seed)
-            monkeypatch.undo()
-            base, u = sign_aligned_base(dim, n_atoms, seed)
-            idx, _, _ = _extreme_entries(base.T @ u)
-            for n, t, sub in builds[:-1]:
-                assert n == 4
-                full = _blend(base, u, t)
-                assert sub.tobytes() == np.ascontiguousarray(full[:, idx]).tobytes()
-                sub_gram = UnitDictionary(sub).data.T @ UnitDictionary(sub).data
-                full_gram = UnitDictionary(full).data.T @ UnitDictionary(full).data
-                assert sub_gram.tobytes() == np.ascontiguousarray(
-                    full_gram[np.ix_(idx, idx)]).tobytes()
-                checked += 1
-        assert checked >= len(seeds)
-
-    def test_outside_bound_holds_against_all_pairs(self):
-        # every pair with an index outside the four extremes, ties included
-        gen = np.random.default_rng(12)
-        ts = np.concatenate([np.linspace(1e-12, 1.0 - 1e-9, 30),
-                             1.0 - np.logspace(-1, -9, 15)])
-        vectors = [gen.random(n) for n in (5, 6, 7, 64, 256) for _ in range(8)]
-        vectors += [np.repeat(gen.random(3), 3), np.full(7, 0.25),
-                    np.array([0.1, 0.2, 0.2, 0.5, 0.8, 0.8, 0.9])]
-        base, u = sign_aligned_base(128, 64, 3)
-        vectors.append(base.T @ u)
-        for a in vectors:
-            idx, ext, thirds = _extreme_entries(a)
-            for t in ts:
-                cos = all_pairs_cosines(a, t)
-                cos[np.ix_(idx, idx)] = 0.0
-                assert cos.max() <= _outside_bound(ext, thirds, t) + 1e-15
-
-    @pytest.mark.parametrize("tied, columns", [(True, 6), (False, 4)])
-    def test_tied_third_entry_builds_full_dictionary(self, monkeypatch, tied, columns):
-        # With the third-ranked entries tied to the second at both ends, the
-        # bound reaches the four columns' coherence and the certificate fails
-        # (at these t the most coherent pair is not the smallest with the
-        # largest entry, the one pair the ties leave out of the bound).
-        a = (np.array([0.1, 0.2, 0.2, 0.5, 0.5, 0.6]) if tied
-             else np.array([0.1, 0.2, 0.3, 0.45, 0.55, 0.6]))
-        u = np.concatenate([a, [0.3, 0.4]])
-        u /= np.linalg.norm(u)
-        base = np.eye(8)[:, :6]
-        idx, ext, thirds = _extreme_entries(base.T @ u)
-        for t in (0.05, 0.3, 0.5):
-            target = _blend_coherence(ext, t)
-            cleared = target - _outside_bound(ext, thirds, t) > _CERT_MARGIN
-            assert cleared is not tied
-            builds = recording_blend(monkeypatch)
-            mu = _guarded_coherence(base, u, target)(t)
-            monkeypatch.undo()
-            assert [n for n, _, _ in builds] == [columns]
-            assert mu == mutual_coherence(UnitDictionary(_blend(base, u, t)))
+        coherent_dictionary(128, 64, target, 0.005, 5)
+        assert builds == measured == [64]
 
 
 class TestPlantedSignal:
