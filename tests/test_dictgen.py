@@ -53,6 +53,24 @@ def all_pairs_blend_coherence(a, t):
     return float(cos.max())
 
 
+def all_pairs_coherent_dictionary(dim, n_atoms, target_mu, seed):
+    """coherent_dictionary's bisection with each step read over every pair of columns."""
+    base, u = sign_aligned_base(dim, n_atoms, seed)
+    if target_mu == 0.0:
+        return UnitDictionary(base)
+    a = base.T @ u
+    lo, hi = 0.0, 1.0 - 1e-9
+    for _ in range(dictgen._MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if all_pairs_blend_coherence(a, mid) < target_mu:
+            lo = mid
+        else:
+            hi = mid
+    return UnitDictionary(_blend(base, u, 0.5 * (lo + hi)))
+
+
 def linear_probe_accuracy(x, labels, n_classes):
     """One-vs-all least-squares probe: fit on the first half, score the rest."""
     half = x.shape[0] // 2
@@ -148,6 +166,14 @@ class TestClosedFormBisection:
             for t in ts:
                 assert abs(_blend_coherence(ext, t) - all_pairs_blend_coherence(a, t)) <= 1e-15
             assert len(ext) == min(a.size, 4)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_barrier_grid_bytes(self, seed):
+        # the extreme pairs decide every step as all pairs do
+        for target in BARRIER_GRID:
+            new = coherent_dictionary(128, 64, target, 0.005, seed)
+            ref = all_pairs_coherent_dictionary(128, 64, target, seed)
+            assert new.data.tobytes() == ref.data.tobytes()
 
     @pytest.mark.parametrize("dim, n_atoms, cases", [
         # the grid starts at target 0, which returns the base unblended
