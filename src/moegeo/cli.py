@@ -13,6 +13,7 @@ raise on purpose).
 """
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -285,7 +286,7 @@ def cmd_kl_project(cfg, config_path):
     dist = CategoricalDist(p)
     try:
         q, support, kl = kl_sparse_project(dist, cfg["k"])
-    except ZeroProbabilityError as exc:  # only a given distribution can hold a zero
+    except ZeroProbabilityError as exc:  # only a given distribution falls below the floor
         raise InvalidConfigError(f"probs: {exc}") from None
     out = _prepare_output(cfg, config_path)
     _write_json(out / "projection.json", {
@@ -381,7 +382,9 @@ _COMMAND_HELP = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree for every command, built once per process from SCHEMAS."""
     parser = argparse.ArgumentParser(
         prog="moegeo",
         description="Numerical laboratory for sparse routing geometry.")

@@ -14,6 +14,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,13 @@ class UnitDictionary:
     @property
     def n_atoms(self) -> int:
         return self.data.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """N x N inner products of the atoms, DᵀD; formed once per dictionary, read-only."""
+        g = self.data.T @ self.data
+        g.setflags(write=False)
+        return g
 
 
 @dataclass(frozen=True)
@@ -141,7 +149,7 @@ def mutual_coherence(dictionary: UnitDictionary) -> float:
     Lies in [0, 1] for unit-norm columns; tiny floating excess over 1 is
     clipped.
     """
-    g = np.abs(dictionary.data.T @ dictionary.data)
+    g = np.abs(dictionary.gram)
     np.fill_diagonal(g, 0.0)
     return float(min(g.max(), 1.0))
 

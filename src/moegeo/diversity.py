@@ -60,10 +60,9 @@ class Kernel:
 
     @classmethod
     def from_dictionary(cls, dictionary: UnitDictionary, epsilon: float = 1e-4) -> "Kernel":
-        gram = dictionary.data.T @ dictionary.data
+        gram = 0.5 * (dictionary.gram + dictionary.gram.T)
         # exact unit diagonal despite rounding in the inner products
         np.fill_diagonal(gram, 1.0)
-        gram = 0.5 * (gram + gram.T)
         return cls(gram=gram, epsilon=epsilon)
 
 

@@ -94,12 +94,13 @@ def kl_sparse_project(p: CategoricalDist, k: int) -> tuple[CategoricalDist, tupl
 
     The minimizer keeps the k largest entries of p (ties to the lowest index)
     and renormalizes; the attained divergence is -log of the kept mass.
-    Requires strictly positive p so that divergence stays finite.
+    Requires every entry of p to be at least 1e-300, so that the divergence
+    stays finite.
     """
     e = p.size
     check_k(k, e)
     if np.any(p.probs < 1e-300):
-        raise ZeroProbabilityError("projection needs strictly positive probabilities")
+        raise ZeroProbabilityError("projection needs every probability >= 1e-300")
     support = tuple(int(i) for i in topk_indices(p.probs, k))
     mass = float(p.probs[list(support)].sum())
     q = np.zeros(e)

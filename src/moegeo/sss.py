@@ -67,7 +67,7 @@ def brute_force_sss(dictionary: UnitDictionary, y, k: int) -> SparseSolution:
     if v.shape[0] != dictionary.dim:
         raise InvalidShapeError(f"target length {v.shape[0]} != dictionary dim {dictionary.dim}")
 
-    gram = dictionary.data.T @ dictionary.data
+    gram = dictionary.gram
     corr = dictionary.data.T @ v
     energy = float(v @ v)
     best: tuple[float, tuple[int, ...], np.ndarray] | None = None

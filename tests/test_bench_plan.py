@@ -1,7 +1,10 @@
-"""The benchmark's trace plan names only functions the package defines."""
+"""The benchmark's trace plan names only functions the package defines, and its CLI
+workloads pass their own output checks."""
 
 import importlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -46,3 +49,14 @@ def test_tracer_sees_the_regularizer_dispatch(reg_kind, loss):
     with bench_tracer()(names) as tracer:
         moe.backward(params, moe.forward(params, config, x), y, config)
     assert {name: calls for name, (_, calls) in tracer.totals().items()} == dict.fromkeys(names, 1)
+
+
+@pytest.mark.parametrize("workload", ["barrier", "select"])
+def test_cli_workload_smoke_run_is_correct(workload):
+    """The benchmark's own output checks on the two CLI workloads, at smoke size."""
+    proc = subprocess.run(
+        [sys.executable, "-B", "bench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0.5", "--smoke"],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True

@@ -109,13 +109,13 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err.startswith("abort:")
 
-    @pytest.mark.parametrize("probs", ["0,1", "1,0"])
+    @pytest.mark.parametrize("probs", ["0,1", "1,0", "1e-320,1"])
     def test_zero_probability_is_config_error(self, tmp_path, capsys, probs):
         code = main(["kl-project", "--probs", probs, "--k", "1",
                      "--output_dir", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.strip() == (
-            "config: probs: projection needs strictly positive probabilities")
+            "config: probs: projection needs every probability >= 1e-300")
 
     def test_single_expert_is_config_error(self, tmp_path, capsys):
         code = main(["train", "--experts", "1", "--k", "1", "--samples", "40",
@@ -349,3 +349,15 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([])
         assert exc.value.code == 2
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_successive_calls_do_not_leak_flags(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["dpp-select", "--d", "16", "--n_atoms", "8", "--output_dir", str(out)]
+        assert main([*argv, "--k", "3"]) == 0
+        assert main(argv) == 0
+        default_k = cli.SCHEMAS["dpp-select"]["k"].default
+        assert json.loads((out / "resolved_config.json").read_text())["k"] == default_k
+        assert len(json.loads((out / "selection.json").read_text())["selection"]) == default_k

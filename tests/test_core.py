@@ -66,6 +66,14 @@ class TestUnitDictionary:
         with pytest.raises(ValueError):
             d.data[0, 0] = 2.0
 
+    def test_gram_is_cached_read_only_and_bit_equal(self):
+        d = normalize_columns(np.random.default_rng(5).standard_normal((9, 7)))
+        assert d.gram is d.gram
+        assert not d.gram.flags.writeable
+        with pytest.raises(ValueError):
+            d.gram[0, 0] = 2.0
+        assert d.gram.tobytes() == (d.data.T @ d.data).tobytes()
+
 
 class TestMutualCoherence:
     def test_orthonormal_is_zero(self):
@@ -89,6 +97,13 @@ class TestMutualCoherence:
             d = normalize_columns(rng.standard_normal((8, 12)))
             mu = mutual_coherence(d)
             assert 0.0 <= mu <= 1.0
+
+    @pytest.mark.parametrize("shape", [(8, 12), (32, 16), (256, 256)])
+    def test_matches_gram_formed_in_place(self, shape):
+        d = normalize_columns(np.random.default_rng(6).standard_normal(shape))
+        g = np.abs(d.data.T @ d.data)
+        np.fill_diagonal(g, 0.0)
+        assert mutual_coherence(d) == float(min(g.max(), 1.0))
 
 
 class TestLeastSquaresOnSupport:

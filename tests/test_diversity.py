@@ -48,6 +48,19 @@ class TestKernel:
         k = Kernel.from_dictionary(d)
         np.testing.assert_allclose(k.gram, np.eye(6), atol=1e-10)
 
+    @pytest.mark.parametrize("make", [
+        lambda: random_orthonormal_dictionary(10, 6, seed=0),
+        lambda: coherent_dictionary(256, 256, 0.5, 0.005, seed=42),
+    ], ids=["orthonormal-10x6", "coherent-256x256"])
+    def test_from_dictionary_reads_the_cached_gram(self, make):
+        d = make()
+        g = d.data.T @ d.data
+        np.fill_diagonal(g, 1.0)
+        g = 0.5 * (g + g.T)
+        k = Kernel.from_dictionary(d)
+        assert d.gram.tobytes() == (d.data.T @ d.data).tobytes()
+        assert k.gram.tobytes() == g.tobytes()
+
     def test_asymmetric_rejected(self):
         g = np.eye(3)
         g[0, 1] = 0.5

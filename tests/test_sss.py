@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moegeo import rng, sss
-from moegeo.core import UnitDictionary, least_squares_on_support, normalize_columns
+from moegeo.core import UnitDictionary, _solve_gram, least_squares_on_support, normalize_columns
 from moegeo.dictgen import coherent_dictionary, planted_signal, random_orthonormal_dictionary
 from moegeo.errors import (
     InvalidConfigError, InvalidKError, InvalidShapeError, SingularGramError, TooLargeError,
@@ -32,6 +32,23 @@ def enumeration_oracle(dictionary, y, k):
         res = float(r @ r)
         if best is None or res < best[0] - 1e-12:
             best = (res, sup)
+    return best
+
+
+def gram_in_place_brute_force(dictionary, y, k):
+    """brute_force_sss's search with the Gram formed here rather than read from the cache."""
+    gram = dictionary.data.T @ dictionary.data
+    corr = dictionary.data.T @ y
+    best = None
+    for sup in itertools.combinations(range(dictionary.n_atoms), k):
+        idx = list(sup)
+        try:
+            coef = _solve_gram(gram[np.ix_(idx, idx)], corr[idx], sup)
+        except SingularGramError:
+            continue
+        residual = float(y @ y) - float(corr[idx] @ coef)
+        if best is None or residual < best[0]:
+            best = (residual, sup, coef)
     return best
 
 
@@ -84,6 +101,17 @@ class TestBruteForce:
             res, sup = enumeration_oracle(d, y, 2)
             assert sol.support == sup
             assert sol.residual_sq == pytest.approx(res, abs=1e-8)
+
+    def test_matches_gram_formed_in_place(self):
+        rng = np.random.default_rng(4)
+        for n, k in [(6, 2), (9, 3), (12, 4)]:
+            d = normalize_columns(rng.standard_normal((8, n)))
+            y = rng.standard_normal(8)
+            sol = brute_force_sss(d, y, k)
+            residual, sup, coef = gram_in_place_brute_force(d, y, k)
+            assert sol.support == sup
+            assert sol.coefficients.tobytes() == coef.tobytes()
+            assert sol.residual_sq == max(residual, 0.0)
 
     def test_tie_broken_lexicographically(self):
         d = UnitDictionary(np.eye(4))
