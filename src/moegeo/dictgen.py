@@ -57,10 +57,22 @@ def _blend_coherence(ext: list[float], t: float) -> float:
     n_i^2 = (1-t)^2 + 2c a_i + t^2 and cosine (c (a_i + a_j) + t^2) / (n_i n_j)
     with column j, positive because a >= 0. Evaluated in floats over the
     pairs of ext: O(1) a call (see coherent_dictionary for why they suffice).
+    Four entries, the case of every N >= 4, take the six pairs in straight
+    line, with the float operations and their order of the pair loop.
     """
     c = (1.0 - t) * t
-    inv_norm = [1.0 / math.sqrt((1.0 - t) ** 2 + 2.0 * c * x + t * t) for x in ext]
-    return max((c * (ext[i] + ext[j]) + t * t) * (inv_norm[i] * inv_norm[j])
+    s, c2, tt = (1.0 - t) ** 2, 2.0 * c, t * t
+    if len(ext) == 4:
+        a0, a1, a2, a3 = ext
+        n0 = 1.0 / math.sqrt(s + c2 * a0 + tt)
+        n1 = 1.0 / math.sqrt(s + c2 * a1 + tt)
+        n2 = 1.0 / math.sqrt(s + c2 * a2 + tt)
+        n3 = 1.0 / math.sqrt(s + c2 * a3 + tt)
+        return max((c * (a0 + a1) + tt) * (n0 * n1), (c * (a0 + a2) + tt) * (n0 * n2),
+                   (c * (a0 + a3) + tt) * (n0 * n3), (c * (a1 + a2) + tt) * (n1 * n2),
+                   (c * (a1 + a3) + tt) * (n1 * n3), (c * (a2 + a3) + tt) * (n2 * n3))
+    inv_norm = [1.0 / math.sqrt(s + c2 * x + tt) for x in ext]
+    return max((c * (ext[i] + ext[j]) + tt) * (inv_norm[i] * inv_norm[j])
                for i, j in itertools.combinations(range(len(ext)), 2))
 
 

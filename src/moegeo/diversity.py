@@ -21,11 +21,28 @@ from .errors import InvalidShapeError, NotPSDError
 # Greedy candidates whose incremental gain lies within this many nats of the
 # round's best are rescored with marginal_gain before the pick.
 _GAIN_BAND = 1e-9
+# A Cholesky factor of gram - _PSD_SHIFT * I certifies that gram is PSD.
+_PSD_SHIFT = 1e-6
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """Symmetric PSD similarity matrix with unit diagonal, plus a Tikhonov shift."""
+    """Symmetric PSD similarity matrix with unit diagonal, plus a Tikhonov shift.
+
+    The gram is accepted when its least eigenvalue is at least
+    -epsilon * 1e-8, as eigvalsh computes it. A certificate decides first: if
+    the Cholesky factor R of A = gram - sigma I (sigma = _PSD_SHIFT) completes
+    in floating point, then R^T R = A + dA with |dA| <= gamma_{n+1} |R^T| |R|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, section
+    10.1), and || |R^T| |R| ||_2 <= ||R||_F^2 = trace(A + dA), about n on a
+    unit diagonal, so lambda_min(gram) >= sigma - gamma_{n+1} n (1 + O(u)),
+    with gamma_{n+1} = (n+1)u / (1 - (n+1)u) and u = eps/2. eigvalsh's least
+    eigenvalue lies within p(n) u ||gram||_2 <= p(n) u n of the true one,
+    p(n) a modest polynomial. While n(n+1) eps <= 1e-3 sigma (n up to about
+    3,000) both errors are far below sigma, so a completed factor means
+    eigvalsh would read about sigma and accept: the two routes decide alike.
+    A factor that fails, or a larger n, leaves the decision to eigvalsh.
+    """
 
     gram: np.ndarray
     epsilon: float = 1e-4
@@ -42,7 +59,7 @@ class Kernel:
             raise NotPSDError("gram is not symmetric")
         if np.abs(np.diag(g) - 1.0).max() > 1e-10:
             raise InvalidShapeError("gram diagonal must be 1")
-        if np.linalg.eigvalsh(g).min() < -self.epsilon * 1e-8:
+        if not _certified_psd(g) and np.linalg.eigvalsh(g).min() < -self.epsilon * 1e-8:
             raise NotPSDError("gram has a negative eigenvalue beyond tolerance")
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
@@ -64,6 +81,20 @@ class Kernel:
         # exact unit diagonal despite rounding in the inner products
         np.fill_diagonal(gram, 1.0)
         return cls(gram=gram, epsilon=epsilon)
+
+
+def _certified_psd(g: np.ndarray) -> bool:
+    """True when a Cholesky factor of g - _PSD_SHIFT * I proves g PSD (see Kernel)."""
+    n = g.shape[0]
+    if n * (n + 1) * np.finfo(np.float64).eps > 1e-3 * _PSD_SHIFT:
+        return False
+    shifted = g.copy()
+    shifted.flat[:: n + 1] -= _PSD_SHIFT
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _check_subset(kernel: Kernel, subset) -> list[int]:
@@ -122,9 +153,11 @@ def dpp_greedy_select(kernel: Kernel, k: int) -> tuple[int, ...]:
     The incremental gains can differ from marginal_gain in the last bits. When
     more than one candidate lies within _GAIN_BAND of the round's best gain,
     those candidates are rescored with marginal_gain and the exact argmax
-    wins, so the picks are the ones the per-candidate route makes. Round 0 is
-    always such a case: every candidate gains log(1 + eps). Raises NotPSDError
-    when the chosen Schur complement is not positive.
+    wins, so the picks are the ones the per-candidate route makes. In round 0
+    the exact gain of e is log(gram[e, e] + eps), a function of schur[e]
+    alone, so when every near candidate has a bit-equal schur, as on any
+    exactly unit diagonal, rescoring would return their first and is skipped.
+    Raises NotPSDError when the chosen Schur complement is not positive.
 
     Returned in selection order.
     """
@@ -140,7 +173,7 @@ def dpp_greedy_select(kernel: Kernel, k: int) -> tuple[int, ...]:
         if not schur[j] > 0.0:
             raise NotPSDError(f"non-positive Schur complement at element {j}")
         near = np.flatnonzero(gains >= gains[j] - _GAIN_BAND)
-        if near.size > 1:
+        if near.size > 1 and not (r == 0 and np.all(schur[near] == schur[j])):
             exact = [marginal_gain(kernel, selected, e) for e in near]
             j = int(near[np.argmax(exact)])
         e_row = (kernel.gram[j] - rows[:r, j] @ rows[:r]) / np.sqrt(schur[j])

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from moegeo import diversity
+from moegeo.core import normalize_columns
 from moegeo.dictgen import coherent_dictionary, random_orthonormal_dictionary
 from moegeo.diversity import (
     Kernel,
@@ -31,6 +33,54 @@ def reference_greedy(kernel, k):
                 gains[e] = marginal_gain(kernel, selected, e)
         selected.append(int(np.argmax(gains)))
     return tuple(selected)
+
+
+def eigvalsh_accepts(gram, epsilon=1e-4):
+    """The PSD decision Kernel made before its Cholesky certificate."""
+    return bool(np.linalg.eigvalsh(gram).min() >= -epsilon * 1e-8)
+
+
+def kernel_accepts(gram, epsilon=1e-4):
+    try:
+        Kernel(gram=gram, epsilon=epsilon)
+    except NotPSDError:
+        return False
+    return True
+
+
+def feature_gram(features):
+    """The gram Kernel.from_features builds, before any PSD check."""
+    f = normalize_columns(features).data
+    g = f.T @ f
+    g = 0.5 * (g + g.T)
+    np.fill_diagonal(g, 1.0)
+    return g
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+@pytest.fixture
+def gain_calls(monkeypatch):
+    calls = []
+    real = diversity.marginal_gain
+
+    def counting(kernel, subset, e):
+        calls.append(len(subset))
+        return real(kernel, subset, e)
+
+    monkeypatch.setattr(diversity, "marginal_gain", counting)
+    return calls
 
 
 def det3_cofactor(m):
@@ -85,6 +135,59 @@ class TestKernel:
         f = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         k = Kernel.from_features(f)
         assert k.size == 3
+
+    def test_coherent_kernel_certified_without_eigvalsh(self, eigvalsh_calls):
+        d = coherent_dictionary(256, 256, 0.5, 0.005, seed=42)
+        assert Kernel.from_dictionary(d).size == 256
+        assert eigvalsh_calls == []
+
+    @pytest.mark.parametrize("n, dim", [(20, 5), (12, 11), (64, 8)])
+    def test_rank_deficient_kernel_falls_back_to_eigvalsh(self, eigvalsh_calls, n, dim):
+        # lambda_min is 0, below the certificate's shift, so eigvalsh decides
+        k = random_kernel(n, dim, seed=n + dim)
+        assert k.size == n
+        assert eigvalsh_calls == [n]
+
+    @pytest.mark.parametrize("delta, accepted", [(5e-13, True), (2e-12, False)])
+    def test_tolerance_edge_decided_by_eigvalsh(self, eigvalsh_calls, delta, accepted):
+        # eigenvalues 2 + delta and -delta, against the tolerance -1e-12
+        g = np.array([[1.0, 1.0 + delta], [1.0 + delta, 1.0]])
+        assert kernel_accepts(g) is accepted
+        assert eigvalsh_calls == [2]
+
+    def test_decisions_match_eigvalsh_on_feature_kernels(self, eigvalsh_calls):
+        # the draws of verify's volume kernels: 5-12 unit features in 4-16 dims
+        gen = np.random.default_rng(31)
+        grams = [feature_gram(gen.standard_normal((int(gen.integers(4, 17)),
+                                                   int(gen.integers(5, 13)))))
+                 for _ in range(300)]
+        decisions = [kernel_accepts(g) for g in grams]
+        fallbacks = len(eigvalsh_calls)
+        assert decisions == [eigvalsh_accepts(g) for g in grams]
+        assert 0 < fallbacks < len(grams)
+
+    @pytest.mark.parametrize("epsilon", [1e-4, 1e-12])
+    def test_decisions_match_eigvalsh_on_indefinite_grams(self, eigvalsh_calls, epsilon):
+        # unit-diagonal Grams shifted so lambda_min lands on either side of 0,
+        # of the tolerance -epsilon * 1e-8, of the rounding of a Cholesky
+        # factor and of the certificate's shift 1e-6
+        gen = np.random.default_rng(37)
+        targets = [-1e-3, -1e-9, -2e-12, -1e-12, -5e-13, -1e-14, -1e-15, -1e-16,
+                   -1e-20, 0.0, 1e-16, 1e-12, 1e-9, 5e-7, 1e-6, 2e-6, 1e-5, 1e-3]
+        grams = []
+        for _ in range(20):
+            n = int(gen.integers(2, 40))
+            g = feature_gram(gen.standard_normal((n + 5, n)))
+            shift = np.linalg.eigvalsh(g).min() - np.array(targets)
+            for s in shift:
+                h = (g - s * np.eye(n)) / (1.0 - s)
+                np.fill_diagonal(h, 1.0)
+                grams.append(h)
+        decisions = [kernel_accepts(g, epsilon) for g in grams]
+        fallbacks = len(eigvalsh_calls)
+        assert decisions == [eigvalsh_accepts(g, epsilon) for g in grams]
+        assert 0 < decisions.count(False) < len(grams)
+        assert 0 < fallbacks < len(grams)
 
 
 class TestLogdetSubset:
@@ -232,6 +335,46 @@ class TestGreedyMatchesPerCandidateRoute:
         # 20 atoms in 5 dimensions: from round 5 on every gain sits near log(eps)
         k = random_kernel(20, 5, 17)
         assert dpp_greedy_select(k, 20) == reference_greedy(k, 20)
+
+
+class TestRoundZero:
+    """Round 0 skips rescoring only when every near candidate ties bit for bit."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_orthonormal_dictionary(10, 6, seed=0),
+        lambda: coherent_dictionary(64, 64, 0.5, 0.005, seed=3),
+        lambda: coherent_dictionary(128, 64, 0.9, 0.005, seed=7),
+    ], ids=["orthonormal-10x6", "coherent-64x64", "coherent-128x64"])
+    def test_unit_diagonal_makes_no_rescoring_calls(self, gain_calls, make):
+        k = Kernel.from_dictionary(make())
+        assert dpp_greedy_select(k, 1) == (0,)
+        assert gain_calls == []
+        size = min(k.size, 8)
+        assert dpp_greedy_select(k, size) == reference_greedy(k, size)
+        assert 0 not in gain_calls
+
+    def test_perturbed_diagonal_is_rescored(self, gain_calls):
+        gen = np.random.default_rng(41)
+        for seed in range(5):
+            k = random_kernel(12, 16, seed + 500)
+            g = np.array(k.gram)
+            np.fill_diagonal(g, 1.0 + gen.uniform(-5e-11, 5e-11, 12))
+            perturbed = Kernel(gram=g)
+            gain_calls.clear()
+            assert dpp_greedy_select(perturbed, 1) == (int(np.argmax(np.diag(g))),)
+            assert gain_calls == [0] * 12
+            assert dpp_greedy_select(perturbed, 6) == reference_greedy(perturbed, 6)
+
+    @pytest.mark.parametrize("features", [
+        [[1, 2, -2, 1, 0, 0, 2, 0], [-2, -2, -1, -1, 1, 2, 0, -2]],
+        [[1, 0, 1, 0, 2, 1, -2], [2, -2, 0, 1, 2, 1, 1]],
+        [[-1, -2, 0, 2, 1, -1], [-2, -2, 1, -1, 2, 0]],
+    ])
+    def test_later_bit_equal_ties_are_rescored(self, features):
+        # small-integer features in the plane: after round 0 some candidates tie
+        # bit for bit in the incremental route but not in marginal_gain
+        k = Kernel.from_features(np.array(features, dtype=float))
+        assert dpp_greedy_select(k, k.size) == reference_greedy(k, k.size)
 
 
 class TestSubmodularityAudit:
