@@ -20,10 +20,20 @@ from .errors import InvalidConfigError, InvalidShapeError, UnreachableError
 _MAX_BISECT = 60
 
 
-def _haar_columns(gen: np.random.Generator, dim: int, n: int) -> np.ndarray:
-    """dim x n orthonormal columns from QR of a Gaussian draw, R's diagonal made positive."""
-    q, r = np.linalg.qr(gen.standard_normal((dim, n)))
-    return q * np.where(np.diag(r) < 0, -1.0, 1.0)
+def _haar_columns(gens, dim: int, n: int) -> np.ndarray:
+    """(T, dim, n) orthonormal columns, one Haar draw per generator of gens.
+
+    Each generator draws its own dim x n Gaussian block; one QR call factors
+    the stack, and R's diagonal is made positive matrix by matrix. LAPACK
+    factors each matrix of a stack on its own, so a draw has the bytes of the
+    same generator's draw alone.
+    """
+    z = np.empty((len(gens), dim, n))
+    for gen, block in zip(gens, z):
+        gen.standard_normal(out=block)
+    q, r = np.linalg.qr(z)
+    q *= np.where(np.diagonal(r, axis1=1, axis2=2) < 0, -1.0, 1.0)[:, None, :]
+    return q
 
 
 def random_orthonormal_dictionary(dim: int, n_atoms: int, seed: int) -> UnitDictionary:
@@ -35,12 +45,14 @@ def random_orthonormal_dictionary(dim: int, n_atoms: int, seed: int) -> UnitDict
     """
     if not 2 <= n_atoms <= dim:
         raise InvalidShapeError(f"need 2 <= n_atoms <= dim, got dim={dim}, n_atoms={n_atoms}")
-    return UnitDictionary(_haar_columns(rng.stream(seed, "orthonormal"), dim, n_atoms))
+    return UnitDictionary(_haar_columns([rng.stream(seed, "orthonormal")], dim, n_atoms)[0])
 
 
-def _blend(base: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
-    m = (1.0 - t) * base + t * u[:, None]
-    return m / np.linalg.norm(m, axis=0)
+def _blend(base: np.ndarray, u: np.ndarray, t) -> np.ndarray:
+    """normalize((1-t) base + t u) column by column; on a (T, d, N) stack, t and u per matrix."""
+    m = (1.0 - t) * base + t * u[..., None]
+    m /= np.linalg.norm(m, axis=-2, keepdims=True)
+    return m
 
 
 def _extreme_entries(a: np.ndarray) -> list[float]:
@@ -56,9 +68,18 @@ def _blend_coherence(ext: list[float], t: float) -> float:
     c = (1-t)t column i of _blend(base, u, t) has squared norm
     n_i^2 = (1-t)^2 + 2c a_i + t^2 and cosine (c (a_i + a_j) + t^2) / (n_i n_j)
     with column j, positive because a >= 0. Evaluated in floats over the
-    pairs of ext: O(1) a call (see coherent_dictionary for why they suffice).
+    pairs of ext: O(1) a call (see coherent_dictionaries for why they suffice).
     Four entries, the case of every N >= 4, take the six pairs in straight
     line, with the float operations and their order of the pair loop.
+
+    It stays scalar, one trial at a time, although the draws and the builds
+    are stacked. A Python ``float ** 2`` calls libm ``pow``, while numpy
+    squares an array with a multiply, and the two round differently:
+    ``(1 - t) ** 2`` disagreed on 1,712 of 2,000,000 uniform draws of t
+    (``np.random.default_rng(0)``). Squaring with a multiply moves one
+    barrier dictionary in 2,000 (seed 777, grid index 14, target
+    0.5541666667, trial 15) by 1.1e-16, so a closed form vectorized over the
+    trials keeps the bytes only if it reproduces ``pow``.
     """
     c = (1.0 - t) * t
     s, c2, tt = (1.0 - t) ** 2, 2.0 * c, t * t
@@ -76,46 +97,11 @@ def _blend_coherence(ext: list[float], t: float) -> float:
                for i, j in itertools.combinations(range(len(ext)), 2))
 
 
-def coherent_dictionary(
-    dim: int, n_atoms: int, target_mu: float, tol: float, seed: int
-) -> UnitDictionary:
-    """Dictionary whose mutual coherence is target_mu within tol.
+def _bisect_blend(ext: list[float], target_mu: float) -> float:
+    """The blend parameter t at which _blend_coherence(ext, t) crosses target_mu.
 
-    Construction: draw an orthonormal base and a random unit direction u, flip
-    base column signs so every column has nonnegative inner product with u,
-    then blend, e_i = normalize((1-t) q_i + t u). Coherence is 0 at t=0,
-    approaches 1 as t -> 1, and the sign alignment makes it monotone in t, so
-    the target is found by bisection. Raises UnreachableError when the target
-    cannot be bracketed or hit within tol.
-
-    The ceiling check and each bisection step read the coherence from the
-    closed form of _blend_coherence, not a built d x N dictionary. For
-    t in (0, 1) and column j fixed, d/da_i log cos_ij has the sign of
-    (1-t)^2 + (1-t)t (a_i - a_j), increasing in a_i, so cos_ij is quasiconvex
-    in a_i and its maximum over i != j sits at the smallest or largest a_i:
-    the maximizing pair is among the two smallest and two largest entries of
-    a = base^T u, and a step costs O(1) where all pairs cost O(N^2). The
-    closed form is within a few ULP of the built coherence, far inside tol.
-    The loop stops once the midpoint equals an end of the bracket; only the
-    final dictionary is built, and its tol check reads the built coherence.
+    UnreachableError when the coherence at t = 1 - 1e-9, the ceiling, stays below it.
     """
-    if not 0.0 <= target_mu < 1.0:
-        raise InvalidConfigError(f"target_mu must be in [0, 1), got {target_mu}")
-    if tol <= 0.0:
-        raise InvalidConfigError(f"tol must be positive, got {tol}")
-    if not 2 <= n_atoms <= dim:
-        raise InvalidShapeError(f"need 2 <= n_atoms <= dim, got dim={dim}, n_atoms={n_atoms}")
-
-    gen = rng.stream(seed, "coherent")
-    q = _haar_columns(gen, dim, n_atoms)
-    u = gen.standard_normal(dim)
-    u /= np.linalg.norm(u)
-    base = q * np.where(q.T @ u < 0, -1.0, 1.0)
-
-    if target_mu == 0.0:
-        return UnitDictionary(base)
-
-    ext = _extreme_entries(base.T @ u)
     lo, hi = 0.0, 1.0 - 1e-9
     mu_hi = _blend_coherence(ext, hi)
     if mu_hi < target_mu:
@@ -130,12 +116,75 @@ def coherent_dictionary(
             lo = mid
         else:
             hi = mid
-    result = UnitDictionary(_blend(base, u, 0.5 * (lo + hi)))
-    if abs(mutual_coherence(result) - target_mu) > tol:
-        raise UnreachableError(
-            f"bisection missed coherence {target_mu} within tol {tol}"
-        )
-    return result
+    return 0.5 * (lo + hi)
+
+
+def coherent_dictionaries(
+    dim: int, n_atoms: int, target_mu: float, tol: float, seeds
+) -> tuple[list[UnitDictionary], list[float]]:
+    """One dictionary per seed whose mutual coherence is target_mu within tol,
+    and each one's measured coherence.
+
+    Construction: draw an orthonormal base and a random unit direction u, flip
+    base column signs so every column has nonnegative inner product with u,
+    then blend, e_i = normalize((1-t) q_i + t u). Coherence is 0 at t=0,
+    approaches 1 as t -> 1, and the sign alignment makes it monotone in t, so
+    the target is found by bisection. Raises UnreachableError when the target
+    cannot be bracketed or hit within tol.
+
+    Each seed draws from its own stream, its Gaussian block and then u, and
+    the draws, sign flips, blends and column normalizations run on the
+    (T, dim, n_atoms) stack of all seeds, each matrix with the bytes of its
+    draw alone. The bisection runs seed by seed (see _blend_coherence).
+
+    The ceiling check and each bisection step read the coherence from the
+    closed form of _blend_coherence, not a built d x N dictionary. For
+    t in (0, 1) and column j fixed, d/da_i log cos_ij has the sign of
+    (1-t)^2 + (1-t)t (a_i - a_j), increasing in a_i, so cos_ij is quasiconvex
+    in a_i and its maximum over i != j sits at the smallest or largest a_i:
+    the maximizing pair is among the two smallest and two largest entries of
+    a = base^T u, and a step costs O(1) where all pairs cost O(N^2). The
+    closed form is within a few ULP of the built coherence, far inside tol.
+    The loop stops once the midpoint equals an end of the bracket; only the
+    final dictionaries are built, and the tol check reads their built
+    coherence, which is returned beside them.
+    """
+    if not 0.0 <= target_mu < 1.0:
+        raise InvalidConfigError(f"target_mu must be in [0, 1), got {target_mu}")
+    if not tol > 0.0:
+        raise InvalidConfigError(f"tol must be positive, got {tol}")
+    if not 2 <= n_atoms <= dim:
+        raise InvalidShapeError(f"need 2 <= n_atoms <= dim, got dim={dim}, n_atoms={n_atoms}")
+
+    gens = [rng.stream(seed, "coherent") for seed in seeds]
+    base = _haar_columns(gens, dim, n_atoms)
+    u = np.stack([gen.standard_normal(dim) for gen in gens])
+    for row in u:
+        row /= np.linalg.norm(row)
+    a = (base.transpose(0, 2, 1) @ u[..., None])[..., 0]
+    base *= np.where(a < 0, -1.0, 1.0)[:, None, :]
+    if target_mu == 0.0:
+        data = base
+    else:
+        # after the flips, base^T u is |a|
+        t = [_bisect_blend(_extreme_entries(row), target_mu) for row in np.abs(a)]
+        data = _blend(base, u, np.array(t)[:, None, None])
+    dictionaries = [UnitDictionary(m) for m in data]
+    measured = [mutual_coherence(d) for d in dictionaries]
+    for mu in measured:
+        if abs(mu - target_mu) > tol:
+            raise UnreachableError(
+                f"bisection missed coherence {target_mu} within tol {tol}"
+            )
+    return dictionaries, measured
+
+
+def coherent_dictionary(
+    dim: int, n_atoms: int, target_mu: float, tol: float, seed: int
+) -> UnitDictionary:
+    """Dictionary whose mutual coherence is target_mu within tol: the one-seed
+    coherent_dictionaries."""
+    return coherent_dictionaries(dim, n_atoms, target_mu, tol, [seed])[0][0]
 
 
 def planted_signal(dictionary: UnitDictionary, k: int, seed: int) -> TargetSignal:

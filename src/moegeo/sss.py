@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -32,7 +31,7 @@ from .core import (
     run_jobs,
     topk_indices,
 )
-from .dictgen import coherent_dictionary, planted_signal
+from .dictgen import coherent_dictionaries, planted_signal
 from .errors import InvalidConfigError, InvalidShapeError, SingularGramError
 
 log = logging.getLogger(__name__)
@@ -45,10 +44,12 @@ _SCORE_BAND = 1e-9
 _CERT_RTOL = 1e3 * _PIVOT_RTOL
 
 
-def _vector(y) -> np.ndarray:
+def _vector(y, dim: int) -> np.ndarray:
     v = y.vector if isinstance(y, TargetSignal) else np.asarray(y, dtype=np.float64)
-    if v.ndim != 1:
-        raise InvalidShapeError(f"target must be a vector, got shape {v.shape}")
+    if v.shape != (dim,):
+        raise InvalidShapeError(f"target must be a vector of length {dim}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidShapeError("target contains non-finite entries")
     return v
 
 
@@ -60,12 +61,10 @@ def brute_force_sss(dictionary: UnitDictionary, y, k: int) -> SparseSolution:
     Supports whose Gram matrix is singular are skipped. Refuses to enumerate
     more than 10^7 subsets.
     """
-    v = _vector(y)
+    v = _vector(y, dictionary.dim)
     n = dictionary.n_atoms
     k = check_k(k, n)
     check_enumerable(n, k)
-    if v.shape[0] != dictionary.dim:
-        raise InvalidShapeError(f"target length {v.shape[0]} != dictionary dim {dictionary.dim}")
 
     gram = dictionary.gram
     corr = dictionary.data.T @ v
@@ -90,7 +89,7 @@ def brute_force_sss(dictionary: UnitDictionary, y, k: int) -> SparseSolution:
 
 def greedy_topk_select(dictionary: UnitDictionary, y, k: int) -> tuple[int, ...]:
     """One-shot rule: the k atoms with largest |<E_i, y>|, ties to lower index."""
-    v = _vector(y)
+    v = _vector(y, dictionary.dim)
     k = check_k(k, dictionary.n_atoms)
     return tuple(int(i) for i in topk_indices(np.abs(dictionary.data.T @ v), k))
 
@@ -111,72 +110,95 @@ def omp_select(dictionary: UnitDictionary, y, k: int) -> tuple[int, ...]:
     """Orthogonal matching pursuit: argmax correlation, refit, repeat.
 
     Same tie rule as the one-shot selector. Raises SingularGramError if the
-    running support ever becomes rank-deficient.
+    running support ever becomes rank-deficient. The one-pair call of
+    omp_select_stacked, where the route is described.
+    """
+    return omp_select_stacked([dictionary], [y], k)[0]
 
-    The reference route refits least squares on the sorted support after every
-    pick and correlates the residual with every atom. Here a Cholesky factor L
-    of the support's Gram, in pick order, grows one row per pick (the
-    incremental pattern of dpp_greedy_select). rows = L^-1 G[S, :] holds every
-    atom's coordinates in an orthonormal basis of the support's span; a pick j
-    with d^2 = G_jj - |rows[:, j]|^2 appends the row
-    e = (G[j, :] - rows[:, j]^T rows) / d, and the residual correlations
-    c0 - G[:, S] coef, c0 = E^T y, lose (corr_j / d) e. A pick costs one
-    E^T E_j product and O(N k), with no refit.
 
-    The two routes round differently, so a pick whose runner-up score lies
-    within _SCORE_BAND * |y| / lam of the best is rescored on the reference
-    route, where lam = 1 / |L^-1|_F^2 <= lambda_min(G_SS) bounds how far the
-    rounding can carry the scores apart. The first pick reads E^T y on both
-    routes alike.
+def omp_select_stacked(dictionaries, targets, k: int) -> list[tuple[int, ...]]:
+    """omp_select on each (dictionary, target) pair, all pairs' factors grown together.
+
+    The dictionaries share one shape. The reference route refits least
+    squares on the sorted support after every pick and correlates the
+    residual with every atom. Here a Cholesky factor L of the support's Gram,
+    in pick order, grows one row per pick (the incremental pattern of
+    dpp_greedy_select), for every pair of the stack at once.
+    rows = L^-1 G[S, :] holds every atom's coordinates in an orthonormal basis
+    of the support's span; a pick j with d^2 = G_jj - |rows[:, j]|^2 appends
+    the row e = (G[j, :] - rows[:, j]^T rows) / d, and the residual
+    correlations c0 - G[:, S] coef, c0 = E^T y, lose (corr_j / d) e. G's rows
+    are read from the dictionary's cached gram; a pick costs O(N k), with no
+    refit. The first pick reads each pair's own E^T y product, as the
+    reference route does.
+
+    The two routes round differently, so a pair whose next pick has its
+    runner-up score within _SCORE_BAND * |y| / lam of the best leaves the
+    stack, where lam = 1 / |L^-1|_F^2 <= lambda_min(G_SS) bounds how far the
+    rounding can carry the scores apart.
 
     The reference route raises SingularGramError when a pivot of the sorted
     support's Cholesky falls below _PIVOT_RTOL times the largest. Every pivot
     is at least lambda_min(G_SS) >= lam, and at most max G_ii, within 3e-10
     of 1 for unit columns, so a support with lam >= _CERT_RTOL passes that
-    check with room for its rounding. From the first support without this
-    certificate on, every pick is the reference route's own, refits included,
-    so SingularGramError is raised for exactly the supports it raises for.
+    check with room for its rounding; a pair whose support loses this
+    certificate leaves the stack. A pair that left makes its remaining
+    picks on the reference route, refits included, after the stack is done
+    and in pair order, so SingularGramError is raised for exactly the
+    supports the reference route raises for.
     """
-    v = _vector(y)
-    n = dictionary.n_atoms
+    shape = dictionaries[0].data.shape
+    if any(d.data.shape != shape for d in dictionaries) or len(targets) != len(dictionaries):
+        raise InvalidShapeError("stacked OMP needs one target per dictionary, all of one shape")
+    n = shape[1]
     k = check_k(k, n)
-    data = dictionary.data
-    norm_v = float(np.linalg.norm(v))
-    corr = data.T @ v
-    rows = np.zeros((k, n))
-    linv = np.zeros((k, k))
-    inv_fro2 = 0.0
-    certified = True
-    support: list[int] = []
+    vs = [_vector(y, shape[0]) for y in targets]
+    live = at = np.arange(len(vs))
+    corr = np.stack([d.data.T @ v for d, v in zip(dictionaries, vs)])
+    norm_v = np.linalg.norm(np.stack(vs), axis=1)
+    gram = np.stack([d.gram for d in dictionaries])
+    support = np.zeros((len(vs), k), dtype=np.intp)
+    rows = np.zeros((len(vs), k, n))
+    linv = np.zeros((len(vs), k, k))
+    inv_fro2 = np.zeros(len(vs))
+    left: dict[int, list[int]] = {}
+    j = np.abs(corr).argmax(axis=1)
     for r in range(k):
-        if certified:
-            scores = np.abs(corr)
-            scores[support] = -np.inf
-            j = int(np.argmax(scores))
-        if not certified or r and np.count_nonzero(scores >= scores[j] - band) > 1:
-            j = int(np.argmax(_refit_scores(dictionary, v, support)))
-        support.append(j)
-        if not certified:
-            continue
-        w = rows[:r, j]
-        g = data.T @ data[:, j]
-        d2 = g[j] - w @ w
-        if not d2 > 0.0:
-            certified = False
-            continue
-        d = math.sqrt(d2)
-        rows[r] = (g - w @ rows[:r]) / d
-        corr -= (corr[j] / d) * rows[r]
-        linv[r, :r] = -(w @ linv[:r, :r]) / d
-        linv[r, r] = 1.0 / d
-        inv_fro2 += float(linv[r, :r + 1] @ linv[r, :r + 1])
+        support[:, r] = j
+        w = rows[at, :r, j]
+        g = gram[at, j]
+        d2 = g[at, j] - (w * w).sum(axis=1)
+        certified = d2 > 0.0
+        d = np.sqrt(np.where(certified, d2, 1.0))
+        rows[:, r] = (g - (w[:, None, :] @ rows[:, :r])[:, 0]) / d[:, None]
+        corr -= (corr[at, j] / d)[:, None] * rows[:, r]
+        linv[:, r, :r] = -(w[:, None, :] @ linv[:, :r, :r])[:, 0] / d[:, None]
+        linv[at, r, r] = 1.0 / d
+        inv_fro2 += (linv[:, r, :r + 1] ** 2).sum(axis=1)
         lam = 1.0 / inv_fro2
-        certified = lam >= _CERT_RTOL
-        band = _SCORE_BAND * norm_v / lam
-    if not certified:
+        stay = certified & (lam >= _CERT_RTOL)
+        if r + 1 < k:
+            scores = np.abs(corr)
+            scores[at[:, None], support[:, :r + 1]] = -np.inf
+            j = scores.argmax(axis=1)
+            band = _SCORE_BAND * norm_v / lam
+            stay &= (scores >= (scores[at, j] - band)[:, None]).sum(axis=1) == 1
+        if not stay.all():
+            left.update(zip(live[~stay].tolist(), support[~stay, :r + 1].tolist()))
+            live, corr, norm_v, gram, support, rows, linv, inv_fro2, j = (
+                x[stay] for x in (live, corr, norm_v, gram, support, rows, linv, inv_fro2, j))
+            at = np.arange(live.size)
+    out = [None] * len(vs)
+    for t, picks in zip(live.tolist(), support.tolist()):
+        out[t] = tuple(sorted(picks))
+    for t in sorted(left):
+        picks = left[t]
+        while len(picks) < k:
+            picks.append(int(np.argmax(_refit_scores(dictionaries[t], vs[t], picks))))
         # the refit the reference route makes after its last pick
-        _refit_scores(dictionary, v, support)
-    return tuple(sorted(support))
+        _refit_scores(dictionaries[t], vs[t], picks)
+        out[t] = tuple(sorted(picks))
+    return out
 
 
 @dataclass(frozen=True)
@@ -250,17 +272,31 @@ class BarrierCurve:
 
 # Coherence tolerance passed to the dictionary generator inside sweeps.
 _SWEEP_TOL = 0.005
+# A grid point's trials are drawn, built and run through OMP in chunks whose
+# stack of d x N float64 dictionaries holds at most this many bytes (and at
+# least one trial), so a chunk's memory stays bounded at any trial count.
+_STACK_BYTES = 1 << 20
 
 
 def _run_grid_point(args) -> tuple[RecoveryOutcome, ...]:
+    """Every trial of one grid point, drawn, built and run through OMP a chunk at a time."""
     d, n, k, mu, trials, seed, grid_index = args
+    chunk = max(1, _STACK_BYTES // (8 * d * n))
     outcomes = []
-    for t in range(trials):
-        dict_seed = rng.derive_state(seed, "barrier", grid_index, t, 0)
-        sig_seed = rng.derive_state(seed, "barrier", grid_index, t, 1)
-        dictionary = coherent_dictionary(d, n, mu, _SWEEP_TOL, dict_seed)
-        signal = planted_signal(dictionary, k, sig_seed)
-        outcomes.append(recovery_trial(dictionary, signal, k))
+    for start in range(0, trials, chunk):
+        ts = range(start, min(start + chunk, trials))
+        dictionaries, measured = coherent_dictionaries(
+            d, n, mu, _SWEEP_TOL, [rng.derive_state(seed, "barrier", grid_index, t, 0) for t in ts])
+        signals = [planted_signal(e, k, rng.derive_state(seed, "barrier", grid_index, t, 1))
+                   for t, e in zip(ts, dictionaries)]
+        omp = omp_select_stacked(dictionaries, signals, k)
+        for e, mu_e, signal, omp_support in zip(dictionaries, measured, signals, omp):
+            outcomes.append(RecoveryOutcome(
+                mu_measured=mu_e,
+                planted_support=tuple(sorted(signal.support)),
+                greedy_support=greedy_topk_select(e, signal, k),
+                omp_support=omp_support,
+            ))
     return tuple(outcomes)
 
 

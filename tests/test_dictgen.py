@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from moegeo import rng
-from moegeo import dictgen
+from moegeo import dictgen, sss
 from moegeo.core import UnitDictionary, mutual_coherence, normalize_columns
 from moegeo.dictgen import (
     _blend,
     _blend_coherence,
     _extreme_entries,
     _haar_columns,
+    coherent_dictionaries,
     coherent_dictionary,
     planted_signal,
     random_orthonormal_dictionary,
@@ -32,7 +33,7 @@ BARRIER_GRID = [round(x, 10) for x in np.linspace(0.0, 0.95, 25)]
 def sign_aligned_base(dim, n_atoms, seed):
     """The base and direction coherent_dictionary draws for this seed."""
     gen = rng.stream(seed, "coherent")
-    q = _haar_columns(gen, dim, n_atoms)
+    q = _haar_columns([gen], dim, n_atoms)[0]
     u = gen.standard_normal(dim)
     u /= np.linalg.norm(u)
     return q * np.where(q.T @ u < 0, -1.0, 1.0), u
@@ -132,6 +133,8 @@ class TestCoherentDictionary:
             coherent_dictionary(8, 4, target_mu=-0.1, tol=1e-3, seed=0)
         with pytest.raises(InvalidConfigError):
             coherent_dictionary(8, 4, target_mu=0.5, tol=0.0, seed=0)
+        with pytest.raises(InvalidConfigError):
+            coherent_dictionary(8, 4, target_mu=0.5, tol=float("nan"), seed=0)
 
     def test_deterministic(self):
         a = coherent_dictionary(16, 8, 0.3, 1e-3, seed=9)
@@ -194,7 +197,7 @@ class TestClosedFormBisection:
         builds, measured = [], []
 
         def recording(base, u, t):
-            builds.append(base.shape[1])
+            builds.append(base.shape[-1])
             return _blend(base, u, t)
 
         def counting(dictionary):
@@ -205,6 +208,49 @@ class TestClosedFormBisection:
         monkeypatch.setattr(dictgen, "mutual_coherence", counting)
         coherent_dictionary(128, 64, target, 0.005, 5)
         assert builds == measured == [64]
+
+
+class TestStackedDraws:
+    """Stacked draws build each seed's dictionary with the bytes of the per-seed oracle."""
+
+    @pytest.mark.parametrize("chunk", [8, 3])
+    def test_barrier_grid_bytes(self, monkeypatch, chunk):
+        # chunk 3 splits each grid point's 8 trials into stacks of 3, 3 and 2
+        monkeypatch.setattr(sss, "_STACK_BYTES", chunk * 8 * 128 * 64)
+        stacks = []
+
+        def recording(*args):
+            built = coherent_dictionaries(*args)
+            stacks.append((args, built))
+            return built
+
+        monkeypatch.setattr(sss, "coherent_dictionaries", recording)
+        sss.barrier_sweep(128, 64, 6, BARRIER_GRID, trials=8, seed=42)
+        sizes = [len(args[4]) for args, _ in stacks]
+        assert sizes == [8] * 25 if chunk == 8 else sizes == [3, 3, 2] * 25
+        assert [seed for args, _ in stacks for seed in args[4]] == [s for _, s in barrier_seeds(8)]
+        for (dim, n_atoms, target, _, seeds), (dictionaries, measured) in stacks:
+            for seed, d, mu in zip(seeds, dictionaries, measured):
+                ref = all_pairs_coherent_dictionary(dim, n_atoms, target, seed)
+                assert d.data.tobytes() == ref.data.tobytes()
+                assert mu == mutual_coherence(ref)
+
+    @pytest.mark.parametrize("n_atoms", [2, 3, 4, 5])
+    def test_few_atoms_bytes(self, n_atoms):
+        # _extreme_entries returns every entry of a up to N = 4
+        for gi, target in enumerate(BARRIER_GRID):
+            seeds = [rng.derive_state(42, "barrier", gi, t, 0) for t in range(8)]
+            dictionaries, _ = coherent_dictionaries(16, n_atoms, target, 0.005, seeds)
+            for seed, d in zip(seeds, dictionaries):
+                ref = all_pairs_coherent_dictionary(16, n_atoms, target, seed)
+                assert d.data.tobytes() == ref.data.tobytes()
+
+    def test_bisection_squares_with_pow(self):
+        # (1 - t) ** 2 squared with a multiply, as numpy squares arrays, moves this one by 1.1e-16
+        seed = rng.derive_state(777, "barrier", 14, 15, 0)
+        [d], _ = coherent_dictionaries(128, 64, BARRIER_GRID[14], 0.005, [seed])
+        ref = all_pairs_coherent_dictionary(128, 64, BARRIER_GRID[14], seed)
+        assert d.data.tobytes() == ref.data.tobytes()
 
 
 class TestPlantedSignal:

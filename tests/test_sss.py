@@ -17,9 +17,24 @@ from moegeo.sss import (
     brute_force_sss,
     greedy_topk_select,
     omp_select,
+    omp_select_stacked,
     recovery_trial,
     write_barrier_csv,
 )
+
+
+# The coherence targets of `moegeo barrier` at its defaults.
+BARRIER_GRID = [round(x, 10) for x in np.linspace(0.0, 0.95, 25)]
+
+
+def barrier_instances(dim, n_atoms, k, gi, trials):
+    """The dictionaries and planted signals of one barrier grid point at seed 42, seed by seed."""
+    dictionaries = [coherent_dictionary(dim, n_atoms, BARRIER_GRID[gi], 0.005,
+                                        rng.derive_state(42, "barrier", gi, t, 0))
+                    for t in range(trials)]
+    signals = [planted_signal(d, k, rng.derive_state(42, "barrier", gi, t, 1))
+               for t, d in enumerate(dictionaries)]
+    return dictionaries, signals
 
 
 def enumeration_oracle(dictionary, y, k):
@@ -182,11 +197,8 @@ class TestOmpMatchesRefitRoute:
     """The incremental factor picks the refit route's supports and raises where it raises."""
 
     def test_barrier_grid_seeds(self):
-        grid = [round(x, 10) for x in np.linspace(0.0, 0.95, 25)]
-        for gi, mu in enumerate(grid):
-            for t in range(3):
-                d = coherent_dictionary(128, 64, mu, 0.005, rng.derive_state(42, "barrier", gi, t, 0))
-                sig = planted_signal(d, 6, rng.derive_state(42, "barrier", gi, t, 1))
+        for gi in range(len(BARRIER_GRID)):
+            for d, sig in zip(*barrier_instances(128, 64, 6, gi, 3)):
                 assert omp_select(d, sig, 6) == refit_omp(d, sig, 6)
 
     def test_noisy_targets(self):
@@ -246,6 +258,69 @@ class TestOmpMatchesRefitRoute:
         assert refits
 
 
+class TestStackedOmp:
+    """OMP over a stack of pairs picks each pair's refit-route support."""
+
+    def test_barrier_grid_stacks(self, monkeypatch):
+        # a pair leaves the stack for the refit route on a near-tie or a lost certificate
+        refitted = set()
+        monkeypatch.setattr(sss, "least_squares_on_support",
+                            lambda d, *a: refitted.add(id(d)) or least_squares_on_support(d, *a))
+        trials = 0
+        for gi in range(len(BARRIER_GRID)):
+            dictionaries, signals = barrier_instances(128, 64, 6, gi, 8)
+            stacked = omp_select_stacked(dictionaries, signals, 6)
+            assert stacked == [refit_omp(d, sig, 6) for d, sig in zip(dictionaries, signals)]
+            trials += len(stacked)
+        assert 0 < len(refitted) < trials
+
+    @pytest.mark.parametrize("n_atoms", [2, 3, 4, 5])
+    def test_few_atoms(self, n_atoms):
+        for gi in range(len(BARRIER_GRID)):
+            for k in range(1, n_atoms + 1):
+                dictionaries, signals = barrier_instances(16, n_atoms, k, gi, 8)
+                assert omp_select_stacked(dictionaries, signals, k) == [
+                    refit_omp(d, sig, k) for d, sig in zip(dictionaries, signals)]
+
+    def test_singular_pair_raises_as_alone(self):
+        # pair 1 has duplicate columns: the stack raises what omp_select raises on it alone
+        gen = np.random.default_rng(24)
+        m = gen.standard_normal((10, 8))
+        m[:, 5] = m[:, 2]
+        ok, dup = normalize_columns(gen.standard_normal((10, 8))), normalize_columns(m)
+        y = dup.data[:, [2, 5, 7]] @ gen.standard_normal(3)
+        with pytest.raises(SingularGramError) as alone:
+            omp_select(dup, y, 8)
+        with pytest.raises(SingularGramError) as stacked:
+            omp_select_stacked([ok, dup], [y, y], 8)
+        assert stacked.value.support == alone.value.support
+
+    def test_mismatched_stack_rejected(self):
+        a = random_orthonormal_dictionary(8, 4, seed=0)
+        b = random_orthonormal_dictionary(8, 5, seed=0)
+        with pytest.raises(InvalidShapeError):
+            omp_select_stacked([a, b], [np.ones(8), np.ones(8)], 2)
+        with pytest.raises(InvalidShapeError):
+            omp_select_stacked([a, a], [np.ones(8)], 2)
+
+
+class TestNonFiniteTargets:
+    """Every selector refuses a target with a NaN or an infinite entry."""
+
+    @pytest.mark.parametrize("select", [
+        greedy_topk_select,
+        omp_select,
+        lambda d, y, k: brute_force_sss(d, y, k).support,
+        lambda d, y, k: omp_select_stacked([d, d], [d.data[:, 0], y], k),
+    ], ids=["greedy", "omp", "brute-force", "stacked-omp"])
+    @pytest.mark.parametrize("bad", ["all-nan", "one-inf"])
+    def test_rejected(self, select, bad):
+        d = coherent_dictionary(8, 4, 0.5, 0.005, seed=0)
+        y = np.full(8, np.nan) if bad == "all-nan" else np.r_[np.inf, np.zeros(7)]
+        with pytest.raises(InvalidShapeError, match="target contains non-finite entries"):
+            select(d, y, 2)
+
+
 class TestRecoveryTrial:
     def test_fields_consistent(self):
         d = coherent_dictionary(24, 12, 0.15, 0.005, seed=0)
@@ -285,6 +360,15 @@ class TestBarrierSweep:
             for out in point:
                 assert out.mu_measured < 1.0 / 3.0
                 assert out.greedy_exact
+
+    def test_chunks_do_not_change_outcomes(self, monkeypatch):
+        # the per-trial oracle: each trial's dictionary, signal and selectors on their own
+        whole = barrier_sweep(128, 64, 6, BARRIER_GRID, trials=8, seed=42)
+        monkeypatch.setattr(sss, "_STACK_BYTES", 3 * 8 * 128 * 64)
+        assert barrier_sweep(128, 64, 6, BARRIER_GRID, trials=8, seed=42) == whole
+        for gi, point in enumerate(whole.outcomes):
+            dictionaries, signals = barrier_instances(128, 64, 6, gi, 8)
+            assert point == tuple(recovery_trial(d, sig, 6) for d, sig in zip(dictionaries, signals))
 
     def test_workers_do_not_change_results(self):
         a = barrier_sweep(16, 8, 2, [0.1, 0.4, 0.7], trials=8, seed=3, workers=1)
