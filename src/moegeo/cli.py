@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .diversity import Kernel, dpp_greedy_select, logdet_subset, marginal_gain
-from .dictgen import coherent_dictionary, synthetic_classification
+from .dictgen import COHERENCE_TOL, coherent_dictionary, synthetic_classification
 from .errors import (
     InvalidConfigError,
     InvalidKError,
@@ -215,8 +215,7 @@ def _prepare_output(cfg, config_path):
         dest = out / "config.json"
         if not (dest.exists() and os.path.samefile(config_path, dest)):
             shutil.copyfile(config_path, dest)
-    resolved = {k: v for k, v in cfg.items()}
-    _write_json(out / "resolved_config.json", resolved)
+    _write_json(out / "resolved_config.json", cfg)
     return out
 
 
@@ -301,8 +300,8 @@ def cmd_kl_project(cfg, config_path):
 
 def cmd_dpp_select(cfg, config_path):
     dictionary = coherent_dictionary(cfg["d"], cfg["n_atoms"], cfg["coherence"],
-                                     0.005, cfg["seed"])
-    kernel = Kernel.from_dictionary(dictionary)
+                                     COHERENCE_TOL, cfg["seed"])
+    kernel = Kernel(dictionary)
     selection = dpp_greedy_select(kernel, cfg["k"])
     gains = []
     for i in range(len(selection)):

@@ -18,6 +18,8 @@ from .errors import InvalidConfigError, InvalidShapeError, UnreachableError
 
 # Bisection on the blend parameter stops after this many halvings.
 _MAX_BISECT = 60
+# Coherence tolerance of the dictionaries that barrier and dpp-select build.
+COHERENCE_TOL = 0.005
 
 
 def _haar_columns(gens, dim: int, n: int) -> np.ndarray:

@@ -9,58 +9,40 @@ and the greedy (1 - 1/e) approximation bound empirically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
 from . import rng
-from .core import UnitDictionary, check_enumerable, check_k, normalize_columns, psd_cholesky
+from .core import UnitDictionary, check_enumerable, check_k, psd_cholesky
 from .errors import InvalidShapeError, NotPSDError
 
 # Greedy candidates whose incremental gain lies within this many nats of the
 # round's best are rescored with marginal_gain before the pick.
 _GAIN_BAND = 1e-9
-# A Cholesky factor of gram - _PSD_SHIFT * I certifies that gram is PSD.
-_PSD_SHIFT = 1e-6
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """Symmetric PSD similarity matrix with unit diagonal, plus a Tikhonov shift.
+    """Gram L = DᵀD of a unit dictionary's atoms, plus a Tikhonov shift epsilon.
 
-    The gram is accepted when its least eigenvalue is at least
-    -epsilon * 1e-8, as eigvalsh computes it. A certificate decides first: if
-    the Cholesky factor R of A = gram - sigma I (sigma = _PSD_SHIFT) completes
-    in floating point, then R^T R = A + dA with |dA| <= gamma_{n+1} |R^T| |R|
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, section
-    10.1), and || |R^T| |R| ||_2 <= ||R||_F^2 = trace(A + dA), about n on a
-    unit diagonal, so lambda_min(gram) >= sigma - gamma_{n+1} n (1 + O(u)),
-    with gamma_{n+1} = (n+1)u / (1 - (n+1)u) and u = eps/2. eigvalsh's least
-    eigenvalue lies within p(n) u ||gram||_2 <= p(n) u n of the true one,
-    p(n) a modest polynomial. While n(n+1) eps <= 1e-3 sigma (n up to about
-    3,000) both errors are far below sigma, so a completed factor means
-    eigvalsh would read about sigma and accept: the two routes decide alike.
-    A factor that fails, or a larger n, leaves the decision to eigvalsh.
+    ``gram`` is a read-only copy of ``dictionary.gram`` with its diagonal set
+    to exactly 1. numpy forms DᵀD with syrk, so it is exactly symmetric, and
+    its least eigenvalue is at least about -N gamma_d (7e-12 at N = d = 256),
+    far inside epsilon; every factorization downstream still raises
+    NotPSDError on a pivot that is not positive.
     """
 
-    gram: np.ndarray
+    dictionary: UnitDictionary
     epsilon: float = 1e-4
+    gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        g = np.array(self.gram, dtype=np.float64, copy=True)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise InvalidShapeError(f"gram must be square, got shape {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise InvalidShapeError("gram contains non-finite entries")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise InvalidShapeError(f"epsilon must be positive, got {self.epsilon}")
-        if np.abs(g - g.T).max() > 1e-10:
-            raise NotPSDError("gram is not symmetric")
-        if np.abs(np.diag(g) - 1.0).max() > 1e-10:
-            raise InvalidShapeError("gram diagonal must be 1")
-        if not _certified_psd(g) and np.linalg.eigvalsh(g).min() < -self.epsilon * 1e-8:
-            raise NotPSDError("gram has a negative eigenvalue beyond tolerance")
+        g = self.dictionary.gram.copy()
+        np.fill_diagonal(g, 1.0)
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "epsilon", float(self.epsilon))
@@ -68,33 +50,6 @@ class Kernel:
     @property
     def size(self) -> int:
         return self.gram.shape[0]
-
-    @classmethod
-    def from_features(cls, features: np.ndarray, epsilon: float = 1e-4) -> "Kernel":
-        """Kernel of column features; columns are normalized first."""
-        d = normalize_columns(np.asarray(features, dtype=np.float64))
-        return cls.from_dictionary(d, epsilon)
-
-    @classmethod
-    def from_dictionary(cls, dictionary: UnitDictionary, epsilon: float = 1e-4) -> "Kernel":
-        gram = 0.5 * (dictionary.gram + dictionary.gram.T)
-        # exact unit diagonal despite rounding in the inner products
-        np.fill_diagonal(gram, 1.0)
-        return cls(gram=gram, epsilon=epsilon)
-
-
-def _certified_psd(g: np.ndarray) -> bool:
-    """True when a Cholesky factor of g - _PSD_SHIFT * I proves g PSD (see Kernel)."""
-    n = g.shape[0]
-    if n * (n + 1) * np.finfo(np.float64).eps > 1e-3 * _PSD_SHIFT:
-        return False
-    shifted = g.copy()
-    shifted.flat[:: n + 1] -= _PSD_SHIFT
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _check_subset(kernel: Kernel, subset) -> list[int]:
@@ -153,11 +108,10 @@ def dpp_greedy_select(kernel: Kernel, k: int) -> tuple[int, ...]:
     The incremental gains can differ from marginal_gain in the last bits. When
     more than one candidate lies within _GAIN_BAND of the round's best gain,
     those candidates are rescored with marginal_gain and the exact argmax
-    wins, so the picks are the ones the per-candidate route makes. In round 0
-    the exact gain of e is log(gram[e, e] + eps), a function of schur[e]
-    alone, so when every near candidate has a bit-equal schur, as on any
-    exactly unit diagonal, rescoring would return their first and is skipped.
-    Raises NotPSDError when the chosen Schur complement is not positive.
+    wins, so the picks are the ones the per-candidate route makes. Round 0 is
+    never rescored: the diagonal is exactly 1, so every round-0 gain is
+    log(1 + eps), bit for bit in both routes. Raises NotPSDError when the
+    chosen Schur complement is not positive.
 
     Returned in selection order.
     """
@@ -173,7 +127,7 @@ def dpp_greedy_select(kernel: Kernel, k: int) -> tuple[int, ...]:
         if not schur[j] > 0.0:
             raise NotPSDError(f"non-positive Schur complement at element {j}")
         near = np.flatnonzero(gains >= gains[j] - _GAIN_BAND)
-        if near.size > 1 and not (r == 0 and np.all(schur[near] == schur[j])):
+        if r > 0 and near.size > 1:
             exact = [marginal_gain(kernel, selected, e) for e in near]
             j = int(near[np.argmax(exact)])
         e_row = (kernel.gram[j] - rows[:r, j] @ rows[:r]) / np.sqrt(schur[j])

@@ -31,7 +31,7 @@ from .core import (
     run_jobs,
     topk_indices,
 )
-from .dictgen import coherent_dictionaries, planted_signal
+from .dictgen import COHERENCE_TOL, coherent_dictionaries, planted_signal
 from .errors import InvalidConfigError, InvalidShapeError, SingularGramError
 
 log = logging.getLogger(__name__)
@@ -270,8 +270,6 @@ class BarrierCurve:
         object.__setattr__(self, "theoretical_bound", 1.0 / (2 * self.k - 1))
 
 
-# Coherence tolerance passed to the dictionary generator inside sweeps.
-_SWEEP_TOL = 0.005
 # A grid point's trials are drawn, built and run through OMP in chunks whose
 # stack of d x N float64 dictionaries holds at most this many bytes (and at
 # least one trial), so a chunk's memory stays bounded at any trial count.
@@ -286,7 +284,7 @@ def _run_grid_point(args) -> tuple[RecoveryOutcome, ...]:
     for start in range(0, trials, chunk):
         ts = range(start, min(start + chunk, trials))
         dictionaries, measured = coherent_dictionaries(
-            d, n, mu, _SWEEP_TOL, [rng.derive_state(seed, "barrier", grid_index, t, 0) for t in ts])
+            d, n, mu, COHERENCE_TOL, [rng.derive_state(seed, "barrier", grid_index, t, 0) for t in ts])
         signals = [planted_signal(e, k, rng.derive_state(seed, "barrier", grid_index, t, 1))
                    for t, e in zip(ts, dictionaries)]
         omp = omp_select_stacked(dictionaries, signals, k)
@@ -324,6 +322,8 @@ def barrier_sweep(
         raise InvalidConfigError("mu_grid values must lie in [0, 1)")
     if trials < 1:
         raise InvalidConfigError("trials must be >= 1")
+    if not 2 <= n_atoms <= d:
+        raise InvalidConfigError(f"need 2 <= n_atoms <= d, got d={d}, n_atoms={n_atoms}")
     check_k(k, n_atoms)
     seed = rng.check_seed(seed)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import normalize_columns, topk_indices
 from .diversity import Kernel, nemhauser_audit, submodularity_audit
 from .dictgen import random_orthonormal_dictionary
 from .errors import IdentityViolationError
@@ -49,8 +50,7 @@ def _random_batch(gen, k=None):
     kk = k if k is not None else int(gen.integers(1, e + 1))
     probs = gen.random((t, e)) + 1e-6
     probs /= probs.sum(axis=1, keepdims=True)
-    sel = np.argsort(-probs, axis=1, kind="stable")[:, :kk]
-    return RoutingBatch(dense_probs=probs, selections=sel)
+    return RoutingBatch(dense_probs=probs, selections=topk_indices(probs, kk))
 
 
 def check_kl_projection_oracle(gen, cases):
@@ -150,7 +150,7 @@ def _volume_kernels(gen, count):
     for _ in range(count):
         n = int(gen.integers(5, 13))
         d = int(gen.integers(4, 17))
-        kernel = Kernel.from_features(gen.standard_normal((d, n)), epsilon=1e-4)
+        kernel = Kernel(normalize_columns(gen.standard_normal((d, n))), epsilon=1e-4)
         yield kernel, int(gen.integers(0, 2**63))
 
 

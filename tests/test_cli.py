@@ -161,6 +161,20 @@ class TestExitCodes:
         assert code == 2
         assert "workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--d", "0"],
+        ["--d", "8", "--n_atoms", "16"],
+        ["--n_atoms", "1", "--k", "1"],
+    ], ids=["d-zero", "more-atoms-than-dims", "one-atom"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_barrier_bad_shape_is_config_error(self, tmp_path, capsys, argv, workers):
+        out = tmp_path / "o"
+        code = main(["barrier", *argv, "--trials", "1", "--mu_grid", "0",
+                     "--workers", workers, "--output_dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config: need 2 <= n_atoms <= d")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, name", [
         (["--experts", "0"], "experts"),
         (["--experts", "1", "--k", "1"], "experts"),
