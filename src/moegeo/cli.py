@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diversity import Kernel, dpp_greedy_select, logdet_subset, marginal_gain
+from .diversity import Kernel, dpp_greedy_select, logdet_subset
 from .dictgen import COHERENCE_TOL, coherent_dictionary, synthetic_classification
 from .errors import (
     InvalidConfigError,
@@ -302,10 +302,7 @@ def cmd_dpp_select(cfg, config_path):
     dictionary = coherent_dictionary(cfg["d"], cfg["n_atoms"], cfg["coherence"],
                                      COHERENCE_TOL, cfg["seed"])
     kernel = Kernel(dictionary)
-    selection = dpp_greedy_select(kernel, cfg["k"])
-    gains = []
-    for i in range(len(selection)):
-        gains.append(marginal_gain(kernel, selection[:i], selection[i]))
+    selection, gains = dpp_greedy_select(kernel, cfg["k"])
     out = _prepare_output(cfg, config_path)
     _write_json(out / "selection.json", {
         "selection": list(selection),

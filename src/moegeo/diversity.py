@@ -94,7 +94,7 @@ def marginal_gain(kernel: Kernel, subset, e: int) -> float:
     return float(np.log(schur))
 
 
-def dpp_greedy_select(kernel: Kernel, k: int) -> tuple[int, ...]:
+def dpp_greedy_select(kernel: Kernel, k: int) -> tuple[tuple[int, ...], list[float]]:
     """k rounds of argmax marginal volume gain; ties go to the lowest index.
 
     Greedy MAP with an incremental Cholesky factor (Chen, Zhang & Zhou,
@@ -105,21 +105,22 @@ def dpp_greedy_select(kernel: Kernel, k: int) -> tuple[int, ...]:
     in all, instead of factoring the selected block anew for every candidate
     in every round.
 
-    The incremental gains can differ from marginal_gain in the last bits. When
-    more than one candidate lies within _GAIN_BAND of the round's best gain,
-    those candidates are rescored with marginal_gain and the exact argmax
-    wins, so the picks are the ones the per-candidate route makes. Round 0 is
-    never rescored: the diagonal is exactly 1, so every round-0 gain is
-    log(1 + eps), bit for bit in both routes. Raises NotPSDError when the
-    chosen Schur complement is not positive.
-
-    Returned in selection order.
+    Returns the picks in selection order and the gain paid for each: log d_j^2
+    read from the incremental factor in the pick's round. It can differ from
+    marginal_gain in the last bits of d_j^2, so when more than one candidate
+    lies within _GAIN_BAND of the round's best gain, those are rescored with
+    marginal_gain and the exact argmax wins: the picks are the ones the
+    per-candidate route makes, and the reported gain stays the factor's.
+    Round 0 is never rescored: the diagonal is exactly 1, so every round-0
+    gain is log(1 + eps), bit for bit in both routes. Raises NotPSDError when
+    the chosen Schur complement is not positive.
     """
     n = kernel.size
     check_k(k, n)
     rows = np.zeros((k, n))
     schur = np.diag(kernel.gram) + kernel.epsilon
     selected: list[int] = []
+    paid: list[float] = []
     for r in range(k):
         gains = np.full(n, -np.inf)
         np.log(schur, out=gains, where=schur > 0.0)
@@ -136,7 +137,8 @@ def dpp_greedy_select(kernel: Kernel, k: int) -> tuple[int, ...]:
         # a picked element never competes again
         schur[j] = 0.0
         selected.append(j)
-    return tuple(selected)
+        paid.append(float(gains[j]))
+    return tuple(selected), paid
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,7 @@ def nemhauser_audit(kernel: Kernel, k: int) -> NemhauserReport:
     """
     check_k(k, kernel.size)
     check_enumerable(kernel.size, k)
-    greedy = dpp_greedy_select(kernel, k)
+    greedy, _ = dpp_greedy_select(kernel, k)
     best_val = -np.inf
     best_sup: tuple[int, ...] = ()
     for sup in combinations(range(kernel.size), k):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from moegeo import cli, verify
+from moegeo import cli, diversity, verify
 from moegeo.cli import build_parser, main
 
 
@@ -339,6 +339,23 @@ class TestArtifacts:
         assert payload["coherence_measured"] == pytest.approx(0.4, abs=0.005)
         # chain of marginal gains telescopes to the subset log-volume
         assert sum(payload["marginal_gains"]) == pytest.approx(payload["logdet"], abs=1e-9)
+
+    @pytest.mark.parametrize("shape", [[], ["--d", "256", "--n_atoms", "256", "--k", "32"]],
+                             ids=["defaults", "bench-shape"])
+    def test_dpp_select_refactors_no_prefix(self, tmp_path, monkeypatch, shape):
+        # the gains come from the greedy's own factor: no marginal_gain call,
+        # counted wherever a module binds the function
+        calls = []
+        real = diversity.marginal_gain
+        for module in (cli, diversity):
+            if getattr(module, "marginal_gain", None) is real:
+                monkeypatch.setattr(module, "marginal_gain",
+                                    lambda *args: calls.append(args) or real(*args))
+        out = tmp_path / "d"
+        assert main(["dpp-select", *shape, "--output_dir", str(out)]) == 0
+        payload = json.loads((out / "selection.json").read_text())
+        assert len(payload["marginal_gains"]) == len(payload["selection"])
+        assert calls == []
 
     def test_info_smoke(self, tmp_path):
         out = tmp_path / "i"

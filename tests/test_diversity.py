@@ -1,11 +1,13 @@
 """Volume (log-det) selection: Schur gains, greedy, and audits."""
 
+import math
+
 import numpy as np
 import pytest
 
-from moegeo import diversity, verify
+from moegeo import cli, diversity, verify
 from moegeo.core import UnitDictionary, normalize_columns
-from moegeo.dictgen import coherent_dictionary, random_orthonormal_dictionary
+from moegeo.dictgen import COHERENCE_TOL, coherent_dictionary, random_orthonormal_dictionary
 from moegeo.diversity import (
     Kernel,
     dpp_greedy_select,
@@ -33,6 +35,33 @@ def reference_greedy(kernel, k):
                 gains[e] = marginal_gain(kernel, selected, e)
         selected.append(int(np.argmax(gains)))
     return tuple(selected)
+
+
+def rotated_equiangular_kernels(n=10, c=0.3, count=10):
+    """Random rotations of n equiangular atoms at inner product c.
+
+    Every gain ties in exact arithmetic; each rotation splits the ties at ULP
+    level, differently in the incremental and the per-candidate route.
+    """
+    rng = np.random.default_rng(23)
+    f = np.linalg.cholesky((1 - c) * np.eye(n) + c).T
+    for _ in range(count):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        yield Kernel(normalize_columns(q @ f))
+
+
+# Unit dictionaries whose round 0 ties bit for bit, and small-integer plane
+# features whose later rounds tie bit for bit in the incremental route only.
+ROUND_ZERO_DICTIONARIES = pytest.mark.parametrize("make", [
+    lambda: random_orthonormal_dictionary(10, 6, seed=0),
+    lambda: coherent_dictionary(64, 64, 0.5, 0.005, seed=3),
+    lambda: coherent_dictionary(128, 64, 0.9, 0.005, seed=7),
+], ids=["orthonormal-10x6", "coherent-64x64", "coherent-128x64"])
+PLANE_FEATURES = pytest.mark.parametrize("features", [
+    [[1, 2, -2, 1, 0, 0, 2, 0], [-2, -2, -1, -1, 1, 2, 0, -2]],
+    [[1, 0, 1, 0, 2, 1, -2], [2, -2, 0, 1, 2, 1, 1]],
+    [[-1, -2, 0, 2, 1, -1], [-2, -2, 1, -1, 2, 0]],
+])
 
 
 @pytest.fixture
@@ -165,7 +194,7 @@ class TestMarginalGain:
 class TestGreedySelect:
     def test_orthonormal_ties_resolve_to_prefix(self):
         k = Kernel(UnitDictionary(np.eye(7)))
-        assert dpp_greedy_select(k, 3) == (0, 1, 2)
+        assert dpp_greedy_select(k, 3)[0] == (0, 1, 2)
 
     def test_duplicated_pair_never_taken_together_early(self):
         # atoms 0 and 1 identical; all others orthogonal
@@ -173,7 +202,7 @@ class TestGreedySelect:
         f = np.eye(6)[:, :5].copy()
         f[:, 1] = f[:, 0]
         k = Kernel(normalize_columns(f))
-        picks = dpp_greedy_select(k, 4)
+        picks = dpp_greedy_select(k, 4)[0]
         assert not {0, 1} <= set(picks)
         # enumerate gains at each greedy step to confirm the duplicate is worst
         chosen = []
@@ -193,7 +222,7 @@ class TestGreedySelect:
             perm = rng.permutation(8)
             inv = np.argsort(perm)  # new label of old atom o is inv[o]
             relabeled = Kernel(UnitDictionary(k.dictionary.data[:, perm]), epsilon=k.epsilon)
-            moved = dpp_greedy_select(relabeled, 3)
+            moved = dpp_greedy_select(relabeled, 3)[0]
             # reference: greedy on the original kernel, ties to lowest new label
             chosen: list[int] = []
             for _ in range(3):
@@ -213,7 +242,7 @@ class TestGreedyMatchesPerCandidateRoute:
             n = 6 + seed
             k = random_kernel(n, 4 + 2 * seed, seed + 300)
             for size in range(1, n + 1):
-                assert dpp_greedy_select(k, size) == reference_greedy(k, size)
+                assert dpp_greedy_select(k, size)[0] == reference_greedy(k, size)
 
     def test_exact_duplicate_columns(self):
         # several atoms repeated verbatim: exact gain ties after round 0 too
@@ -222,57 +251,90 @@ class TestGreedyMatchesPerCandidateRoute:
         f = base[:, [0, 1, 0, 2, 3, 1, 4, 0, 5, 6, 2, 3]]
         k = Kernel(normalize_columns(f))
         for size in (3, 7, 12):
-            assert dpp_greedy_select(k, size) == reference_greedy(k, size)
+            assert dpp_greedy_select(k, size)[0] == reference_greedy(k, size)
 
     def test_rotated_equiangular_near_ties(self):
-        # Every gain ties in exact arithmetic; a random rotation splits the ties
-        # at ULP level, differently in the two routes, so the picks agree only
-        # because near-ties are rescored with marginal_gain.
-        rng = np.random.default_rng(23)
-        n, c = 10, 0.3
-        f = np.linalg.cholesky((1 - c) * np.eye(n) + c).T
-        for _ in range(10):
-            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            k = Kernel(normalize_columns(q @ f))
-            assert dpp_greedy_select(k, n) == reference_greedy(k, n)
+        # the picks agree only because near-ties are rescored with marginal_gain
+        for k in rotated_equiangular_kernels():
+            assert dpp_greedy_select(k, k.size)[0] == reference_greedy(k, k.size)
 
     def test_high_coherence_square_dictionary_k_equals_n(self):
         d = coherent_dictionary(128, 128, 0.95, 0.005, seed=42)
         k = Kernel(d)
-        assert dpp_greedy_select(k, 128) == reference_greedy(k, 128)
+        assert dpp_greedy_select(k, 128)[0] == reference_greedy(k, 128)
 
     def test_rank_deficient_kernel_at_epsilon_floor(self):
         # 20 atoms in 5 dimensions: from round 5 on every gain sits near log(eps)
         k = random_kernel(20, 5, 17)
-        assert dpp_greedy_select(k, 20) == reference_greedy(k, 20)
+        assert dpp_greedy_select(k, 20)[0] == reference_greedy(k, 20)
 
 
 class TestRoundZero:
     """Round 0 never rescores: every gain is log(1 + eps) bit for bit."""
 
-    @pytest.mark.parametrize("make", [
-        lambda: random_orthonormal_dictionary(10, 6, seed=0),
-        lambda: coherent_dictionary(64, 64, 0.5, 0.005, seed=3),
-        lambda: coherent_dictionary(128, 64, 0.9, 0.005, seed=7),
-    ], ids=["orthonormal-10x6", "coherent-64x64", "coherent-128x64"])
+    @ROUND_ZERO_DICTIONARIES
     def test_unit_diagonal_makes_no_rescoring_calls(self, gain_calls, make):
         k = Kernel(make())
-        assert dpp_greedy_select(k, 1) == (0,)
+        assert dpp_greedy_select(k, 1)[0] == (0,)
         assert gain_calls == []
         size = min(k.size, 8)
-        assert dpp_greedy_select(k, size) == reference_greedy(k, size)
+        assert dpp_greedy_select(k, size)[0] == reference_greedy(k, size)
         assert 0 not in gain_calls
 
-    @pytest.mark.parametrize("features", [
-        [[1, 2, -2, 1, 0, 0, 2, 0], [-2, -2, -1, -1, 1, 2, 0, -2]],
-        [[1, 0, 1, 0, 2, 1, -2], [2, -2, 0, 1, 2, 1, 1]],
-        [[-1, -2, 0, 2, 1, -1], [-2, -2, 1, -1, 2, 0]],
-    ])
+    @PLANE_FEATURES
     def test_later_bit_equal_ties_are_rescored(self, features):
         # small-integer features in the plane: after round 0 some candidates tie
         # bit for bit in the incremental route but not in marginal_gain
         k = Kernel(normalize_columns(np.array(features, dtype=float)))
-        assert dpp_greedy_select(k, k.size) == reference_greedy(k, k.size)
+        assert dpp_greedy_select(k, k.size)[0] == reference_greedy(k, k.size)
+
+
+def assert_reported_gains(kernel, size):
+    """The greedy's own gains agree with per-prefix marginal_gain and with logdet.
+
+    Both routes form a Schur complement d^2 = 1 + eps - |c|^2 to a few ulps of
+    1, which the log turns into an error of about ulps / d^2: far below 1e-12
+    above the eps floor, about 2e-12 at d^2 ~ 1e-4.
+    """
+    picks, gains = dpp_greedy_select(kernel, size)
+    assert picks == reference_greedy(kernel, size)
+    assert len(gains) == size
+    for i, gain in enumerate(gains):
+        exact = marginal_gain(kernel, picks[:i], picks[i])
+        floor_slack = 16 * np.finfo(float).eps / math.exp(exact)
+        assert gain == pytest.approx(exact, abs=1e-12 + floor_slack)
+    assert all(b <= a + 1e-12 for a, b in zip(gains, gains[1:]))
+    assert math.fsum(gains) == pytest.approx(logdet_subset(kernel, picks), abs=1e-9)
+
+
+class TestReportedGains:
+    """Each pick's gain is read off the incremental factor, not refactored."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bench_shape(self, seed):
+        assert_reported_gains(Kernel(coherent_dictionary(256, 256, 0.5, COHERENCE_TOL, seed)), 32)
+
+    def test_cli_default_kernel(self):
+        cfg = {key: f.default for key, f in cli.SCHEMAS["dpp-select"].items()}
+        d = coherent_dictionary(cfg["d"], cfg["n_atoms"], cfg["coherence"], COHERENCE_TOL,
+                                cfg["seed"])
+        assert_reported_gains(Kernel(d), cfg["k"])
+
+    @ROUND_ZERO_DICTIONARIES
+    def test_round_zero_kernels(self, make):
+        k = Kernel(make())
+        assert_reported_gains(k, min(k.size, 8))
+
+    @PLANE_FEATURES
+    def test_rescored_plane_kernels(self, gain_calls, features):
+        k = Kernel(normalize_columns(np.array(features, dtype=float)))
+        assert_reported_gains(k, k.size)
+        assert gain_calls, "no round was rescored"
+
+    def test_rescored_equiangular_kernels(self, gain_calls):
+        for k in rotated_equiangular_kernels():
+            assert_reported_gains(k, k.size)
+        assert gain_calls, "no round was rescored"
 
 
 class TestSubmodularityAudit:

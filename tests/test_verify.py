@@ -55,7 +55,8 @@ PLANTED = {
     "coherence-barrier-region": (sss, "greedy_topk_select", _shift),
     "submodularity": (diversity, "marginal_gain",
                       lambda g, kernel, subset, e: g + len(subset)),
-    "nemhauser-ratio": (diversity, "dpp_greedy_select", lambda s, *_: s[:-1]),
+    "nemhauser-ratio": (diversity, "dpp_greedy_select",
+                        lambda r, *_: (r[0][:-1], r[1][:-1])),
     "ambiguity-identity": (verify, "ambiguity_decomposition",
                            lambda r, *_: (r[0] + 1e-6, *r[1:])),
 }
