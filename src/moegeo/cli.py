@@ -18,7 +18,6 @@ import json
 import os
 import shutil
 import sys
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -411,6 +410,7 @@ def main(argv=None):
     except Exception as exc:
         # a bug, not a user error: keep the traceback for the report
         print(f"internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        import traceback
         traceback.print_exc(file=sys.stderr)
         return 4
 

@@ -10,9 +10,7 @@ the k-range check and the job runner live here once, for every module.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -205,6 +203,9 @@ def run_jobs(fn, jobs, workers: int) -> list:
     jobs = list(jobs)
     if workers == 1 or len(jobs) < 2:
         return [fn(job) for job in jobs]
+    # imported here so that `import moegeo` does not pay for the pool machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     saved = {name: os.environ.get(name) for name in _WORKER_ENV}
     os.environ.update(_WORKER_ENV)
     try:

@@ -19,7 +19,7 @@ from .core import UnitDictionary, check_enumerable, check_k, psd_cholesky
 from .errors import InvalidShapeError, NotPSDError
 
 # Greedy candidates whose incremental gain lies within this many nats of the
-# round's best are rescored with marginal_gain before the pick.
+# round's best are rescored with marginal_gain's arithmetic before the pick.
 _GAIN_BAND = 1e-9
 
 
@@ -61,13 +61,26 @@ def _check_subset(kernel: Kernel, subset) -> list[int]:
     return idx
 
 
+def _block_factor(kernel: Kernel, idx: list[int]) -> np.ndarray:
+    """Lower Cholesky factor of the subset's shifted Gram block."""
+    return psd_cholesky(kernel.gram[np.ix_(idx, idx)] + kernel.epsilon * np.eye(len(idx)))
+
+
 def logdet_subset(kernel: Kernel, subset) -> float:
     """log det of the subset's shifted Gram block, via Cholesky."""
     idx = _check_subset(kernel, subset)
     if not idx:
         raise InvalidShapeError("subset must be nonempty")
-    chol = psd_cholesky(kernel.gram[np.ix_(idx, idx)] + kernel.epsilon * np.eye(len(idx)))
-    return float(2.0 * np.sum(np.log(np.diag(chol))))
+    return float(2.0 * np.sum(np.log(np.diag(_block_factor(kernel, idx)))))
+
+
+def _schur_gain(kernel: Kernel, idx: list[int], chol: np.ndarray, e: int) -> float:
+    """log Schur complement of element e against the block that `chol` factors."""
+    z = np.linalg.solve(chol, kernel.gram[idx, e])
+    schur = float(kernel.gram[e, e] + kernel.epsilon - z @ z)
+    if schur <= 0.0:
+        raise NotPSDError(f"non-positive Schur complement at element {e}")
+    return float(np.log(schur))
 
 
 def marginal_gain(kernel: Kernel, subset, e: int) -> float:
@@ -83,15 +96,9 @@ def marginal_gain(kernel: Kernel, subset, e: int) -> float:
         raise InvalidShapeError(f"element {e} out of range")
     if e in idx:
         raise InvalidShapeError(f"element {e} already in subset")
-    eps = kernel.epsilon
     if not idx:
-        return float(np.log(kernel.gram[e, e] + eps))
-    chol = psd_cholesky(kernel.gram[np.ix_(idx, idx)] + eps * np.eye(len(idx)))
-    z = np.linalg.solve(chol, kernel.gram[idx, e])
-    schur = float(kernel.gram[e, e] + eps - z @ z)
-    if schur <= 0.0:
-        raise NotPSDError(f"non-positive Schur complement at element {e}")
-    return float(np.log(schur))
+        return float(np.log(kernel.gram[e, e] + kernel.epsilon))
+    return _schur_gain(kernel, idx, _block_factor(kernel, idx), e)
 
 
 def dpp_greedy_select(kernel: Kernel, k: int) -> tuple[tuple[int, ...], list[float]]:
@@ -109,8 +116,9 @@ def dpp_greedy_select(kernel: Kernel, k: int) -> tuple[tuple[int, ...], list[flo
     read from the incremental factor in the pick's round. It can differ from
     marginal_gain in the last bits of d_j^2, so when more than one candidate
     lies within _GAIN_BAND of the round's best gain, those are rescored with
-    marginal_gain and the exact argmax wins: the picks are the ones the
-    per-candidate route makes, and the reported gain stays the factor's.
+    marginal_gain's arithmetic on one factor of the selected block, and the
+    exact argmax wins: the picks are the ones the per-candidate route makes,
+    and the reported gain stays the factor's.
     Round 0 is never rescored: the diagonal is exactly 1, so every round-0
     gain is log(1 + eps), bit for bit in both routes. Raises NotPSDError when
     the chosen Schur complement is not positive.
@@ -129,7 +137,8 @@ def dpp_greedy_select(kernel: Kernel, k: int) -> tuple[tuple[int, ...], list[flo
             raise NotPSDError(f"non-positive Schur complement at element {j}")
         near = np.flatnonzero(gains >= gains[j] - _GAIN_BAND)
         if r > 0 and near.size > 1:
-            exact = [marginal_gain(kernel, selected, e) for e in near]
+            chol = _block_factor(kernel, selected)
+            exact = [_schur_gain(kernel, selected, chol, e) for e in near.tolist()]
             j = int(near[np.argmax(exact)])
         e_row = (kernel.gram[j] - rows[:r, j] @ rows[:r]) / np.sqrt(schur[j])
         rows[r] = e_row

@@ -115,9 +115,7 @@ def renyi2_entropy(p: CategoricalDist) -> float:
 
 def selection_frequencies(batch: RoutingBatch) -> np.ndarray:
     """f_i: fraction of tokens whose selection includes expert i; sums to k."""
-    counts = np.zeros(batch.n_experts)
-    np.add.at(counts, batch.selections.ravel(), 1.0)
-    return counts / batch.n_tokens
+    return np.bincount(batch.selections.ravel(), minlength=batch.n_experts) / batch.n_tokens
 
 
 def mean_routing_probs(batch: RoutingBatch) -> CategoricalDist:

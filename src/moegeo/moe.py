@@ -119,34 +119,28 @@ class MoEConfig:
 
 @dataclass
 class MoEParams:
-    """Model weights plus AdamW state (moments zeroed here). Mutable; one per fold."""
+    """Weights plus AdamW moments, zeroed and keyed by weight name. Mutable; one per fold."""
 
     w_g: np.ndarray      # (E, D) router
     w_in: np.ndarray     # (E, H, D)
     w_out: np.ndarray    # (E, C, H)
     step: int = 0
-    m_w_g: np.ndarray = field(init=False, repr=False)
-    v_w_g: np.ndarray = field(init=False, repr=False)
-    m_w_in: np.ndarray = field(init=False, repr=False)
-    v_w_in: np.ndarray = field(init=False, repr=False)
-    m_w_out: np.ndarray = field(init=False, repr=False)
-    v_w_out: np.ndarray = field(init=False, repr=False)
+    moments: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.moments = {}
         for name in ("w_g", "w_in", "w_out"):
             w = np.asarray(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(w)):
                 raise NonFiniteError(f"{name} contains non-finite entries")
             setattr(self, name, w)
+            self.moments[name] = (np.zeros(w.shape), np.zeros(w.shape))
         if self.w_in.shape[0] != self.w_g.shape[0] or self.w_out.shape[0] != self.w_g.shape[0]:
             raise InvalidShapeError("per-expert arrays disagree on expert count")
         if self.w_in.shape[2] != self.w_g.shape[1]:
             raise InvalidShapeError("w_in input dim does not match router")
         if self.w_out.shape[2] != self.w_in.shape[1]:
             raise InvalidShapeError("w_out hidden dim does not match w_in")
-        weights = (self.w_g, self.w_in, self.w_out)
-        self.m_w_g, self.m_w_in, self.m_w_out = (np.zeros(w.shape) for w in weights)
-        self.v_w_g, self.v_w_in, self.v_w_out = (np.zeros(w.shape) for w in weights)
 
 
 def init_params(config, gen):
@@ -174,6 +168,7 @@ class ForwardTrace:
     x: np.ndarray               # (B, D)
     routing: RoutingBatch       # (B, E) router softmax, (B, k) ascending ids
     gates: np.ndarray           # (B, k) renormalized over the active set
+    kept_mass: np.ndarray       # (B, 1) router mass top-k keeps; -log of it is top-k's KL cost
     expert_outputs: np.ndarray  # (B, k, C) selected experts' logit vectors
     logits: np.ndarray          # (B, C) gate-weighted combination
     log_probs: np.ndarray       # (B, C) log-softmax of the logits
@@ -207,7 +202,8 @@ def forward(params, config, x_batch):
     p = softmax_rows(h)
     sel = topk_indices(p, k)
     active = np.take_along_axis(p, sel, axis=1)
-    gates = active / active.sum(axis=1, keepdims=True)
+    kept_mass = active.sum(axis=1, keepdims=True)
+    gates = active / kept_mass
 
     # rows grouped by expert, ascending within each: one GELU call per pass
     flat = sel.ravel()
@@ -236,7 +232,7 @@ def forward(params, config, x_batch):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("forward pass produced non-finite values")
     return ForwardTrace(x=x, routing=RoutingBatch(dense_probs=p, selections=sel),
-                        gates=gates, expert_outputs=outputs, logits=logits,
+                        gates=gates, kept_mass=kept_mass, expert_outputs=outputs, logits=logits,
                         log_probs=log_probs, class_probs=class_probs,
                         expert_cache=(rows, slots, bounds, xr, u, a, t))
 
@@ -358,9 +354,9 @@ def backward(params, trace, labels, config):
     b = trace.batch_size
     e_count = config.experts
 
-    onehot = np.zeros((b, config.classes))
-    onehot[np.arange(b), labels] = 1.0
-    g_logits = (trace.class_probs - onehot) / b
+    g_logits = trace.class_probs.copy()
+    g_logits[np.arange(b), labels] -= 1.0
+    g_logits /= b
 
     d_outputs = trace.gates[..., None] * g_logits[:, None, :]
     d_outputs = d_outputs + comps.reg_grad
@@ -368,9 +364,7 @@ def backward(params, trace, labels, config):
 
     # renormalized gates w = p_sel / s: dL/dp_m = (dL/dw_m - sum_n dL/dw_n w_n) / s
     p, sel = trace.routing.dense_probs, trace.routing.selections
-    active = np.take_along_axis(p, sel, axis=1)
-    mass = active.sum(axis=1, keepdims=True)
-    d_active = (d_gates - (d_gates * trace.gates).sum(axis=1, keepdims=True)) / mass
+    d_active = (d_gates - (d_gates * trace.gates).sum(axis=1, keepdims=True)) / trace.kept_mass
     d_probs = np.zeros_like(p)
     np.put_along_axis(d_probs, sel, d_active, axis=1)
 
@@ -408,9 +402,8 @@ def adamw_step(params, grads, config):
     t = params.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for w, g, m, v in ((params.w_g, grads.w_g, params.m_w_g, params.v_w_g),
-                       (params.w_in, grads.w_in, params.m_w_in, params.v_w_in),
-                       (params.w_out, grads.w_out, params.m_w_out, params.v_w_out)):
+    for name, (m, v) in params.moments.items():
+        w, g = getattr(params, name), getattr(grads, name)
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -606,15 +599,11 @@ def train_fold(config, train, test, fold=0):
     def record(loss_triplet):
         metrics = _eval_metrics(params, config, test_x, test_y)
         probe_outputs = dense_expert_outputs(params, probe)
-        rows["loss_task"].append(loss_triplet[0])
-        rows["loss_aux"].append(loss_triplet[1])
-        rows["loss_reg"].append(loss_triplet[2])
-        rows["test_acc"].append(metrics["test_acc"])
-        rows["eff_rank"].append(effective_rank(probe_outputs))
-        rows["coherence"].append(expert_coherence(probe_outputs))
-        rows["marg_entropy"].append(metrics["marg_entropy"])
-        rows["cond_entropy"].append(metrics["cond_entropy"])
-        rows["collision_mass"].append(metrics["collision_mass"])
+        metrics.update(zip(("loss_task", "loss_aux", "loss_reg"), loss_triplet),
+                       eff_rank=effective_rank(probe_outputs),
+                       coherence=expert_coherence(probe_outputs))
+        for name, series in rows.items():
+            series.append(metrics[name])
         return metrics["selections"]
 
     selections = record(_eval_loss(params, config, train_x, train_y))

@@ -34,6 +34,8 @@ from moegeo.infotheory import RoutingBatch, topk_conditional_entropy
 from moegeo.moe import MoEConfig, backward, cross_validate, forward, init_params, total_loss
 from moegeo.sss import barrier_sweep, write_barrier_csv
 
+pytestmark = pytest.mark.acceptance
+
 MASTER_SEED = 42
 
 # The official sweep configuration: 25 coherence targets spanning the

@@ -343,14 +343,13 @@ class TestArtifacts:
     @pytest.mark.parametrize("shape", [[], ["--d", "256", "--n_atoms", "256", "--k", "32"]],
                              ids=["defaults", "bench-shape"])
     def test_dpp_select_refactors_no_prefix(self, tmp_path, monkeypatch, shape):
-        # the gains come from the greedy's own factor: no marginal_gain call,
-        # counted wherever a module binds the function
+        # the gains come from the greedy's own factor and no round is rescored
+        # here, so the per-candidate Schur step that marginal_gain and the
+        # rescoring loop share never runs
         calls = []
-        real = diversity.marginal_gain
-        for module in (cli, diversity):
-            if getattr(module, "marginal_gain", None) is real:
-                monkeypatch.setattr(module, "marginal_gain",
-                                    lambda *args: calls.append(args) or real(*args))
+        real = diversity._schur_gain
+        monkeypatch.setattr(diversity, "_schur_gain",
+                            lambda *args: calls.append(args) or real(*args))
         out = tmp_path / "d"
         assert main(["dpp-select", *shape, "--output_dir", str(out)]) == 0
         payload = json.loads((out / "selection.json").read_text())

@@ -66,14 +66,15 @@ PLANE_FEATURES = pytest.mark.parametrize("features", [
 
 @pytest.fixture
 def gain_calls(monkeypatch):
+    """Subset sizes of every per-candidate Schur step: rescoring and marginal_gain alike."""
     calls = []
-    real = diversity.marginal_gain
+    real = diversity._schur_gain
 
-    def counting(kernel, subset, e):
-        calls.append(len(subset))
-        return real(kernel, subset, e)
+    def counting(kernel, idx, chol, e):
+        calls.append(len(idx))
+        return real(kernel, idx, chol, e)
 
-    monkeypatch.setattr(diversity, "marginal_gain", counting)
+    monkeypatch.setattr(diversity, "_schur_gain", counting)
     return calls
 
 
@@ -278,8 +279,9 @@ class TestRoundZero:
         assert dpp_greedy_select(k, 1)[0] == (0,)
         assert gain_calls == []
         size = min(k.size, 8)
-        assert dpp_greedy_select(k, size)[0] == reference_greedy(k, size)
+        picks = dpp_greedy_select(k, size)[0]
         assert 0 not in gain_calls
+        assert picks == reference_greedy(k, size)
 
     @PLANE_FEATURES
     def test_later_bit_equal_ties_are_rescored(self, features):
@@ -328,13 +330,17 @@ class TestReportedGains:
     @PLANE_FEATURES
     def test_rescored_plane_kernels(self, gain_calls, features):
         k = Kernel(normalize_columns(np.array(features, dtype=float)))
-        assert_reported_gains(k, k.size)
+        dpp_greedy_select(k, k.size)
         assert gain_calls, "no round was rescored"
+        assert_reported_gains(k, k.size)
 
     def test_rescored_equiangular_kernels(self, gain_calls):
-        for k in rotated_equiangular_kernels():
-            assert_reported_gains(k, k.size)
+        kernels = list(rotated_equiangular_kernels())
+        for k in kernels:
+            dpp_greedy_select(k, k.size)
         assert gain_calls, "no round was rescored"
+        for k in kernels:
+            assert_reported_gains(k, k.size)
 
 
 class TestSubmodularityAudit:

@@ -5,6 +5,8 @@ import pytest
 
 from moegeo.infotheory import mean_routing_probs, topk_conditional_entropy
 from moegeo.moe import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPS,
     WEIGHT_DECAY,
     MoEConfig,
@@ -189,6 +191,35 @@ class TestAdamW:
             decayed = getattr(before, name) * (1.0 - config.lr * WEIGHT_DECAY)
             expected = decayed - config.lr * g / (np.abs(g) + ADAM_EPS)
             np.testing.assert_allclose(getattr(params, name), expected, atol=1e-12)
+
+    def test_fifty_steps_match_per_tensor_update(self):
+        # a transcription of the update with one named (m, v) pair per tensor,
+        # as MoEParams once declared them: the bits must not move
+        config = MoEConfig(**SMALL)
+        rng = np.random.default_rng(3)
+        params = init_params(config, rng)
+        names = ("w_g", "w_in", "w_out")
+        w = {name: getattr(params, name).copy() for name in names}
+        m = {name: np.zeros(w[name].shape) for name in names}
+        v = {name: np.zeros(w[name].shape) for name in names}
+        for t in range(1, 51):
+            grads = MoEGradients(**{name: rng.standard_normal(w[name].shape) for name in names})
+            adamw_step(params, grads, config)
+            bc1 = 1.0 - ADAM_BETA1**t
+            bc2 = 1.0 - ADAM_BETA2**t
+            for name in names:
+                g = getattr(grads, name)
+                m[name] *= ADAM_BETA1
+                m[name] += (1.0 - ADAM_BETA1) * g
+                v[name] *= ADAM_BETA2
+                v[name] += (1.0 - ADAM_BETA2) * g**2
+                w[name] -= config.lr * WEIGHT_DECAY * w[name]
+                w[name] -= config.lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
+        assert params.step == 50
+        for name in names:
+            assert getattr(params, name).tobytes() == w[name].tobytes()
+            assert params.moments[name][0].tobytes() == m[name].tobytes()
+            assert params.moments[name][1].tobytes() == v[name].tobytes()
 
     def test_decay_shrinks_without_gradient(self):
         config = MoEConfig(**SMALL)

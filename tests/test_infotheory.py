@@ -347,6 +347,18 @@ class TestVectorisedAgainstRowLoops:
                         else:
                             assert got == want, (e, k, zero)
 
+    def test_selection_frequencies_match_add_at(self):
+        # the scatter-add count selection_frequencies replaced, kept as its oracle;
+        # integer counts are exact, so the frequencies agree bit for bit
+        rng = np.random.default_rng(33)
+        for e in (2, 3, 5, 8, 16):
+            for k in range(1, e + 1):
+                t = int(rng.integers(1, 300))
+                batch = random_batch(rng, t, e, k)
+                counts = np.zeros(e)
+                np.add.at(counts, batch.selections.ravel(), 1.0)
+                assert selection_frequencies(batch).tobytes() == (counts / t).tobytes()
+
     def test_distinctness_matches_row_loop(self):
         rng = np.random.default_rng(32)
         for e in (2, 3, 5, 9):

@@ -13,7 +13,13 @@ from moegeo.errors import (
     InvalidShapeError,
     NonFiniteError,
 )
-from moegeo.infotheory import RoutingBatch, aux_loss, selection_frequencies
+from moegeo.infotheory import (
+    CategoricalDist,
+    RoutingBatch,
+    aux_loss,
+    kl_sparse_project,
+    selection_frequencies,
+)
 from moegeo.moe import (
     AggregateReport,
     ForwardTrace,
@@ -65,7 +71,8 @@ def make_trace(outputs, gates=None):
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return ForwardTrace(x=np.zeros((b, 2)),
                         routing=RoutingBatch(dense_probs=probs, selections=sel),
-                        gates=gates, expert_outputs=outputs, logits=logits,
+                        gates=gates, kept_mass=np.full((b, 1), k / e),
+                        expert_outputs=outputs, logits=logits,
                         log_probs=log_probs, class_probs=np.exp(log_probs))
 
 
@@ -106,6 +113,20 @@ class TestForward:
         params.w_g[:] = 0.0  # all router logits equal
         trace = forward(params, config, np.ones((3, 4)))
         assert np.all(trace.routing.selections == [0, 1])
+
+    def test_rows_are_sparse_kl_projections(self):
+        # top-k gating is the KL projection of the router's law onto k-sparse
+        # laws: support, gates and -log(kept mass) match it bit for bit
+        for k in range(1, 5):
+            config = MoEConfig(**{**QUICK, "active_k": k})
+            rng = np.random.default_rng(40 + k)
+            params = init_params(config, rng)
+            trace = forward(params, config, 3.0 * rng.standard_normal((33, 16)))
+            for row, p in enumerate(trace.routing.dense_probs):
+                q, support, kl = kl_sparse_project(CategoricalDist(p), k)
+                assert tuple(trace.routing.selections[row].tolist()) == support
+                assert trace.gates[row].tobytes() == q.probs[list(support)].tobytes()
+                assert -np.log(trace.kept_mass[row, 0]) == kl
 
     def test_gate_rows_sum_to_one(self):
         config = MoEConfig(**QUICK)
