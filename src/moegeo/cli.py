@@ -18,6 +18,7 @@ import json
 import os
 import shutil
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,13 +38,13 @@ from .infotheory import (
     CategoricalDist,
     RoutingBatch,
     aux_loss,
+    collision_mass,
     empirical_mi,
     entropy,
     kl_sparse_project,
     mean_routing_probs,
     mi_lower_bound,
     renyi2_entropy,
-    topk_conditional_entropy,
 )
 from .moe import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, WEIGHT_DECAY, MoEConfig, cross_validate,
@@ -65,74 +66,6 @@ class Field:
 
 def _default_workers():
     return os.cpu_count() or 1
-
-
-_BARRIER_GRID = [round(x, 10) for x in np.linspace(0.0, 0.95, 25)]
-
-SCHEMAS = {
-    "barrier": {
-        "d": Field(128, "int", "ambient dimension of dictionary atoms"),
-        "n_atoms": Field(64, "int", "number of dictionary atoms"),
-        "k": Field(6, "int", "planted sparsity level"),
-        "mu_grid": Field(_BARRIER_GRID, "floatlist",
-                         "ascending coherence targets, comma separated"),
-        "trials": Field(200, "int", "recovery trials per grid point"),
-        "seed": Field(42, "int", "master seed"),
-        "workers": Field(_default_workers(), "int",
-                         "parallel workers (results are worker-independent)"),
-        "output_dir": Field("out/barrier", "str", "artifact directory"),
-    },
-    "train": {
-        "samples": Field(4000, "int", "dataset size"),
-        "features": Field(100, "int", "input dimension"),
-        "informative": Field(10, "int", "informative subspace dimension"),
-        "classes": Field(10, "int", "number of classes"),
-        "class_sep": Field(0.6, "float", "centroid separation scale"),
-        "experts": Field(16, "int", "expert count"),
-        "k": Field(2, "int", "active experts per sample"),
-        "hidden": Field(32, "int", "expert hidden width"),
-        "batch": Field(128, "int", "minibatch size"),
-        "lr": Field(1e-3, "float", "AdamW learning rate"),
-        "epochs": Field(30, "int", "training epochs"),
-        "aux_weight": Field(0.01, "float", "load-balance loss weight"),
-        "reg_weight": Field(0.1, "float", "decorrelation loss weight"),
-        "reg": Field("none", "str", "regularizer: none | ortho | ncl | dpp"),
-        "dpp_epsilon": Field(1e-4, "float", "Tikhonov constant for the dpp loss"),
-        "folds": Field(10, "int", "stratified cross-validation folds"),
-        "seed": Field(42, "int", "master seed"),
-        "workers": Field(_default_workers(), "int",
-                         "parallel fold workers (results are worker-independent)"),
-        "output_dir": Field("out/train", "str", "artifact directory"),
-    },
-    "kl-project": {
-        "experts": Field(8, "int", "distribution size"),
-        "k": Field(2, "int", "support size to project onto"),
-        "probs": Field(None, "floatlist", "explicit distribution (default: random)"),
-        "seed": Field(42, "int", "seed for the random distribution"),
-        "output_dir": Field("out/kl-project", "str", "artifact directory"),
-    },
-    "dpp-select": {
-        "d": Field(32, "int", "ambient dimension"),
-        "n_atoms": Field(16, "int", "number of atoms"),
-        "coherence": Field(0.5, "float", "target mutual coherence of the dictionary"),
-        "k": Field(4, "int", "subset size to select"),
-        "seed": Field(42, "int", "master seed"),
-        "output_dir": Field("out/dpp-select", "str", "artifact directory"),
-    },
-    "info": {
-        "experts": Field(16, "int", "expert count"),
-        "k": Field(2, "int", "active experts per token"),
-        "tokens": Field(512, "int", "batch size"),
-        "seed": Field(42, "int", "master seed"),
-        "output_dir": Field("out/info", "str", "artifact directory"),
-    },
-    "verify": {
-        "checks": Field(None, "strlist",
-                        "comma-separated subset of: " + ", ".join(ALL_CHECKS)),
-        "seed": Field(42, "int", "master seed"),
-        "output_dir": Field("out/verify", "str", "artifact directory"),
-    },
-}
 
 
 def _coerce(key, kind, value):
@@ -184,9 +117,8 @@ def _load_file(path, schema):
     return {k: _coerce(k, schema[k].kind, v) for k, v in raw.items()}
 
 
-def resolve_config(command, args):
+def resolve_config(schema, args):
     """defaults < config file < MOEGEO_SEED < explicit flags."""
-    schema = SCHEMAS[command]
     cfg = {k: f.default for k, f in schema.items()}
     if args.config:
         cfg.update(_load_file(args.config, schema))
@@ -194,7 +126,7 @@ def resolve_config(command, args):
     if env_seed is not None and "seed" in schema:
         cfg["seed"] = _coerce("seed", "int", env_seed)
     for key, field in schema.items():
-        flag_value = getattr(args, key.replace("-", "_"))
+        flag_value = getattr(args, key)
         if flag_value is not None:
             cfg[key] = _coerce(key, field.kind, flag_value)
     return cfg
@@ -218,30 +150,92 @@ def _prepare_output(cfg, config_path):
     return out
 
 
-def cmd_barrier(cfg, config_path):
+@dataclass(frozen=True)
+class Command:
+    """One subcommand.
+
+    `run` takes the resolved config and returns (artifacts, status):
+    artifacts maps each file name, in write order, to a JSON payload or to a
+    callable that writes that path; status is the exit code on success.
+    """
+
+    run: Callable
+    help: str
+    schema: dict
+
+
+COMMANDS = {}
+
+
+def command(name, help, **fields):
+    """Register the decorated handler as subcommand `name` taking `fields` as flags.
+
+    Every command also takes --output_dir, by default out/<name>.
+    """
+    def register(run):
+        schema = {**fields, "output_dir": Field(f"out/{name}", "str", "artifact directory")}
+        COMMANDS[name] = Command(run, help, schema)
+        return run
+    return register
+
+
+_BARRIER_GRID = [round(x, 10) for x in np.linspace(0.0, 0.95, 25)]
+
+
+@command(
+    "barrier", "sweep greedy/OMP exact-recovery rates across coherence targets",
+    d=Field(128, "int", "ambient dimension of dictionary atoms"),
+    n_atoms=Field(64, "int", "number of dictionary atoms"),
+    k=Field(6, "int", "planted sparsity level"),
+    mu_grid=Field(_BARRIER_GRID, "floatlist", "ascending coherence targets, comma separated"),
+    trials=Field(200, "int", "recovery trials per grid point"),
+    seed=Field(42, "int", "master seed"),
+    workers=Field(_default_workers(), "int", "parallel workers (results are worker-independent)"),
+)
+def cmd_barrier(cfg):
     curve = barrier_sweep(d=cfg["d"], n_atoms=cfg["n_atoms"], k=cfg["k"],
                           mu_grid=cfg["mu_grid"], trials=cfg["trials"],
                           seed=cfg["seed"], workers=cfg["workers"])
-    out = _prepare_output(cfg, config_path)
-    write_barrier_csv(curve, out / "barrier.csv")
     full = [m for m, r in zip(curve.mu_measured_mean, curve.success_rate_greedy)
             if r == 1.0]
-    _write_json(out / "summary.json", {
-        "theoretical_bound": curve.theoretical_bound,
-        "k": curve.k,
-        "trials_per_point": curve.trials_per_point,
-        "mu_grid": list(curve.mu_grid),
-        "mu_measured_mean": list(curve.mu_measured_mean),
-        "success_rate_greedy": list(curve.success_rate_greedy),
-        "success_rate_omp": list(curve.success_rate_omp),
-        "largest_mu_full_greedy_success": max(full) if full else None,
-    })
-    print(f"wrote {out / 'barrier.csv'}")
-    print(f"wrote {out / 'summary.json'}")
-    return 0
+    return {
+        "barrier.csv": functools.partial(write_barrier_csv, curve),
+        "summary.json": {
+            "theoretical_bound": curve.theoretical_bound,
+            "k": curve.k,
+            "trials_per_point": curve.trials_per_point,
+            "mu_grid": list(curve.mu_grid),
+            "mu_measured_mean": list(curve.mu_measured_mean),
+            "success_rate_greedy": list(curve.success_rate_greedy),
+            "success_rate_omp": list(curve.success_rate_omp),
+            "largest_mu_full_greedy_success": max(full) if full else None,
+        },
+    }, 0
 
 
-def cmd_train(cfg, config_path):
+@command(
+    "train", "cross-validated mixture-of-experts training with chosen regularizer",
+    samples=Field(4000, "int", "dataset size"),
+    features=Field(100, "int", "input dimension"),
+    informative=Field(10, "int", "informative subspace dimension"),
+    classes=Field(10, "int", "number of classes"),
+    class_sep=Field(0.6, "float", "centroid separation scale"),
+    experts=Field(16, "int", "expert count"),
+    k=Field(2, "int", "active experts per sample"),
+    hidden=Field(32, "int", "expert hidden width"),
+    batch=Field(128, "int", "minibatch size"),
+    lr=Field(1e-3, "float", "AdamW learning rate"),
+    epochs=Field(30, "int", "training epochs"),
+    aux_weight=Field(0.01, "float", "load-balance loss weight"),
+    reg_weight=Field(0.1, "float", "decorrelation loss weight"),
+    reg=Field("none", "str", "regularizer: none | ortho | ncl | dpp"),
+    dpp_epsilon=Field(1e-4, "float", "Tikhonov constant for the dpp loss"),
+    folds=Field(10, "int", "stratified cross-validation folds"),
+    seed=Field(42, "int", "master seed"),
+    workers=Field(_default_workers(), "int",
+                  "parallel fold workers (results are worker-independent)"),
+)
+def cmd_train(cfg):
     dataset = synthetic_classification(
         samples=cfg["samples"], features=cfg["features"],
         informative=cfg["informative"], classes=cfg["classes"],
@@ -254,27 +248,32 @@ def cmd_train(cfg, config_path):
         dpp_epsilon=cfg["dpp_epsilon"])
     reports, agg = cross_validate(config, dataset, folds=cfg["folds"],
                                   workers=cfg["workers"])
-    out = _prepare_output(cfg, config_path)
-    write_run_csv(out / "run.csv", reports)
-    write_heatmap_csv(out / "heatmap.csv",
-                      np.mean([r.heatmap for r in reports], axis=0))
-    _write_json(out / "aggregate.json", {
-        "reg": config.reg_kind,
-        "folds": agg.folds,
-        "final_accuracies": list(agg.final_accuracies),
-        "mean_accuracy": agg.mean_accuracy,
-        "std_accuracy": agg.std_accuracy,
-        "mean_eff_rank": [float(v) for v in agg.mean_eff_rank],
-        "optimizer": {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
-                      "eps": ADAM_EPS, "weight_decay": WEIGHT_DECAY,
-                      "lr": config.lr},
-    })
-    for name in ("run.csv", "heatmap.csv", "aggregate.json"):
-        print(f"wrote {out / name}")
-    return 0
+    heatmap = np.mean([r.heatmap for r in reports], axis=0)
+    return {
+        "run.csv": functools.partial(write_run_csv, reports=reports),
+        "heatmap.csv": functools.partial(write_heatmap_csv, heatmap=heatmap),
+        "aggregate.json": {
+            "reg": config.reg_kind,
+            "folds": agg.folds,
+            "final_accuracies": list(agg.final_accuracies),
+            "mean_accuracy": agg.mean_accuracy,
+            "std_accuracy": agg.std_accuracy,
+            "mean_eff_rank": [float(v) for v in agg.mean_eff_rank],
+            "optimizer": {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
+                          "eps": ADAM_EPS, "weight_decay": WEIGHT_DECAY,
+                          "lr": config.lr},
+        },
+    }, 0
 
 
-def cmd_kl_project(cfg, config_path):
+@command(
+    "kl-project", "project a distribution onto the k-sparse probability set",
+    experts=Field(8, "int", "distribution size"),
+    k=Field(2, "int", "support size to project onto"),
+    probs=Field(None, "floatlist", "explicit distribution (default: random)"),
+    seed=Field(42, "int", "seed for the random distribution"),
+)
+def cmd_kl_project(cfg):
     if cfg["probs"] is not None:
         p = np.asarray(cfg["probs"], dtype=float)
     else:
@@ -286,121 +285,117 @@ def cmd_kl_project(cfg, config_path):
         q, support, kl = kl_sparse_project(dist, cfg["k"])
     except ZeroProbabilityError as exc:  # only a given distribution falls below the floor
         raise InvalidConfigError(f"probs: {exc}") from None
-    out = _prepare_output(cfg, config_path)
-    _write_json(out / "projection.json", {
+    return {"projection.json": {
         "p": [float(v) for v in dist.probs],
         "q": [float(v) for v in q.probs],
         "support": list(support),
         "kl": kl,
-    })
-    print(f"wrote {out / 'projection.json'}")
-    return 0
+    }}, 0
 
 
-def cmd_dpp_select(cfg, config_path):
+@command(
+    "dpp-select", "greedy log-det subset selection on a dictionary kernel",
+    d=Field(32, "int", "ambient dimension"),
+    n_atoms=Field(16, "int", "number of atoms"),
+    coherence=Field(0.5, "float", "target mutual coherence of the dictionary"),
+    k=Field(4, "int", "subset size to select"),
+    seed=Field(42, "int", "master seed"),
+)
+def cmd_dpp_select(cfg):
     dictionary = coherent_dictionary(cfg["d"], cfg["n_atoms"], cfg["coherence"],
                                      COHERENCE_TOL, cfg["seed"])
     kernel = Kernel(dictionary)
     selection, gains = dpp_greedy_select(kernel, cfg["k"])
-    out = _prepare_output(cfg, config_path)
-    _write_json(out / "selection.json", {
+    return {"selection.json": {
         "selection": list(selection),
         "marginal_gains": gains,
         "logdet": logdet_subset(kernel, selection),
         "coherence_target": cfg["coherence"],
         "coherence_measured": mutual_coherence(dictionary),
-    })
-    print(f"wrote {out / 'selection.json'}")
-    return 0
+    }}, 0
 
 
-def cmd_info(cfg, config_path):
+@command(
+    "info", "routing entropy, load-balance, and mutual-information report",
+    experts=Field(16, "int", "expert count"),
+    k=Field(2, "int", "active experts per token"),
+    tokens=Field(512, "int", "batch size"),
+    seed=Field(42, "int", "master seed"),
+)
+def cmd_info(cfg):
     e, k, t = cfg["experts"], cfg["k"], cfg["tokens"]
     if e < 2:
         raise InvalidConfigError(f"experts must be >= 2, got {e}")
     check_k(k, e)
     if t < 1:
         raise InvalidConfigError(f"tokens must be >= 1, got {t}")
-    out = _prepare_output(cfg, config_path)
     gen = stream(cfg["seed"], "cli", "info")
     probs = softmax_rows(gen.standard_normal((t, e)))
     batch = RoutingBatch(dense_probs=probs, selections=topk_indices(probs, k))
     p_bar = mean_routing_probs(batch)
     h_z, h_cond, mi = empirical_mi(batch)
-    _write_json(out / "info.json", {
+    return {"info.json": {
         "experts": e, "k": k, "tokens": t,
         "aux_loss": aux_loss(batch),
         "marginal_entropy": entropy(p_bar.probs),
         "renyi2_entropy": renyi2_entropy(p_bar),
-        "collision_mass": float(np.sum(p_bar.probs ** 2)),
-        "topk_conditional_entropy": topk_conditional_entropy(batch),
+        "collision_mass": collision_mass(p_bar),
+        "topk_conditional_entropy": h_cond,
         "mi_lower_bound": mi_lower_bound(e, k) if k < e else 0.0,
         "empirical_mi": mi, "routing_entropy": h_z, "conditional_entropy": h_cond,
-    })
-    print(f"wrote {out / 'info.json'}")
-    return 0
+    }}, 0
 
 
-def cmd_verify(cfg, config_path):
+@command(
+    "verify", "run the analytic self-audit suite",
+    checks=Field(None, "strlist", "comma-separated subset of: " + ", ".join(ALL_CHECKS)),
+    seed=Field(42, "int", "master seed"),
+)
+def cmd_verify(cfg):
     try:
         results = run_verification(seed=cfg["seed"], checks=cfg["checks"])
     except KeyError as exc:
         raise InvalidConfigError(str(exc.args[0])) from None
-    out = _prepare_output(cfg, config_path)
-    all_pass = all(r.passed for r in results)
-    _write_json(out / "verify.json", {
-        "all_pass": all_pass,
-        "checks": [r.as_dict() for r in results],
-    })
     for r in results:
         print(f"check {r.name}: {'PASS' if r.passed else 'FAIL'}")
-    print(f"wrote {out / 'verify.json'}")
-    return 0 if all_pass else 1
-
-
-HANDLERS = {
-    "barrier": cmd_barrier,
-    "train": cmd_train,
-    "kl-project": cmd_kl_project,
-    "dpp-select": cmd_dpp_select,
-    "info": cmd_info,
-    "verify": cmd_verify,
-}
-
-_COMMAND_HELP = {
-    "barrier": "sweep greedy/OMP exact-recovery rates across coherence targets",
-    "train": "cross-validated mixture-of-experts training with chosen regularizer",
-    "kl-project": "project a distribution onto the k-sparse probability set",
-    "dpp-select": "greedy log-det subset selection on a dictionary kernel",
-    "info": "routing entropy, load-balance, and mutual-information report",
-    "verify": "run the analytic self-audit suite",
-}
+    all_pass = all(r.passed for r in results)
+    return {"verify.json": {
+        "all_pass": all_pass,
+        "checks": [r.as_dict() for r in results],
+    }}, 0 if all_pass else 1
 
 
 @functools.cache
 def build_parser():
-    """The argparse tree for every command, built once per process from SCHEMAS."""
+    """The argparse tree for every command, built once per process from COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="moegeo",
         description="Numerical laboratory for sparse routing geometry.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, schema in SCHEMAS.items():
-        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
         p.add_argument("--config", default=None,
                        help="JSON config file; flags override its values")
-        for key, field in schema.items():
-            p.add_argument("--" + key, dest=key.replace("-", "_"), default=None,
-                           metavar=field.kind.upper(),
+        for key, field in cmd.schema.items():
+            p.add_argument("--" + key, default=None, metavar=field.kind.upper(),
                            help=f"{field.help} (default: {field.default})")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    cmd = COMMANDS[args.command]
     try:
-        cfg = resolve_config(args.command, args)
-        return HANDLERS[args.command](cfg, args.config)
+        cfg = resolve_config(cmd.schema, args)
+        artifacts, status = cmd.run(cfg)
+        out = _prepare_output(cfg, args.config)
+        for name, artifact in artifacts.items():
+            if callable(artifact):
+                artifact(out / name)
+            else:
+                _write_json(out / name, artifact)
+            print(f"wrote {out / name}")
+        return status
     except _CONFIG_ERRORS as exc:
         print(f"config: {exc}", file=sys.stderr)
         return 2

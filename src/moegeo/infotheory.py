@@ -108,9 +108,14 @@ def kl_sparse_project(p: CategoricalDist, k: int) -> tuple[CategoricalDist, tupl
     return CategoricalDist(q), support, float(-np.log(mass))
 
 
+def collision_mass(p: CategoricalDist) -> float:
+    """sum p_i^2: the chance two independent draws agree; 1/E at uniform, 1 for one-hot."""
+    return float(np.sum(p.probs**2))
+
+
 def renyi2_entropy(p: CategoricalDist) -> float:
     """Collision entropy -log sum p_i^2; 0 for one-hot, log E at uniform."""
-    return float(-np.log(np.sum(p.probs**2)))
+    return float(-np.log(collision_mass(p)))
 
 
 def selection_frequencies(batch: RoutingBatch) -> np.ndarray:
@@ -141,7 +146,7 @@ def collision_identity_check(batch: RoutingBatch) -> tuple[float, float, float]:
     rewritten through the collision entropy of the batch marginal.
     """
     p_bar = mean_routing_probs(batch)
-    lhs = float(batch.n_experts * np.sum(p_bar.probs**2))
+    lhs = batch.n_experts * collision_mass(p_bar)
     rhs = float(batch.n_experts * np.exp(-renyi2_entropy(p_bar)))
     return lhs, rhs, abs(lhs - rhs)
 

@@ -14,7 +14,6 @@ results.
 """
 
 import csv
-import logging
 import math
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -32,14 +31,13 @@ from .errors import (
 from .infotheory import (
     RoutingBatch,
     aux_loss,
+    collision_mass,
     entropy,
     mean_routing_probs,
     selection_frequencies,
     topk_conditional_entropy,
 )
 from .rng import check_seed, stream
-
-log = logging.getLogger(__name__)
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
@@ -242,8 +240,6 @@ def _normalized_outputs(trace):
     y = trace.expert_outputs
     norms = np.linalg.norm(y, axis=2, keepdims=True)
     ok = norms >= _NORM_FLOOR
-    if not np.all(ok):
-        log.debug("zero-norm expert outputs excluded: %d", int((~ok).sum()))
     return np.where(ok, y / np.where(ok, norms, 1.0), 0.0), norms, ok
 
 
@@ -548,7 +544,7 @@ def _eval_metrics(params, config, test_x, test_y):
     batch = RoutingBatch(dense_probs=np.vstack(probs_chunks),
                          selections=np.vstack(sel_chunks))
     p_bar = mean_routing_probs(batch)
-    collision = float(np.sum(p_bar.probs**2))
+    collision = collision_mass(p_bar)
     if not collision >= 1.0 / config.experts - 1e-12:
         raise IdentityViolationError(f"collision mass {collision} fell below 1/E")
     cond = topk_conditional_entropy(batch)  # raises above log k

@@ -11,7 +11,6 @@ coherence crosses 1/(2k-1).
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -33,8 +32,6 @@ from .core import (
 )
 from .dictgen import COHERENCE_TOL, coherent_dictionaries, planted_signal
 from .errors import InvalidConfigError, InvalidShapeError, SingularGramError
-
-log = logging.getLogger(__name__)
 
 # OMP picks whose runner-up lies within this many |y| / lambda_min of the best
 # score are rescored on the refit route.
@@ -76,7 +73,6 @@ def brute_force_sss(dictionary: UnitDictionary, y, k: int) -> SparseSolution:
         try:
             coef = _solve_gram(gram[np.ix_(idx, idx)], c, sup)
         except SingularGramError:
-            log.debug("skipping singular support %s", sup)
             continue
         residual = energy - float(c @ coef)
         if best is None or residual < best[0]:

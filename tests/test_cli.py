@@ -1,12 +1,17 @@
 """Subcommand contracts: exit codes, precedence, byte-stable artifacts."""
 
+import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from moegeo import cli, diversity, verify
 from moegeo.cli import build_parser, main
+from moegeo.errors import NonFiniteError
 
 
 def run(tmp_path, *argv):
@@ -109,6 +114,24 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err.startswith("abort:")
 
+    @pytest.mark.parametrize("argv, call", [
+        (["barrier"], "barrier_sweep"),
+        (["train", "--samples", "40", "--folds", "2"], "cross_validate"),
+        (["kl-project"], "kl_sparse_project"),
+        (["dpp-select"], "dpp_greedy_select"),
+        (["info"], "empirical_mi"),
+        (["verify"], "run_verification"),
+    ], ids=["barrier", "train", "kl-project", "dpp-select", "info", "verify"])
+    def test_numerical_abort_writes_nothing(self, tmp_path, capsys, monkeypatch, argv, call):
+        def abort(*args, **kwargs):
+            raise NonFiniteError("injected")
+
+        monkeypatch.setattr(cli, call, abort)
+        out = tmp_path / "o"
+        assert main([*argv, "--output_dir", str(out)]) == 3
+        assert capsys.readouterr().err == "abort: injected\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("probs", ["0,1", "1,0", "1e-320,1"])
     def test_zero_probability_is_config_error(self, tmp_path, capsys, probs):
         code = main(["kl-project", "--probs", probs, "--k", "1",
@@ -202,10 +225,11 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config:")
 
     def test_unexpected_exception_is_exit_4(self, tmp_path, capsys, monkeypatch):
-        def broken(cfg, config_path):
+        def broken(cfg):
             raise ValueError("not a library error")
 
-        monkeypatch.setitem(cli.HANDLERS, "info", broken)
+        broken_info = dataclasses.replace(cli.COMMANDS["info"], run=broken)
+        monkeypatch.setitem(cli.COMMANDS, "info", broken_info)
         code = main(["info", "--output_dir", str(tmp_path / "o")])
         assert code == 4
         err = capsys.readouterr().err
@@ -383,11 +407,19 @@ class TestParser:
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
 
+    def test_import_loads_neither_logging_nor_traceback(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import moegeo.cli; "
+                "print(sorted({'logging', 'traceback'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert proc.stdout == "[]\n"
+
     def test_successive_calls_do_not_leak_flags(self, tmp_path):
         out = tmp_path / "o"
         argv = ["dpp-select", "--d", "16", "--n_atoms", "8", "--output_dir", str(out)]
         assert main([*argv, "--k", "3"]) == 0
         assert main(argv) == 0
-        default_k = cli.SCHEMAS["dpp-select"]["k"].default
+        default_k = cli.COMMANDS["dpp-select"].schema["k"].default
         assert json.loads((out / "resolved_config.json").read_text())["k"] == default_k
         assert len(json.loads((out / "selection.json").read_text())["selection"]) == default_k

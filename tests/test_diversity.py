@@ -317,7 +317,7 @@ class TestReportedGains:
         assert_reported_gains(Kernel(coherent_dictionary(256, 256, 0.5, COHERENCE_TOL, seed)), 32)
 
     def test_cli_default_kernel(self):
-        cfg = {key: f.default for key, f in cli.SCHEMAS["dpp-select"].items()}
+        cfg = {key: f.default for key, f in cli.COMMANDS["dpp-select"].schema.items()}
         d = coherent_dictionary(cfg["d"], cfg["n_atoms"], cfg["coherence"], COHERENCE_TOL,
                                 cfg["seed"])
         assert_reported_gains(Kernel(d), cfg["k"])
