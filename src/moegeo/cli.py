@@ -13,6 +13,7 @@ raise on purpose).
 """
 
 import argparse
+import csv
 import functools
 import json
 import os
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .diversity import Kernel, dpp_greedy_select, logdet_subset
-from .dictgen import COHERENCE_TOL, coherent_dictionary, synthetic_classification
+from .dictgen import COHERENCE_TOL, coherent_dictionaries, synthetic_classification
 from .errors import (
     InvalidConfigError,
     InvalidKError,
@@ -33,7 +34,7 @@ from .errors import (
     MoegeoError,
     ZeroProbabilityError,
 )
-from .core import check_k, mutual_coherence, softmax_rows, topk_indices
+from .core import check_k, softmax_rows, topk_indices
 from .infotheory import (
     CategoricalDist,
     RoutingBatch,
@@ -46,12 +47,9 @@ from .infotheory import (
     mi_lower_bound,
     renyi2_entropy,
 )
-from .moe import (
-    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, WEIGHT_DECAY, MoEConfig, cross_validate,
-    write_heatmap_csv, write_run_csv,
-)
+from .moe import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, WEIGHT_DECAY, MoEConfig, cross_validate
 from .rng import stream
-from .sss import barrier_sweep, write_barrier_csv
+from .sss import barrier_sweep
 from .verify import ALL_CHECKS, run_verification
 
 _CONFIG_ERRORS = (InvalidConfigError, InvalidKError, InvalidShapeError)
@@ -136,6 +134,16 @@ def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write_csv(path, table):
+    """Write a (header, rows) table: floats to 6 significant digits, other cells as is."""
+    header, rows = table
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.6g}" if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
 def _prepare_output(cfg, config_path):
     out = Path(cfg["output_dir"])
     try:
@@ -155,8 +163,9 @@ class Command:
     """One subcommand.
 
     `run` takes the resolved config and returns (artifacts, status):
-    artifacts maps each file name, in write order, to a JSON payload or to a
-    callable that writes that path; status is the exit code on success.
+    artifacts maps each file name, in write order, to its data: a
+    (header, rows) table for a .csv name, else a JSON payload; status is the
+    exit code on success.
     """
 
     run: Callable
@@ -198,8 +207,12 @@ def cmd_barrier(cfg):
                           seed=cfg["seed"], workers=cfg["workers"])
     full = [m for m, r in zip(curve.mu_measured_mean, curve.success_rate_greedy)
             if r == 1.0]
+    rows = [(*point, curve.trials_per_point, curve.k, curve.theoretical_bound)
+            for point in zip(curve.mu_grid, curve.mu_measured_mean,
+                             curve.success_rate_greedy, curve.success_rate_omp)]
     return {
-        "barrier.csv": functools.partial(write_barrier_csv, curve),
+        "barrier.csv": (["mu_target", "mu_measured_mean", "success_greedy", "success_omp",
+                         "trials", "k", "bound"], rows),
         "summary.json": {
             "theoretical_bound": curve.theoretical_bound,
             "k": curve.k,
@@ -246,19 +259,24 @@ def cmd_train(cfg):
         lr=cfg["lr"], epochs=cfg["epochs"], aux_weight=cfg["aux_weight"],
         reg_weight=cfg["reg_weight"], reg_kind=cfg["reg"], seed=cfg["seed"],
         dpp_epsilon=cfg["dpp_epsilon"])
-    reports, agg = cross_validate(config, dataset, folds=cfg["folds"],
-                                  workers=cfg["workers"])
+    reports = cross_validate(config, dataset, folds=cfg["folds"], workers=cfg["workers"])
+    accs = [r.final_accuracy for r in reports]
     heatmap = np.mean([r.heatmap for r in reports], axis=0)
+    series = ("epoch", "loss_task", "loss_aux", "loss_reg", "test_acc", "eff_rank",
+              "coherence", "marg_entropy")
+    run_rows = [(r.fold, *(getattr(r, name)[i] for name in series))
+                for r in reports for i in range(len(r.epoch))]
+    heat_rows = [(e, c, heatmap[e, c]) for e, c in np.ndindex(heatmap.shape)]
     return {
-        "run.csv": functools.partial(write_run_csv, reports=reports),
-        "heatmap.csv": functools.partial(write_heatmap_csv, heatmap=heatmap),
+        "run.csv": (["fold", *series], run_rows),
+        "heatmap.csv": (["expert", "class", "freq"], heat_rows),
         "aggregate.json": {
             "reg": config.reg_kind,
-            "folds": agg.folds,
-            "final_accuracies": list(agg.final_accuracies),
-            "mean_accuracy": agg.mean_accuracy,
-            "std_accuracy": agg.std_accuracy,
-            "mean_eff_rank": [float(v) for v in agg.mean_eff_rank],
+            "folds": cfg["folds"],
+            "final_accuracies": accs,
+            "mean_accuracy": float(np.mean(accs)),
+            "std_accuracy": float(np.std(accs)),
+            "mean_eff_rank": [float(v) for v in np.mean([r.eff_rank for r in reports], axis=0)],
             "optimizer": {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
                           "eps": ADAM_EPS, "weight_decay": WEIGHT_DECAY,
                           "lr": config.lr},
@@ -302,8 +320,8 @@ def cmd_kl_project(cfg):
     seed=Field(42, "int", "master seed"),
 )
 def cmd_dpp_select(cfg):
-    dictionary = coherent_dictionary(cfg["d"], cfg["n_atoms"], cfg["coherence"],
-                                     COHERENCE_TOL, cfg["seed"])
+    (dictionary,), (measured,) = coherent_dictionaries(
+        cfg["d"], cfg["n_atoms"], cfg["coherence"], COHERENCE_TOL, [cfg["seed"]])
     kernel = Kernel(dictionary)
     selection, gains = dpp_greedy_select(kernel, cfg["k"])
     return {"selection.json": {
@@ -311,7 +329,7 @@ def cmd_dpp_select(cfg):
         "marginal_gains": gains,
         "logdet": logdet_subset(kernel, selection),
         "coherence_target": cfg["coherence"],
-        "coherence_measured": mutual_coherence(dictionary),
+        "coherence_measured": measured,
     }}, 0
 
 
@@ -389,11 +407,9 @@ def main(argv=None):
         cfg = resolve_config(cmd.schema, args)
         artifacts, status = cmd.run(cfg)
         out = _prepare_output(cfg, args.config)
-        for name, artifact in artifacts.items():
-            if callable(artifact):
-                artifact(out / name)
-            else:
-                _write_json(out / name, artifact)
+        for name, data in artifacts.items():
+            write = _write_csv if name.endswith(".csv") else _write_json
+            write(out / name, data)
             print(f"wrote {out / name}")
         return status
     except _CONFIG_ERRORS as exc:

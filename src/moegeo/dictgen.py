@@ -218,8 +218,6 @@ class ClassificationDataset:
     mixing: np.ndarray
     n_informative: int
     n_classes: int
-    class_sep: float
-    seed: int
 
     def __post_init__(self):
         f = np.array(self.features, dtype=np.float64, copy=True)
@@ -282,7 +280,5 @@ def synthetic_classification(
         mixing=mixing,
         n_informative=informative,
         n_classes=classes,
-        class_sep=float(class_sep),
-        seed=int(seed),
     )
 

@@ -13,14 +13,16 @@ Training is deterministic: every random draw comes from a stream keyed by
 results.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
-from .core import _frozen_array, psd_cholesky, run_jobs, softmax_rows, topk_indices
+from .core import (
+    UnitDictionary, _frozen_array, mutual_coherence, psd_cholesky, run_jobs, softmax_rows,
+    topk_indices,
+)
 from .errors import (
     DegenerateProbeError,
     IdentityViolationError,
@@ -441,10 +443,7 @@ def expert_coherence(m):
     keep = norms >= 1e-12
     if keep.sum() < 2:
         return 1.0
-    n = m[keep] / norms[keep, None]
-    g = np.abs(n @ n.T)
-    np.fill_diagonal(g, 0.0)
-    return float(min(g.max(), 1.0))
+    return mutual_coherence(UnitDictionary((m[keep] / norms[keep, None]).T))
 
 
 def specialization_heatmap(selections, labels, experts, classes):
@@ -644,18 +643,6 @@ def stratified_folds(labels, folds, seed):
     return assignment
 
 
-@dataclass(frozen=True)
-class AggregateReport:
-    folds: int
-    final_accuracies: tuple
-    mean_accuracy: float
-    std_accuracy: float
-    mean_eff_rank: np.ndarray  # per-epoch mean across folds
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean_eff_rank", _frozen_array(self.mean_eff_rank))
-
-
 def _run_fold(config, features, labels, assignment, fold):
     mask = assignment == fold
     return train_fold(config,
@@ -665,7 +652,7 @@ def _run_fold(config, features, labels, assignment, fold):
 
 
 def cross_validate(config, dataset, folds=10, workers=1):
-    """Stratified k-fold training; returns (reports, aggregate).
+    """Stratified k-fold training; returns the fold reports in fold order.
 
     Fold results are independent of `workers` because all randomness is
     keyed by (seed, fold).
@@ -673,38 +660,5 @@ def cross_validate(config, dataset, folds=10, workers=1):
     features = np.asarray(dataset.features)
     labels = np.asarray(dataset.labels)
     assignment = stratified_folds(labels, folds, config.seed)
-    reports = run_jobs(partial(_run_fold, config, features, labels, assignment),
-                       range(folds), workers)
-    accs = tuple(r.final_accuracy for r in reports)
-    aggregate = AggregateReport(
-        folds=folds,
-        final_accuracies=accs,
-        mean_accuracy=float(np.mean(accs)),
-        std_accuracy=float(np.std(accs)),
-        mean_eff_rank=np.mean([r.eff_rank for r in reports], axis=0),
-    )
-    return reports, aggregate
-
-
-def write_run_csv(path, reports):
-    """One row per (fold, epoch); 6 significant digits throughout."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "epoch", "loss_task", "loss_aux", "loss_reg",
-                         "test_acc", "eff_rank", "coherence", "marg_entropy"])
-        for r in reports:
-            for i in range(len(r.epoch)):
-                writer.writerow([r.fold, int(r.epoch[i])] + [
-                    f"{v:.6g}" for v in (r.loss_task[i], r.loss_aux[i], r.loss_reg[i],
-                                         r.test_acc[i], r.eff_rank[i], r.coherence[i],
-                                         r.marg_entropy[i])])
-
-
-def write_heatmap_csv(path, heatmap):
-    heatmap = np.asarray(heatmap)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["expert", "class", "freq"])
-        for e in range(heatmap.shape[0]):
-            for c in range(heatmap.shape[1]):
-                writer.writerow([e, c, f"{heatmap[e, c]:.6g}"])
+    return run_jobs(partial(_run_fold, config, features, labels, assignment),
+                    range(folds), workers)

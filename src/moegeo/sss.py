@@ -10,7 +10,6 @@ coherence crosses 1/(2k-1).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -326,25 +325,3 @@ def barrier_sweep(
     jobs = [(d, n_atoms, k, mu, trials, seed, gi) for gi, mu in enumerate(grid)]
     outcomes = run_jobs(_run_grid_point, jobs, workers)
     return BarrierCurve(mu_grid=tuple(grid), k=k, outcomes=tuple(outcomes))
-
-
-def write_barrier_csv(curve: BarrierCurve, path) -> None:
-    """One row per grid point, 6 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["mu_target", "mu_measured_mean", "success_greedy", "success_omp",
-             "trials", "k", "bound"]
-        )
-        for i, mu in enumerate(curve.mu_grid):
-            writer.writerow(
-                [
-                    f"{mu:.6g}",
-                    f"{curve.mu_measured_mean[i]:.6g}",
-                    f"{curve.success_rate_greedy[i]:.6g}",
-                    f"{curve.success_rate_omp[i]:.6g}",
-                    curve.trials_per_point,
-                    curve.k,
-                    f"{curve.theoretical_bound:.6g}",
-                ]
-            )

@@ -32,7 +32,7 @@ from moegeo import cli, verify
 from moegeo.cli import main as cli_main
 from moegeo.infotheory import RoutingBatch, topk_conditional_entropy
 from moegeo.moe import MoEConfig, backward, cross_validate, forward, init_params, total_loss
-from moegeo.sss import barrier_sweep, write_barrier_csv
+from moegeo.sss import barrier_sweep
 
 pytestmark = pytest.mark.acceptance
 
@@ -61,11 +61,35 @@ def report(name, ok, detail, margin):
 # heavy module-scoped fixtures
 
 
+def barrier_argv(workers, out):
+    """`moegeo barrier` with every SWEEP value passed as a flag."""
+    flags = dict(SWEEP, mu_grid=",".join(map(str, SWEEP["mu_grid"])), workers=workers,
+                 output_dir=out)
+    return ["barrier", *(f"--{key}={value}" for key, value in flags.items())]
+
+
+def barrier_artifacts(out):
+    return {name: (out / name).read_bytes() for name in ("barrier.csv", "summary.json")}
+
+
 @pytest.fixture(scope="module")
-def barrier_run():
+def barrier_run(tmp_path_factory):
+    """The official sweep run once through the CLI, with the curve that the
+    CLI's `barrier_sweep` call returned and the artifacts it wrote."""
+    out = tmp_path_factory.mktemp("barrier")
+    curves = []
+
+    def recording(*args, **kwargs):
+        curves.append(barrier_sweep(*args, **kwargs))
+        return curves[-1]
+
     t0 = time.monotonic()
-    curve = barrier_sweep(workers=1, **SWEEP)
-    return curve, time.monotonic() - t0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "barrier_sweep", recording)
+        code = cli_main(barrier_argv(1, out))
+    elapsed = time.monotonic() - t0
+    assert code == 0, f"barrier exited {code}"
+    return curves[0], elapsed, barrier_artifacts(out)
 
 
 @pytest.fixture(scope="module")
@@ -77,9 +101,8 @@ def trained_arms(tmp_path_factory):
     reports = {}
 
     def recording(config, *args, **kwargs):
-        result = cross_validate(config, *args, **kwargs)
-        reports[config.reg_kind] = result[0]
-        return result
+        reports[config.reg_kind] = cross_validate(config, *args, **kwargs)
+        return reports[config.reg_kind]
 
     out = {}
     with pytest.MonkeyPatch.context() as mp:
@@ -185,7 +208,7 @@ def test_03_conditional_entropy_bound():
 
 
 def test_04_coherence_barrier(barrier_run):
-    curve, elapsed = barrier_run
+    curve, elapsed, _ = barrier_run
 
     # (a) inside the guaranteed region every single trial recovers exactly;
     # asserted per trial, which is stronger than a per-point success rate
@@ -373,15 +396,13 @@ def test_specialization_concentration(trained_arms):
 
 
 def test_10_determinism(barrier_run, trained_arms, tmp_path_factory):
-    curve, _ = barrier_run
+    _, _, barrier_bytes = barrier_run
     arms, _ = trained_arms
     root = tmp_path_factory.mktemp("rerun")
 
-    first = root / "barrier_first.csv"
-    again = root / "barrier_again.csv"
-    write_barrier_csv(curve, first)
-    write_barrier_csv(barrier_sweep(workers=2, **SWEEP), again)
-    differing = int(first.read_bytes() != again.read_bytes())
+    assert cli_main(barrier_argv(2, root / "barrier")) == 0
+    again = barrier_artifacts(root / "barrier")
+    differing = sum(again[name] != barrier_bytes[name] for name in barrier_bytes)
     for kind in ARMS:
         arm_dir = root / kind
         code = cli_main(["train", "--reg", kind, "--workers", "2",
@@ -395,5 +416,5 @@ def test_10_determinism(barrier_run, trained_arms, tmp_path_factory):
     # the margin is minus the number of artifacts that moved
     report("determinism",
            differing == 0,
-           "barrier.csv and all per-arm run.csv/heatmap.csv/aggregate.json "
+           "barrier.csv/summary.json and all per-arm run.csv/heatmap.csv/aggregate.json "
            "byte-identical across reruns with a different worker count", -differing)

@@ -19,6 +19,12 @@ def run(tmp_path, *argv):
     return main([*argv])
 
 
+# a small train run: 3 folds x (2 + 1) epoch rows in run.csv, 4 experts x 5 classes in heatmap.csv
+SMALL_TRAIN = ["train", "--samples", "200", "--features", "12", "--informative", "6",
+               "--classes", "5", "--experts", "4", "--hidden", "8", "--epochs", "2",
+               "--folds", "3", "--workers", "1"]
+
+
 class TestExitCodes:
     def test_descending_grid_is_config_error(self, tmp_path, capsys):
         code = main(["barrier", "--mu_grid", "0.5,0.2", "--trials", "1",
@@ -330,6 +336,9 @@ class TestArtifacts:
         assert agg["reg"] == "none"  # default recorded
         assert agg["folds"] == 2
         assert len(agg["mean_eff_rank"]) == 2  # init row + 1 epoch
+        assert len(agg["final_accuracies"]) == 2
+        assert agg["mean_accuracy"] == pytest.approx(np.mean(agg["final_accuracies"]), abs=1e-12)
+        assert agg["std_accuracy"] == pytest.approx(np.std(agg["final_accuracies"]), abs=1e-12)
         first_run = (out / "run.csv").read_bytes()
         first_heat = (out / "heatmap.csv").read_bytes()
         assert main(argv) == 0
@@ -344,6 +353,34 @@ class TestArtifacts:
         assert main(base + ["--workers", "1", "--output_dir", str(out1)]) == 0
         assert main(base + ["--workers", "2", "--output_dir", str(out2)]) == 0
         assert (out1 / "run.csv").read_bytes() == (out2 / "run.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv, name, header, rows", [
+        (["barrier", "--d", "16", "--n_atoms", "8", "--k", "2", "--trials", "4",
+          "--mu_grid", "0.1,0.3,0.5", "--workers", "1"], "barrier.csv",
+         "mu_target,mu_measured_mean,success_greedy,success_omp,trials,k,bound", 3),
+        (SMALL_TRAIN, "run.csv",
+         "fold,epoch,loss_task,loss_aux,loss_reg,test_acc,eff_rank,coherence,marg_entropy",
+         3 * (2 + 1)),
+        (SMALL_TRAIN, "heatmap.csv", "expert,class,freq", 4 * 5),
+    ], ids=["barrier", "run", "heatmap"])
+    def test_csv_header_and_row_count(self, tmp_path, argv, name, header, rows):
+        out = tmp_path / "o"
+        assert main([*argv, "--output_dir", str(out)]) == 0
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + rows
+
+    def test_write_csv_formats_floats_only(self, tmp_path):
+        heat = np.arange(6, dtype=float).reshape(3, 2) / 10
+        rows = [(e, c, heat[e, c]) for e in range(3) for c in range(2)]
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, (["expert", "class", "freq"],
+                              [*rows, (1234567, np.int64(7654321), 1234567.0)]))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "expert,class,freq"
+        assert lines[1] == "0,0,0"
+        assert lines[6] == "2,1,0.5"
+        assert lines[7] == "1234567,7654321,1.23457e+06"
 
     def test_kl_project_explicit_probs(self, tmp_path):
         out = tmp_path / "k"

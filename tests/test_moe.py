@@ -21,7 +21,6 @@ from moegeo.infotheory import (
     selection_frequencies,
 )
 from moegeo.moe import (
-    AggregateReport,
     ForwardTrace,
     MoEConfig,
     MoEParams,
@@ -43,8 +42,6 @@ from moegeo.moe import (
     stratified_folds,
     total_loss,
     train_fold,
-    write_heatmap_csv,
-    write_run_csv,
 )
 from moegeo.rng import stream
 
@@ -642,27 +639,25 @@ class TestTrainFold:
 
 
 class TestCrossValidate:
-    def test_fold_structure_and_aggregate(self):
+    def test_fold_structure(self):
         data = quick_dataset()
         config = MoEConfig(input_dim=16, experts=4, active_k=2, expert_hidden=8,
                            classes=5, batch=32, epochs=1, seed=13)
-        reports, agg = cross_validate(config, data, folds=5)
-        assert len(reports) == 5
+        reports = cross_validate(config, data, folds=5)
         assert [r.fold for r in reports] == list(range(5))
-        assert agg.mean_accuracy == pytest.approx(np.mean(agg.final_accuracies), abs=1e-12)
-        assert agg.std_accuracy == pytest.approx(np.std(agg.final_accuracies), abs=1e-12)
-        assert len(agg.mean_eff_rank) == 2
+        assert all(len(r.eff_rank) == 2 for r in reports)
 
     def test_parallel_matches_serial(self):
         data = quick_dataset()
         config = MoEConfig(input_dim=16, experts=4, active_k=2, expert_hidden=8,
                            classes=5, batch=32, epochs=1, seed=13)
-        serial, agg_s = cross_validate(config, data, folds=3, workers=1)
-        parallel, agg_p = cross_validate(config, data, folds=3, workers=3)
+        serial = cross_validate(config, data, folds=3, workers=1)
+        parallel = cross_validate(config, data, folds=3, workers=3)
+        assert len(serial) == len(parallel) == 3
         for a, b in zip(serial, parallel):
             np.testing.assert_array_equal(a.test_acc, b.test_acc)
             np.testing.assert_array_equal(a.loss_task, b.loss_task)
-        assert agg_s.final_accuracies == agg_p.final_accuracies
+            assert a.final_accuracy == b.final_accuracy
 
     def test_stratified_folds_balanced(self):
         labels = np.repeat(np.arange(5), 60)
@@ -672,31 +667,6 @@ class TestCrossValidate:
             assert counts.max() - counts.min() <= 1
         sizes = np.bincount(assignment, minlength=10)
         assert sizes.max() - sizes.min() <= 1
-
-
-class TestCsvExport:
-    def test_run_csv_roundtrip(self, tmp_path):
-        data = quick_dataset()
-        config = MoEConfig(input_dim=16, experts=4, active_k=2, expert_hidden=8,
-                           classes=5, batch=32, epochs=1, seed=23)
-        reports, _ = cross_validate(config, data, folds=2)
-        path = tmp_path / "run.csv"
-        write_run_csv(path, reports)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "fold,epoch,loss_task,loss_aux,loss_reg,test_acc,eff_rank,coherence,marg_entropy"
-        assert len(lines) == 1 + 2 * 2  # 2 folds x (epochs+1)
-        first = path.read_bytes()
-        write_run_csv(path, reports)
-        assert path.read_bytes() == first
-
-    def test_heatmap_csv(self, tmp_path):
-        heat = np.arange(6, dtype=float).reshape(3, 2) / 10
-        path = tmp_path / "heat.csv"
-        write_heatmap_csv(path, heat)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "expert,class,freq"
-        assert lines[1] == "0,0,0"
-        assert lines[-1] == "2,1,0.5"
 
 
 class TestConfigValidation:

@@ -19,7 +19,6 @@ from moegeo.sss import (
     omp_select,
     omp_select_stacked,
     recovery_trial,
-    write_barrier_csv,
 )
 
 
@@ -391,16 +390,3 @@ class TestBarrierSweep:
             BarrierCurve(mu_grid=(0.1,), k=2, outcomes=outcomes)
         with pytest.raises(InvalidShapeError):
             BarrierCurve(mu_grid=(0.1, 0.5), k=2, outcomes=(outcomes[0], outcomes[1][:2]))
-
-
-class TestBarrierCsv:
-    def test_rows_and_rewrite_identical(self, tmp_path):
-        curve = barrier_sweep(16, 8, 2, [0.1, 0.5], trials=4, seed=9)
-        path = tmp_path / "barrier.csv"
-        write_barrier_csv(curve, path)
-        first = path.read_bytes()
-        lines = first.decode().splitlines()
-        assert lines[0] == "mu_target,mu_measured_mean,success_greedy,success_omp,trials,k,bound"
-        assert len(lines) == 3
-        write_barrier_csv(curve, path)
-        assert path.read_bytes() == first
