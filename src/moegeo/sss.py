@@ -196,48 +196,44 @@ def omp_select_stacked(dictionaries, targets, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class RecoveryOutcome:
-    """What each selector did on one planted-recovery instance."""
+def recovery_trials(dictionaries, signals, k: int):
+    """Both selectors on each (dictionary, planted signal) pair, as columns.
 
-    mu_measured: float
-    planted_support: tuple[int, ...]
-    greedy_support: tuple[int, ...]
-    omp_support: tuple[int, ...]
-
-    @property
-    def greedy_exact(self) -> bool:
-        return set(self.greedy_support) == set(self.planted_support)
-
-    @property
-    def omp_exact(self) -> bool:
-        return set(self.omp_support) == set(self.planted_support)
-
-
-def recovery_trial(dictionary: UnitDictionary, signal: TargetSignal, k: int) -> RecoveryOutcome:
-    """Run both selectors on one instance.
-
-    Success means recovering the planted support exactly.
+    Returns the sorted planted, greedy and OMP supports, each an (n, k) int
+    array, row t for pair t; a selector succeeds on a pair when its row equals
+    the planted row. OMP runs once on the stack through omp_select_stacked,
+    greedy pair by pair.
     """
-    return RecoveryOutcome(
-        mu_measured=mutual_coherence(dictionary),
-        planted_support=tuple(sorted(signal.support)),
-        greedy_support=greedy_topk_select(dictionary, signal, k),
-        omp_support=omp_select(dictionary, signal, k),
-    )
+    planted = np.sort([s.support for s in signals], axis=1)
+    greedy = np.array([greedy_topk_select(e, s, k) for e, s in zip(dictionaries, signals)])
+    return planted, greedy, np.array(omp_select_stacked(dictionaries, signals, k))
 
 
-@dataclass(frozen=True)
+def recovery_trial(dictionary: UnitDictionary, signal: TargetSignal, k: int):
+    """The one-trial call of recovery_trials, with the dictionary's coherence:
+    (mu_measured, planted, greedy, omp), each support a sorted tuple."""
+    supports = recovery_trials([dictionary], [signal], k)
+    return (mutual_coherence(dictionary), *(tuple(s[0].tolist()) for s in supports))
+
+
+@dataclass(frozen=True, eq=False)
 class BarrierCurve:
-    """Every trial's outcome along a coherence grid, ``outcomes[i]`` at ``mu_grid[i]``.
+    """Every trial along a coherence grid as read-only columns, row i at ``mu_grid[i]``.
 
-    The per-point means and rates, the trial count and the guarantee
-    threshold 1/(2k-1) are derived from the outcomes once, at construction.
+    ``mu_measured`` is (P, T); ``planted``, ``greedy`` and ``omp`` are the
+    (P, T, k) sorted supports. The exact-recovery flags ``greedy_exact`` and
+    ``omp_exact`` (P, T), the per-point means and rates, the trial count and
+    the guarantee threshold 1/(2k-1) are derived from them once, at construction.
     """
 
     mu_grid: tuple[float, ...]
     k: int
-    outcomes: tuple[tuple[RecoveryOutcome, ...], ...]
+    mu_measured: np.ndarray
+    planted: np.ndarray
+    greedy: np.ndarray
+    omp: np.ndarray
+    greedy_exact: np.ndarray = field(init=False)
+    omp_exact: np.ndarray = field(init=False)
     mu_measured_mean: tuple[float, ...] = field(init=False)
     success_rate_greedy: tuple[float, ...] = field(init=False)
     success_rate_omp: tuple[float, ...] = field(init=False)
@@ -245,24 +241,24 @@ class BarrierCurve:
     theoretical_bound: float = field(init=False)
 
     def __post_init__(self):
-        if len(self.outcomes) != len(self.mu_grid):
-            raise InvalidShapeError("outcomes not aligned with mu_grid")
         if any(b < a for a, b in zip(self.mu_grid, self.mu_grid[1:])):
             raise InvalidShapeError("mu_grid must ascend")
-        counts = {len(point) for point in self.outcomes}
-        if len(counts) != 1 or 0 in counts:
-            raise InvalidShapeError(
-                f"grid points need one positive trial count, got {sorted(counts)}")
-
-        def per_point(attr):
-            return tuple(float(np.mean([getattr(o, attr) for o in point]))
-                         for point in self.outcomes)
-
-        object.__setattr__(self, "mu_measured_mean", per_point("mu_measured"))
-        object.__setattr__(self, "success_rate_greedy", per_point("greedy_exact"))
-        object.__setattr__(self, "success_rate_omp", per_point("omp_exact"))
-        object.__setattr__(self, "trials_per_point", counts.pop())
-        object.__setattr__(self, "theoretical_bound", 1.0 / (2 * self.k - 1))
+        names = ("mu_measured", "planted", "greedy", "omp")
+        p = len(self.mu_grid)
+        t = np.size(self.mu_measured) // max(p, 1)
+        if t < 1 or [np.shape(getattr(self, c)) for c in names] != [(p, t)] + 3 * [(p, t, self.k)]:
+            raise InvalidShapeError(f"columns need shapes (P, T) and (P, T, k) for P = {p} "
+                                    f"grid points, T >= 1 trials and k = {self.k}")
+        col = {c: np.array(getattr(self, c)) for c in names}
+        col.update((f"{c}_exact", (col[c] == col["planted"]).all(axis=2)) for c in ("greedy", "omp"))
+        for column in col.values():
+            column.flags.writeable = False
+        col.update(mu_measured_mean=tuple(col["mu_measured"].mean(axis=1).tolist()),
+                   success_rate_greedy=tuple(col["greedy_exact"].mean(axis=1).tolist()),
+                   success_rate_omp=tuple(col["omp_exact"].mean(axis=1).tolist()),
+                   trials_per_point=t, theoretical_bound=1.0 / (2 * self.k - 1))
+        for name, value in col.items():
+            object.__setattr__(self, name, value)
 
 
 # A grid point's trials are drawn, built and run through OMP in chunks whose
@@ -271,26 +267,20 @@ class BarrierCurve:
 _STACK_BYTES = 1 << 20
 
 
-def _run_grid_point(args) -> tuple[RecoveryOutcome, ...]:
-    """Every trial of one grid point, drawn, built and run through OMP a chunk at a time."""
+def _run_grid_point(args):
+    """Every trial of one grid point, drawn, built and run a chunk at a time:
+    mu_measured (T,) and the planted, greedy and OMP supports (T, k)."""
     d, n, k, mu, trials, seed, grid_index = args
     chunk = max(1, _STACK_BYTES // (8 * d * n))
-    outcomes = []
+    chunks = []
     for start in range(0, trials, chunk):
         ts = range(start, min(start + chunk, trials))
         dictionaries, measured = coherent_dictionaries(
             d, n, mu, COHERENCE_TOL, [rng.derive_state(seed, "barrier", grid_index, t, 0) for t in ts])
         signals = [planted_signal(e, k, rng.derive_state(seed, "barrier", grid_index, t, 1))
                    for t, e in zip(ts, dictionaries)]
-        omp = omp_select_stacked(dictionaries, signals, k)
-        for e, mu_e, signal, omp_support in zip(dictionaries, measured, signals, omp):
-            outcomes.append(RecoveryOutcome(
-                mu_measured=mu_e,
-                planted_support=tuple(sorted(signal.support)),
-                greedy_support=greedy_topk_select(e, signal, k),
-                omp_support=omp_support,
-            ))
-    return tuple(outcomes)
+        chunks.append((measured, *recovery_trials(dictionaries, signals, k)))
+    return tuple(np.concatenate(column) for column in zip(*chunks))
 
 
 def barrier_sweep(
@@ -323,5 +313,5 @@ def barrier_sweep(
     seed = rng.check_seed(seed)
 
     jobs = [(d, n_atoms, k, mu, trials, seed, gi) for gi, mu in enumerate(grid)]
-    outcomes = run_jobs(_run_grid_point, jobs, workers)
-    return BarrierCurve(mu_grid=tuple(grid), k=k, outcomes=tuple(outcomes))
+    points = run_jobs(_run_grid_point, jobs, workers)
+    return BarrierCurve(tuple(grid), k, *(np.stack(column) for column in zip(*points)))

@@ -127,14 +127,14 @@ def barrier_region(curve):
     """Below mu = 1/(2k-1) greedy recovery is exact, trial by trial, and so is
     every grid point whose mean measured coherence lies below the bound."""
     bound = curve.theoretical_bound
-    below = [o for point in curve.outcomes for o in point if o.mu_measured < bound]
-    misses = sum(not o.greedy_exact for o in below)
+    below = curve.mu_measured < bound
+    misses = int((below & ~curve.greedy_exact).sum())
     guarded = [r for m, r in zip(curve.mu_measured_mean, curve.success_rate_greedy)
                if m < bound]
     failures = misses + sum(r != 1.0 for r in guarded)
-    return CheckResult("coherence-barrier-region", failures == 0 and len(below) > 0,
+    return CheckResult("coherence-barrier-region", failures == 0 and bool(below.any()),
                        float(-failures),
-                       f"{len(below)} trials below mu={bound:.4f} "
+                       f"{int(below.sum())} trials below mu={bound:.4f} "
                        + (f"with {misses} misses" if misses else "all exact")
                        + f" over {len(guarded)} grid points")
 

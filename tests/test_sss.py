@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from moegeo import rng, sss
-from moegeo.core import UnitDictionary, _solve_gram, least_squares_on_support, normalize_columns
+from moegeo.core import (
+    UnitDictionary, _solve_gram, least_squares_on_support, mutual_coherence, normalize_columns,
+)
 from moegeo.dictgen import coherent_dictionary, planted_signal, random_orthonormal_dictionary
 from moegeo.errors import (
     InvalidConfigError, InvalidKError, InvalidShapeError, SingularGramError, TooLargeError,
@@ -19,6 +21,7 @@ from moegeo.sss import (
     omp_select,
     omp_select_stacked,
     recovery_trial,
+    recovery_trials,
 )
 
 
@@ -324,9 +327,18 @@ class TestRecoveryTrial:
     def test_fields_consistent(self):
         d = coherent_dictionary(24, 12, 0.15, 0.005, seed=0)
         sig = planted_signal(d, k=2, seed=1)
-        out = recovery_trial(d, sig, 2)
-        assert out.planted_support == sig.support
-        assert out.greedy_exact == (set(out.greedy_support) == set(sig.support))
+        mu, planted, greedy, omp = recovery_trial(d, sig, 2)
+        assert mu == mutual_coherence(d)
+        assert planted == sig.support
+        assert greedy == greedy_topk_select(d, sig, 2)
+        assert omp == omp_select(d, sig, 2)
+
+    def test_columns_are_each_pairs_trial(self):
+        dictionaries, signals = barrier_instances(128, 64, 6, 10, 5)
+        columns = recovery_trials(dictionaries, signals, 6)
+        assert all(c.shape == (5, 6) for c in columns)
+        for t, (d, sig) in enumerate(zip(dictionaries, signals)):
+            assert recovery_trial(d, sig, 6)[1:] == tuple(tuple(c[t].tolist()) for c in columns)
 
     def test_greedy_never_beats_oracle(self):
         rng = np.random.default_rng(8)
@@ -334,10 +346,22 @@ class TestRecoveryTrial:
             mu = float(rng.uniform(0.0, 0.8))
             d = coherent_dictionary(16, 10, mu, 0.01, seed=seed)
             sig = planted_signal(d, k=3, seed=seed + 77)
-            greedy = recovery_trial(d, sig, 3).greedy_support
+            greedy = recovery_trial(d, sig, 3)[2]
             greedy_res = least_squares_on_support(d, sig.vector, greedy).residual_sq
             oracle = brute_force_sss(d, sig, 3)
             assert greedy_res >= oracle.residual_sq - 1e-9
+
+
+CURVE_COLUMNS = ("mu_measured", "planted", "greedy", "omp", "greedy_exact", "omp_exact")
+
+
+def assert_same_curve(a, b):
+    """Two curves agree on their grid, k, every column and everything derived from them."""
+    derived = ("mu_grid", "k", "mu_measured_mean", "success_rate_greedy", "success_rate_omp",
+               "trials_per_point", "theoretical_bound")
+    assert [getattr(a, f) for f in derived] == [getattr(b, f) for f in derived]
+    for name in CURVE_COLUMNS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 class TestBarrierSweep:
@@ -345,34 +369,53 @@ class TestBarrierSweep:
         curve = barrier_sweep(24, 12, 2, [0.0, 0.1, 0.6], trials=5, seed=0)
         assert len(curve.mu_grid) == 3
         assert len(curve.success_rate_greedy) == 3
+        assert curve.mu_measured.shape == curve.greedy_exact.shape == curve.omp_exact.shape == (3, 5)
+        assert curve.planted.shape == curve.greedy.shape == curve.omp.shape == (3, 5, 2)
         assert curve.theoretical_bound == pytest.approx(1.0 / 3.0)
         assert all(0.0 <= r <= 1.0 for r in curve.success_rate_greedy)
         assert curve.trials_per_point == 5
-        for point, rate in zip(curve.outcomes, curve.success_rate_omp):
-            assert rate == sum(o.omp_exact for o in point) / 5
+        for i, t in itertools.product(range(3), range(5)):
+            planted = set(curve.planted[i, t].tolist())
+            assert curve.greedy_exact[i, t] == (set(curve.greedy[i, t].tolist()) == planted)
+            assert curve.omp_exact[i, t] == (set(curve.omp[i, t].tolist()) == planted)
+        for exact, rate in zip(curve.omp_exact, curve.success_rate_omp):
+            assert rate == sum(exact.tolist()) / 5
 
     def test_guaranteed_region_is_perfect(self):
         # bound for k=2 is 1/3; both grid points sit far below it
         curve = barrier_sweep(24, 12, 2, [0.05, 0.2], trials=25, seed=1)
         assert curve.success_rate_greedy == (1.0, 1.0)
-        for point in curve.outcomes:
-            for out in point:
-                assert out.mu_measured < 1.0 / 3.0
-                assert out.greedy_exact
+        assert (curve.mu_measured < 1.0 / 3.0).all()
+        assert curve.greedy_exact.all()
 
     def test_chunks_do_not_change_outcomes(self, monkeypatch):
         # the per-trial oracle: each trial's dictionary, signal and selectors on their own
         whole = barrier_sweep(128, 64, 6, BARRIER_GRID, trials=8, seed=42)
         monkeypatch.setattr(sss, "_STACK_BYTES", 3 * 8 * 128 * 64)
-        assert barrier_sweep(128, 64, 6, BARRIER_GRID, trials=8, seed=42) == whole
-        for gi, point in enumerate(whole.outcomes):
+        assert_same_curve(barrier_sweep(128, 64, 6, BARRIER_GRID, trials=8, seed=42), whole)
+        for gi in range(len(BARRIER_GRID)):
             dictionaries, signals = barrier_instances(128, 64, 6, gi, 8)
-            assert point == tuple(recovery_trial(d, sig, 6) for d, sig in zip(dictionaries, signals))
+            for t, (d, sig) in enumerate(zip(dictionaries, signals)):
+                assert recovery_trial(d, sig, 6) == (
+                    whole.mu_measured[gi, t],
+                    *(tuple(c[gi, t].tolist()) for c in (whole.planted, whole.greedy, whole.omp)))
 
     def test_workers_do_not_change_results(self):
         a = barrier_sweep(16, 8, 2, [0.1, 0.4, 0.7], trials=8, seed=3, workers=1)
         b = barrier_sweep(16, 8, 2, [0.1, 0.4, 0.7], trials=8, seed=3, workers=3)
-        assert a == b
+        assert_same_curve(a, b)
+
+    @pytest.mark.parametrize("trials", [1, 7, 8, 9, 200])
+    def test_means_rates_and_read_only_columns(self, trials):
+        # 8, 9 and 200 straddle numpy's pairwise-sum unroll and block sizes
+        curve = barrier_sweep(16, 8, 2, [0.1, 0.6], trials=trials, seed=5)
+        for i in range(2):
+            assert curve.mu_measured_mean[i] == float(np.mean(list(curve.mu_measured[i])))
+            assert curve.success_rate_greedy[i] == int(curve.greedy_exact[i].sum()) / trials
+            assert curve.success_rate_omp[i] == int(curve.omp_exact[i].sum()) / trials
+        for name in CURVE_COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(curve, name)[0] = 0
 
     def test_grid_validation(self):
         with pytest.raises(InvalidConfigError):
@@ -385,8 +428,16 @@ class TestBarrierSweep:
             barrier_sweep(16, 8, 2, [1.0], trials=2, seed=0)
 
     def test_curve_type_validation(self):
-        outcomes = barrier_sweep(16, 8, 2, [0.1, 0.5], trials=3, seed=0).outcomes
-        with pytest.raises(InvalidShapeError):
-            BarrierCurve(mu_grid=(0.1,), k=2, outcomes=outcomes)
-        with pytest.raises(InvalidShapeError):
-            BarrierCurve(mu_grid=(0.1, 0.5), k=2, outcomes=(outcomes[0], outcomes[1][:2]))
+        curve = barrier_sweep(16, 8, 2, [0.1, 0.5], trials=3, seed=0)
+        columns = [curve.mu_measured, curve.planted, curve.greedy, curve.omp]
+        assert_same_curve(BarrierCurve((0.1, 0.5), 2, *columns), curve)
+        bad = {
+            "grid length": ((0.1,), 2, *columns),
+            "descending grid": ((0.5, 0.1), 2, *columns),
+            "trial count": ((0.1, 0.5), 2, columns[0], *(c[:, :2] for c in columns[1:])),
+            "no trials": ((0.1, 0.5), 2, *(c[:, :0] for c in columns)),
+            "k": ((0.1, 0.5), 3, *columns),
+        }
+        for name, args in bad.items():
+            with pytest.raises(InvalidShapeError):
+                BarrierCurve(*args)

@@ -1,5 +1,7 @@
 """The self-audit suite audits itself: clean pass, filtering, planted faults."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,9 @@ def test_all_checks_pass_on_clean_build():
     assert [r.name for r in results] == list(ALL_CHECKS)
     for r in results:
         assert r.passed, f"{r.name} failed: {r.detail} (margin {r.margin})"
+        # verify.json carries every check, so each must survive JSON as plain types
+        assert json.loads(json.dumps(r.as_dict())) == r.as_dict()
+        assert type(r.passed) is bool and type(r.margin) is float, r.name
 
 
 def test_filtering_runs_requested_subset_in_order():
