@@ -9,7 +9,7 @@ empirical mutual information of a routing batch. Natural log everywhere;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,10 +49,24 @@ class CategoricalDist:
 
 @dataclass(frozen=True)
 class RoutingBatch:
-    """Dense routing distributions plus the k-subset each token selected."""
+    """Dense routing distributions plus the k-subset each token selected.
+
+    Construction derives the k-sparse projection of every row and the batch
+    statistics once, as read-only arrays: `gates` (T, k) renormalizes each
+    row on its selection (in selection order) by `kept_mass` (T, 1), whose
+    -log is the projection's KL price; `load` (E,) counts the tokens that
+    select each expert, `frequencies` is load / T and `marginal` the column
+    mean of the dense rows. A token whose selected mass is zero raises
+    ZeroProbabilityError.
+    """
 
     dense_probs: np.ndarray
     selections: np.ndarray
+    gates: np.ndarray = field(init=False, repr=False)
+    kept_mass: np.ndarray = field(init=False, repr=False)
+    load: np.ndarray = field(init=False, repr=False)
+    frequencies: np.ndarray = field(init=False, repr=False)
+    marginal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = np.array(self.dense_probs, dtype=np.float64, copy=True)
@@ -71,10 +85,16 @@ class RoutingBatch:
             raise InvalidShapeError("selection indices out of range")
         if np.any(np.diff(np.sort(s, axis=1), axis=1) == 0):
             raise InvalidShapeError("selections must be distinct per token")
-        p.setflags(write=False)
-        s.setflags(write=False)
-        object.__setattr__(self, "dense_probs", p)
-        object.__setattr__(self, "selections", s)
+        picked = np.take_along_axis(p, s, axis=1)
+        mass = picked.sum(axis=1, keepdims=True)
+        if np.any(mass <= 0.0):
+            raise ZeroProbabilityError("a token's selected mass is zero; cannot renormalize")
+        load = np.bincount(s.ravel(), minlength=p.shape[1])
+        derived = dict(dense_probs=p, selections=s, gates=picked / mass, kept_mass=mass,
+                       load=load, frequencies=load / p.shape[0], marginal=p.mean(axis=0))
+        for name, arr in derived.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_tokens(self) -> int:
@@ -97,15 +117,14 @@ def kl_sparse_project(p: CategoricalDist, k: int) -> tuple[CategoricalDist, tupl
     Requires every entry of p to be at least 1e-300, so that the divergence
     stays finite.
     """
-    e = p.size
-    check_k(k, e)
+    check_k(k, p.size)
     if np.any(p.probs < 1e-300):
         raise ZeroProbabilityError("projection needs every probability >= 1e-300")
-    support = tuple(int(i) for i in topk_indices(p.probs, k))
-    mass = float(p.probs[list(support)].sum())
-    q = np.zeros(e)
-    q[list(support)] = p.probs[list(support)] / mass
-    return CategoricalDist(q), support, float(-np.log(mass))
+    row = RoutingBatch(dense_probs=p.probs[None], selections=topk_indices(p.probs, k)[None])
+    support = tuple(row.selections[0].tolist())
+    q = np.zeros(p.size)
+    q[list(support)] = row.gates[0]
+    return CategoricalDist(q), support, float(-np.log(row.kept_mass[0, 0]))
 
 
 def collision_mass(p: CategoricalDist) -> float:
@@ -118,14 +137,9 @@ def renyi2_entropy(p: CategoricalDist) -> float:
     return float(-np.log(collision_mass(p)))
 
 
-def selection_frequencies(batch: RoutingBatch) -> np.ndarray:
-    """f_i: fraction of tokens whose selection includes expert i; sums to k."""
-    return np.bincount(batch.selections.ravel(), minlength=batch.n_experts) / batch.n_tokens
-
-
 def mean_routing_probs(batch: RoutingBatch) -> CategoricalDist:
     """The batch marginal: column means of the dense routing distributions."""
-    return CategoricalDist(batch.dense_probs.mean(axis=0))
+    return CategoricalDist(batch.marginal)
 
 
 def aux_loss(batch: RoutingBatch) -> float:
@@ -134,9 +148,7 @@ def aux_loss(batch: RoutingBatch) -> float:
     f_i is the top-k selection frequency (sums to k across experts) and P_i
     the mean dense probability. The trainer applies its own weight.
     """
-    f = selection_frequencies(batch)
-    p_bar = batch.dense_probs.mean(axis=0)
-    return float(batch.n_experts * np.sum(f * p_bar))
+    return float(batch.n_experts * np.sum(batch.frequencies * batch.marginal))
 
 
 def collision_identity_check(batch: RoutingBatch) -> tuple[float, float, float]:
@@ -151,25 +163,13 @@ def collision_identity_check(batch: RoutingBatch) -> tuple[float, float, float]:
     return lhs, rhs, abs(lhs - rhs)
 
 
-def _sparse_rows(batch: RoutingBatch) -> np.ndarray:
-    """Per-token distributions renormalized on each token's selection."""
-    t = batch.n_tokens
-    rows = np.zeros((t, batch.n_experts))
-    picked = np.take_along_axis(batch.dense_probs, batch.selections, axis=1)
-    mass = picked.sum(axis=1, keepdims=True)
-    if np.any(mass <= 0.0):
-        raise ZeroProbabilityError("a token's selected mass is zero; cannot renormalize")
-    np.put_along_axis(rows, batch.selections, picked / mass, axis=1)
-    return rows
-
-
 def topk_conditional_entropy(batch: RoutingBatch) -> float:
     """Mean entropy of the renormalized per-token routing distributions.
 
     At most log k: each token's distribution lives on k atoms. Row terms
     are summed in expert order as in `entropy`; a zero contributes 1 log 1.
     """
-    q = np.take_along_axis(_sparse_rows(batch), np.sort(batch.selections, axis=1), axis=1)
+    q = np.take_along_axis(batch.gates, np.argsort(batch.selections, axis=1), axis=1)
     q = np.where(q > 0.0, q, 1.0)
     value = float(np.mean(-np.sum(q * np.log(q), axis=1)))
     bound = float(np.log(batch.k))
@@ -191,7 +191,8 @@ def empirical_mi(batch: RoutingBatch) -> tuple[float, float, float]:
     The marginal is the token mean of the renormalized distributions; MI is
     their entropy difference (nonnegative because entropy is concave).
     """
-    rows = _sparse_rows(batch)
+    rows = np.zeros(batch.dense_probs.shape)
+    np.put_along_axis(rows, batch.selections, batch.gates, axis=1)
     h_marginal = entropy(rows.mean(axis=0))
     h_conditional = topk_conditional_entropy(batch)
     return h_marginal, h_conditional, h_marginal - h_conditional

@@ -36,7 +36,6 @@ from .infotheory import (
     collision_mass,
     entropy,
     mean_routing_probs,
-    selection_frequencies,
     topk_conditional_entropy,
 )
 from .rng import check_seed, stream
@@ -157,7 +156,8 @@ def init_params(config, gen):
 class ForwardTrace:
     """Everything forward computed, kept for backward and for metrics.
 
-    `routing` is the one validated RoutingBatch of the pass. `expert_cache`
+    `routing` is the one validated RoutingBatch of the pass; its gates,
+    kept mass and expert load are the ones forward used. `expert_cache`
     is `(rows, slots, bounds, xr, u, a, t)`: the B*k (row, slot) pairs of
     the batch grouped by selected expert, rows ascending within each group;
     expert e owns positions bounds[e]:bounds[e+1]. `xr` holds the gathered
@@ -167,17 +167,11 @@ class ForwardTrace:
 
     x: np.ndarray               # (B, D)
     routing: RoutingBatch       # (B, E) router softmax, (B, k) ascending ids
-    gates: np.ndarray           # (B, k) renormalized over the active set
-    kept_mass: np.ndarray       # (B, 1) router mass top-k keeps; -log of it is top-k's KL cost
     expert_outputs: np.ndarray  # (B, k, C) selected experts' logit vectors
     logits: np.ndarray          # (B, C) gate-weighted combination
     log_probs: np.ndarray       # (B, C) log-softmax of the logits
     class_probs: np.ndarray     # (B, C) exp(log_probs)
     expert_cache: tuple = field(repr=False, default=())
-
-    def __post_init__(self):
-        if np.max(np.abs(self.gates.sum(axis=1) - 1.0)) > 1e-9:
-            raise InvalidShapeError("gate weights must sum to 1 per sample")
 
     @property
     def batch_size(self):
@@ -198,41 +192,37 @@ def forward(params, config, x_batch):
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("input batch contains non-finite values")
     k = config.active_k
-    h = x @ params.w_g.T
-    p = softmax_rows(h)
-    sel = topk_indices(p, k)
-    active = np.take_along_axis(p, sel, axis=1)
-    kept_mass = active.sum(axis=1, keepdims=True)
-    gates = active / kept_mass
+    p = softmax_rows(x @ params.w_g.T)
+    # a diverged router must abort here (exit 3), before RoutingBatch rejects it (exit 2)
+    if not np.all(np.isfinite(p)):
+        raise NonFiniteError("forward pass produced non-finite values")
+    routing = RoutingBatch(dense_probs=p, selections=topk_indices(p, k))
 
     # rows grouped by expert, ascending within each: one GELU call per pass
-    flat = sel.ravel()
-    order = np.argsort(flat, kind="stable")
+    order = np.argsort(routing.selections.ravel(), kind="stable")
     rows, slots = np.divmod(order, k)
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=config.experts))))
+    bounds = np.concatenate(([0], np.cumsum(routing.load)))
     spans = _expert_spans(bounds)
     xr = x[rows]
-    u = np.empty((flat.size, params.w_in.shape[1]))
+    u = np.empty((order.size, params.w_in.shape[1]))
     for e, lo, hi in spans:
         u[lo:hi] = xr[lo:hi] @ params.w_in[e].T
     a, t = gelu(u)
-    y = np.empty((flat.size, config.classes))
+    y = np.empty((order.size, config.classes))
     for e, lo, hi in spans:
         y[lo:hi] = a[lo:hi] @ params.w_out[e].T
     outputs = np.empty((x.shape[0], k, config.classes))
     outputs[rows, slots] = y
 
-    logits = np.einsum("bk,bkc->bc", gates, outputs)
+    logits = np.einsum("bk,bkc->bc", routing.gates, outputs)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z
     class_probs = np.exp(log_probs)
-    # a diverged model must abort here (exit 3), before RoutingBatch rejects it (exit 2)
-    for arr in (p, outputs, logits, class_probs):
+    for arr in (outputs, logits, class_probs):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("forward pass produced non-finite values")
-    return ForwardTrace(x=x, routing=RoutingBatch(dense_probs=p, selections=sel),
-                        gates=gates, kept_mass=kept_mass, expert_outputs=outputs, logits=logits,
+    return ForwardTrace(x=x, routing=routing, expert_outputs=outputs, logits=logits,
                         log_probs=log_probs, class_probs=class_probs,
                         expert_cache=(rows, slots, bounds, xr, u, a, t))
 
@@ -356,19 +346,19 @@ def backward(params, trace, labels, config):
     g_logits[np.arange(b), labels] -= 1.0
     g_logits /= b
 
-    d_outputs = trace.gates[..., None] * g_logits[:, None, :]
+    routing = trace.routing
+    d_outputs = routing.gates[..., None] * g_logits[:, None, :]
     d_outputs = d_outputs + comps.reg_grad
     d_gates = np.einsum("bc,bkc->bk", g_logits, trace.expert_outputs)
 
     # renormalized gates w = p_sel / s: dL/dp_m = (dL/dw_m - sum_n dL/dw_n w_n) / s
-    p, sel = trace.routing.dense_probs, trace.routing.selections
-    d_active = (d_gates - (d_gates * trace.gates).sum(axis=1, keepdims=True)) / trace.kept_mass
+    p = routing.dense_probs
+    d_active = (d_gates - (d_gates * routing.gates).sum(axis=1, keepdims=True)) / routing.kept_mass
     d_probs = np.zeros_like(p)
-    np.put_along_axis(d_probs, sel, d_active, axis=1)
+    np.put_along_axis(d_probs, routing.selections, d_active, axis=1)
 
     if config.aux_weight > 0:
-        freqs = selection_frequencies(trace.routing)
-        d_probs = d_probs + config.aux_weight * e_count * freqs[None, :] / b
+        d_probs = d_probs + config.aux_weight * e_count * routing.frequencies[None, :] / b
 
     # full softmax Jacobian: dh = p * (dp - <dp, p>)
     dot = np.einsum("be,be->b", d_probs, p)[:, None]
@@ -432,9 +422,7 @@ def effective_rank(m):
     if not np.any(m):
         raise DegenerateProbeError("all experts output exactly zero on the probe")
     sv = np.linalg.svd(m, compute_uv=False)
-    sv = sv / sv.sum()
-    sv = sv[sv > 0]
-    return float(np.exp(-np.sum(sv * np.log(sv))))
+    return float(np.exp(entropy(sv / sv.sum())))
 
 
 def expert_coherence(m):

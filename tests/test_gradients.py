@@ -165,7 +165,7 @@ class TestSeededFuzz:
                            seed=draw)
         params, x, y = stable_batch(config, gen, size=b)
         trace = forward(params, config, x)
-        np.testing.assert_allclose(trace.gates.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(trace.routing.gates.sum(axis=1), 1.0, atol=1e-12)
         assert np.sum(mean_routing_probs(trace.routing).probs ** 2) >= 1.0 / e - 1e-12
         assert topk_conditional_entropy(trace.routing) <= np.log(k) + 1e-9
         assert np.isfinite(total_loss(trace, y, config)[0])

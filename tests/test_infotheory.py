@@ -17,7 +17,6 @@ from moegeo.infotheory import (
     mean_routing_probs,
     mi_lower_bound,
     renyi2_entropy,
-    selection_frequencies,
     topk_conditional_entropy,
 )
 
@@ -158,7 +157,7 @@ class TestAuxLoss:
     def test_frequencies_sum_to_k(self):
         rng = np.random.default_rng(4)
         batch = random_batch(rng, 16, 6, 3)
-        assert selection_frequencies(batch).sum() == pytest.approx(3.0, abs=1e-12)
+        assert batch.frequencies.sum() == pytest.approx(3.0, abs=1e-12)
 
 
 class TestCollisionIdentity:
@@ -348,7 +347,7 @@ class TestVectorisedAgainstRowLoops:
                             assert got == want, (e, k, zero)
 
     def test_selection_frequencies_match_add_at(self):
-        # the scatter-add count selection_frequencies replaced, kept as its oracle;
+        # the scatter-add count the bincount of RoutingBatch replaced, kept as its oracle;
         # integer counts are exact, so the frequencies agree bit for bit
         rng = np.random.default_rng(33)
         for e in (2, 3, 5, 8, 16):
@@ -357,7 +356,7 @@ class TestVectorisedAgainstRowLoops:
                 batch = random_batch(rng, t, e, k)
                 counts = np.zeros(e)
                 np.add.at(counts, batch.selections.ravel(), 1.0)
-                assert selection_frequencies(batch).tobytes() == (counts / t).tobytes()
+                assert batch.frequencies.tobytes() == (counts / t).tobytes()
 
     def test_distinctness_matches_row_loop(self):
         rng = np.random.default_rng(32)
@@ -384,3 +383,60 @@ class TestVectorisedAgainstRowLoops:
         with pytest.raises(InvalidShapeError, match="distinct"):
             RoutingBatch(dense_probs=np.full((len(sel), 6), 1.0 / 6), selections=sel)
 
+
+class TestRoutingBatchDerived:
+    """The projection and statistics RoutingBatch derives once, against the formulas it replaced."""
+
+    @staticmethod
+    def batches(seed):
+        rng = np.random.default_rng(seed)
+        for e in (2, 3, 5, 8, 12, 20):
+            for k in range(1, e + 1):
+                t = int(rng.integers(1, 40))
+                probs = rng.random((t, e)) ** 4
+                probs /= probs.sum(axis=1, keepdims=True)
+                # unsorted selections that are not the top k
+                sel = np.argsort(rng.random((t, e)), axis=1)[:, :k]
+                yield probs, sel
+
+    def test_derived_arrays_match_replaced_formulas(self):
+        for probs, sel in self.batches(41):
+            batch = RoutingBatch(dense_probs=probs, selections=sel)
+            t, e = probs.shape
+            picked = np.take_along_axis(probs, sel, axis=1)
+            mass = picked.sum(axis=1, keepdims=True)
+            load = np.bincount(sel.ravel(), minlength=e)
+            assert batch.gates.tobytes() == (picked / mass).tobytes()
+            assert batch.kept_mass.tobytes() == mass.tobytes()
+            assert batch.load.tobytes() == load.tobytes()
+            assert batch.frequencies.tobytes() == (load / t).tobytes()
+            assert batch.marginal.tobytes() == probs.mean(axis=0).tobytes()
+            assert aux_loss(batch) == float(e * np.sum(load / t * probs.mean(axis=0)))
+            rows = np.zeros((t, e))
+            np.put_along_axis(rows, sel, picked / mass, axis=1)
+            assert empirical_mi(batch)[0] == entropy(rows.mean(axis=0))
+
+    def test_projection_matches_replaced_formula(self):
+        rng = np.random.default_rng(42)
+        for e in (2, 3, 5, 8, 12, 20):
+            for k in range(1, e + 1):
+                p = random_dist(rng, e)
+                q, support, kl = kl_sparse_project(CategoricalDist(p), k)
+                mass = float(p[list(support)].sum())
+                want = np.zeros(e)
+                want[list(support)] = p[list(support)] / mass
+                assert q.probs.tobytes() == want.tobytes()
+                assert kl == float(-np.log(mass))
+
+    def test_derived_arrays_are_read_only(self):
+        probs, sel = next(self.batches(43))
+        batch = RoutingBatch(dense_probs=probs, selections=sel)
+        for name in ("dense_probs", "selections", "gates", "kept_mass", "load",
+                     "frequencies", "marginal"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(batch, name)[0] = 0
+
+    def test_zero_selected_mass_raises_at_construction(self):
+        probs = np.array([[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
+        with pytest.raises(ZeroProbabilityError, match="selected mass is zero"):
+            RoutingBatch(dense_probs=probs, selections=[[2, 3], [0, 1]])

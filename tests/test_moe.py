@@ -18,7 +18,6 @@ from moegeo.infotheory import (
     RoutingBatch,
     aux_loss,
     kl_sparse_project,
-    selection_frequencies,
 )
 from moegeo.moe import (
     ForwardTrace,
@@ -54,21 +53,17 @@ def softmax(z):
     return e / e.sum()
 
 
-def make_trace(outputs, gates=None):
-    """Wrap hand-picked expert output vectors in a minimal valid trace."""
+def make_trace(outputs):
+    """Wrap hand-picked expert output vectors in a minimal valid trace with equal gates."""
     outputs = np.asarray(outputs, dtype=float)
     b, k, c = outputs.shape
     e = k + 1
-    if gates is None:
-        gates = np.full((b, k), 1.0 / k)
-    probs = np.full((b, e), 1.0 / e)
-    sel = np.tile(np.arange(k), (b, 1))
-    logits = np.einsum("bk,bkc->bc", gates, outputs)
+    routing = RoutingBatch(dense_probs=np.full((b, e), 1.0 / e),
+                           selections=np.tile(np.arange(k), (b, 1)))
+    logits = np.einsum("bk,bkc->bc", routing.gates, outputs)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return ForwardTrace(x=np.zeros((b, 2)),
-                        routing=RoutingBatch(dense_probs=probs, selections=sel),
-                        gates=gates, kept_mass=np.full((b, 1), k / e),
+    return ForwardTrace(x=np.zeros((b, 2)), routing=routing,
                         expert_outputs=outputs, logits=logits,
                         log_probs=log_probs, class_probs=np.exp(log_probs))
 
@@ -84,7 +79,7 @@ class TestForward:
         trace = forward(params, config, np.array([[1.0, 0, 0, 0]]))
         # h = (2, 1, 0, 0): top-2 gates renormalize to e/(e+1), 1/(e+1)
         assert tuple(trace.routing.selections[0]) == (0, 1)
-        np.testing.assert_allclose(trace.gates[0], [0.73106, 0.26894], atol=1e-5)
+        np.testing.assert_allclose(trace.routing.gates[0], [0.73106, 0.26894], atol=1e-5)
 
     def test_k_equals_e_gates_are_full_softmax(self):
         config = MoEConfig(input_dim=6, experts=4, active_k=4, expert_hidden=5,
@@ -92,7 +87,7 @@ class TestForward:
         rng = np.random.default_rng(2)
         params = init_params(config, rng)
         trace = forward(params, config, rng.standard_normal((7, 6)))
-        np.testing.assert_allclose(trace.gates, trace.routing.dense_probs, atol=1e-12)
+        np.testing.assert_allclose(trace.routing.gates, trace.routing.dense_probs, atol=1e-12)
 
     def test_zero_input_gives_uniform_probs(self):
         config = MoEConfig(input_dim=5, experts=3, active_k=2, expert_hidden=4,
@@ -122,15 +117,15 @@ class TestForward:
             for row, p in enumerate(trace.routing.dense_probs):
                 q, support, kl = kl_sparse_project(CategoricalDist(p), k)
                 assert tuple(trace.routing.selections[row].tolist()) == support
-                assert trace.gates[row].tobytes() == q.probs[list(support)].tobytes()
-                assert -np.log(trace.kept_mass[row, 0]) == kl
+                assert trace.routing.gates[row].tobytes() == q.probs[list(support)].tobytes()
+                assert -np.log(trace.routing.kept_mass[row, 0]) == kl
 
     def test_gate_rows_sum_to_one(self):
         config = MoEConfig(**QUICK)
         rng = np.random.default_rng(6)
         params = init_params(config, rng)
         trace = forward(params, config, rng.standard_normal((40, 16)))
-        np.testing.assert_allclose(trace.gates.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(trace.routing.gates.sum(axis=1), 1.0, atol=1e-12)
 
     def test_overflowing_router_is_a_numerical_abort(self):
         # NaN routing probabilities must abort as NonFiniteError (exit 3),
@@ -178,17 +173,17 @@ def per_expert_backward(params, trace, labels, config, cache):
     onehot = np.zeros((b, config.classes))
     onehot[np.arange(b), labels] = 1.0
     g_logits = (trace.class_probs - onehot) / b
-    d_outputs = trace.gates[..., None] * g_logits[:, None, :]
+    d_outputs = trace.routing.gates[..., None] * g_logits[:, None, :]
     d_outputs = d_outputs + _reg_output_grad(trace, config)[1]
     d_gates = np.einsum("bc,bkc->bk", g_logits, trace.expert_outputs)
     p, sel = trace.routing.dense_probs, trace.routing.selections
     active = np.take_along_axis(p, sel, axis=1)
     mass = active.sum(axis=1, keepdims=True)
-    d_active = (d_gates - (d_gates * trace.gates).sum(axis=1, keepdims=True)) / mass
+    d_active = (d_gates - (d_gates * trace.routing.gates).sum(axis=1, keepdims=True)) / mass
     d_probs = np.zeros_like(p)
     np.put_along_axis(d_probs, sel, d_active, axis=1)
     if config.aux_weight > 0:
-        freqs = selection_frequencies(trace.routing)
+        freqs = trace.routing.frequencies
         d_probs = d_probs + config.aux_weight * config.experts * freqs[None, :] / b
     dot = np.einsum("be,be->b", d_probs, p)[:, None]
     d_w_g = (p * (d_probs - dot)).T @ trace.x

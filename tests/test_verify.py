@@ -81,10 +81,15 @@ def test_planted_fault_fails_its_check(monkeypatch, name):
 
 
 def test_entropy_bound_violation_is_typed_and_fails_the_check(monkeypatch):
+    # gates of 1/e are no distributions: k entries give k/e nats, above log k for every k
+    built = infotheory.RoutingBatch.__post_init__
+
+    def plant_gates(batch):
+        built(batch)
+        object.__setattr__(batch, "gates", np.full(batch.gates.shape, 1.0 / np.e))
+
+    monkeypatch.setattr(infotheory.RoutingBatch, "__post_init__", plant_gates)
     batch = infotheory.RoutingBatch(dense_probs=[[0.5, 0.3, 0.2]], selections=[[0, 1]])
-    # rows of 1/e are no distributions: k entries give k/e nats, above log k for every k
-    monkeypatch.setattr(infotheory, "_sparse_rows",
-                        lambda b: np.full((b.n_tokens, b.n_experts), 1.0 / np.e))
     with pytest.raises(IdentityViolationError, match="exceeds log k"):
         infotheory.topk_conditional_entropy(batch)
     [result] = run_verification(seed=42, checks=["topk-entropy-bound"])
