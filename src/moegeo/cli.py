@@ -229,22 +229,22 @@ def cmd_barrier(cfg):
 @command(
     "train", "cross-validated mixture-of-experts training with chosen regularizer",
     samples=Field(4000, "int", "dataset size"),
-    features=Field(100, "int", "input dimension"),
+    features=Field(MoEConfig.input_dim, "int", "input dimension"),
     informative=Field(10, "int", "informative subspace dimension"),
-    classes=Field(10, "int", "number of classes"),
+    classes=Field(MoEConfig.classes, "int", "number of classes"),
     class_sep=Field(0.6, "float", "centroid separation scale"),
-    experts=Field(16, "int", "expert count"),
-    k=Field(2, "int", "active experts per sample"),
-    hidden=Field(32, "int", "expert hidden width"),
-    batch=Field(128, "int", "minibatch size"),
-    lr=Field(1e-3, "float", "AdamW learning rate"),
-    epochs=Field(30, "int", "training epochs"),
-    aux_weight=Field(0.01, "float", "load-balance loss weight"),
-    reg_weight=Field(0.1, "float", "decorrelation loss weight"),
-    reg=Field("none", "str", "regularizer: none | ortho | ncl | dpp"),
-    dpp_epsilon=Field(1e-4, "float", "Tikhonov constant for the dpp loss"),
+    experts=Field(MoEConfig.experts, "int", "expert count"),
+    k=Field(MoEConfig.active_k, "int", "active experts per sample"),
+    hidden=Field(MoEConfig.expert_hidden, "int", "expert hidden width"),
+    batch=Field(MoEConfig.batch, "int", "minibatch size"),
+    lr=Field(MoEConfig.lr, "float", "AdamW learning rate"),
+    epochs=Field(MoEConfig.epochs, "int", "training epochs"),
+    aux_weight=Field(MoEConfig.aux_weight, "float", "load-balance loss weight"),
+    reg_weight=Field(MoEConfig.reg_weight, "float", "decorrelation loss weight"),
+    reg=Field(MoEConfig.reg_kind, "str", "regularizer: none | ortho | ncl | dpp"),
+    dpp_epsilon=Field(MoEConfig.dpp_epsilon, "float", "Tikhonov constant for the dpp loss"),
     folds=Field(10, "int", "stratified cross-validation folds"),
-    seed=Field(42, "int", "master seed"),
+    seed=Field(MoEConfig.seed, "int", "master seed"),
     workers=Field(_default_workers(), "int",
                   "parallel fold workers (results are worker-independent)"),
 )
@@ -370,10 +370,7 @@ def cmd_info(cfg):
     seed=Field(42, "int", "master seed"),
 )
 def cmd_verify(cfg):
-    try:
-        results = run_verification(seed=cfg["seed"], checks=cfg["checks"])
-    except KeyError as exc:
-        raise InvalidConfigError(str(exc.args[0])) from None
+    results = run_verification(seed=cfg["seed"], checks=cfg["checks"])
     for r in results:
         print(f"check {r.name}: {'PASS' if r.passed else 'FAIL'}")
     all_pass = all(r.passed for r in results)

@@ -4,7 +4,8 @@ A dictionary here is a d x N matrix whose columns are unit vectors (the
 atoms). Everything downstream, from greedy selection to the mixture-of-experts
 diagnostics, is phrased in terms of these columns and their inner products.
 Softmax, stable top-k, the guarded Cholesky factor, the enumeration bound,
-the k-range check and the job runner live here once, for every module.
+the input checks (k range, index supports, target vectors, finite frozen
+arrays) and the job runner live here once, for every module.
 """
 
 from __future__ import annotations
@@ -31,12 +32,30 @@ _MAX_ENUM = 10**7
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def _frozen_array(x, dtype=np.float64, ndim=None) -> np.ndarray:
+def _frozen_array(x, dtype=np.float64, ndim=None, name=None) -> np.ndarray:
+    """A read-only copy of x; given a name, InvalidShapeError on a non-finite entry."""
     a = np.array(x, dtype=dtype, copy=True)
     if ndim is not None and a.ndim != ndim:
         raise InvalidShapeError(f"expected {ndim}-d array, got shape {a.shape}")
+    if name is not None and not np.all(np.isfinite(a)):
+        raise InvalidShapeError(f"{name} contains non-finite entries")
     a.setflags(write=False)
     return a
+
+
+def check_indices(indices, n=None) -> tuple[int, ...]:
+    """The indices as a tuple of ints, in their given order (never sorted).
+
+    InvalidShapeError on a repeated index or a negative one and, when n is
+    given, on one at or above n.
+    """
+    idx = tuple(int(i) for i in indices)
+    if len(set(idx)) != len(idx):
+        raise InvalidShapeError("support has repeated indices")
+    hi = math.inf if n is None else n
+    if not all(0 <= i < hi for i in idx):
+        raise InvalidShapeError(f"support indices must lie in [0, {hi})")
+    return idx
 
 
 @dataclass(frozen=True)
@@ -46,12 +65,10 @@ class UnitDictionary:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_array(self.data, ndim=2))
+        object.__setattr__(self, "data", _frozen_array(self.data, ndim=2, name="dictionary"))
         d, n = self.data.shape
         if d < 1 or n < 2:
             raise InvalidShapeError(f"dictionary needs d >= 1 and N >= 2, got {d} x {n}")
-        if not np.all(np.isfinite(self.data)):
-            raise InvalidShapeError("dictionary contains non-finite entries")
         norms = np.linalg.norm(self.data, axis=0)
         if np.any(np.abs(norms - 1.0) > 1e-10):
             worst = int(np.argmax(np.abs(norms - 1.0)))
@@ -89,12 +106,10 @@ class TargetSignal:
 
     def __post_init__(self):
         object.__setattr__(self, "vector", _frozen_array(self.vector, ndim=1))
-        sup = tuple(int(i) for i in self.support)
+        sup = check_indices(self.support)
         coef = _frozen_array(self.coefficients, ndim=1)
         if len(sup) != coef.shape[0]:
             raise InvalidShapeError("planted coefficients must align with support")
-        if len(set(sup)) != len(sup):
-            raise InvalidShapeError("planted support has repeated indices")
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "coefficients", coef)
 
@@ -108,11 +123,7 @@ class SparseSolution:
     residual_sq: float
 
     def __post_init__(self):
-        sup = tuple(int(i) for i in self.support)
-        if len(set(sup)) != len(sup):
-            raise InvalidShapeError("support has repeated indices")
-        if any(i < 0 for i in sup):
-            raise InvalidShapeError("support indices must be nonnegative")
+        sup = check_indices(self.support)
         coef = _frozen_array(self.coefficients, ndim=1)
         if coef.shape[0] != len(sup):
             raise InvalidShapeError("coefficients must align with support")
@@ -123,17 +134,26 @@ class SparseSolution:
         object.__setattr__(self, "residual_sq", float(self.residual_sq))
 
 
+def check_vector(y, dim: int) -> np.ndarray:
+    """The target as a float vector: a TargetSignal's vector, or y itself.
+
+    InvalidShapeError unless it has shape (dim,) and finite entries.
+    """
+    v = y.vector if isinstance(y, TargetSignal) else np.asarray(y, dtype=np.float64)
+    if v.shape != (dim,):
+        raise InvalidShapeError(f"target must be a vector of length {dim}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidShapeError("target contains non-finite entries")
+    return v
+
+
 def normalize_columns(matrix: np.ndarray) -> UnitDictionary:
     """Scale each column to unit norm.
 
     Raises ZeroColumnError (carrying the offending index) if a column's norm
     is below 1e-12, and InvalidShapeError for malformed input.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise InvalidShapeError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidShapeError("matrix contains non-finite entries")
+    m = _frozen_array(matrix, ndim=2, name="matrix")
     norms = np.linalg.norm(m, axis=0)
     small = np.flatnonzero(norms < 1e-12)
     if small.size:
@@ -246,16 +266,10 @@ def least_squares_on_support(
     residual is computed as ||y||^2 minus the projection energy and clamped
     at zero (it can dip a hair negative in floating point).
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.shape[0] != dictionary.dim:
-        raise InvalidShapeError(f"target must be a vector of length {dictionary.dim}")
-    sup = tuple(sorted(int(i) for i in support))
-    if len(sup) == 0:
+    y = check_vector(y, dictionary.dim)
+    sup = tuple(sorted(check_indices(support, dictionary.n_atoms)))
+    if not sup:
         raise InvalidShapeError("support must be nonempty")
-    if len(set(sup)) != len(sup):
-        raise InvalidShapeError("support has repeated indices")
-    if sup[0] < 0 or sup[-1] >= dictionary.n_atoms:
-        raise InvalidShapeError(f"support indices must lie in [0, {dictionary.n_atoms})")
 
     cols = dictionary.data[:, sup]
     gram = cols.T @ cols

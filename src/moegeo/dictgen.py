@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import TargetSignal, UnitDictionary, check_k, mutual_coherence
+from .core import TargetSignal, UnitDictionary, _frozen_array, check_k, mutual_coherence
 from .errors import InvalidConfigError, InvalidShapeError, UnreachableError
 
 # Bisection on the blend parameter stops after this many halvings.
@@ -220,17 +220,13 @@ class ClassificationDataset:
     n_classes: int
 
     def __post_init__(self):
-        f = np.array(self.features, dtype=np.float64, copy=True)
-        l = np.array(self.labels, dtype=np.int64, copy=True)
-        a = np.array(self.mixing, dtype=np.float64, copy=True)
+        f = _frozen_array(self.features, name="features")
+        l = _frozen_array(self.labels, dtype=np.int64, name="labels")
+        a = _frozen_array(self.mixing, name="mixing")
         if f.ndim != 2 or l.ndim != 1 or f.shape[0] != l.shape[0]:
             raise InvalidShapeError("features and labels misaligned")
         if a.shape != (self.n_informative, f.shape[1] - self.n_informative):
             raise InvalidShapeError("mixing matrix shape inconsistent with feature split")
-        for arr, name in ((f, "features"), (l, "labels"), (a, "mixing")):
-            if not np.all(np.isfinite(arr)):
-                raise InvalidShapeError(f"{name} contains non-finite entries")
-            arr.setflags(write=False)
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "labels", l)
         object.__setattr__(self, "mixing", a)

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from . import rng
-from .core import UnitDictionary, check_enumerable, check_k, psd_cholesky
+from .core import UnitDictionary, check_enumerable, check_indices, check_k, psd_cholesky
 from .errors import InvalidShapeError, NotPSDError
 
 # Greedy candidates whose incremental gain lies within this many nats of the
@@ -52,23 +52,14 @@ class Kernel:
         return self.gram.shape[0]
 
 
-def _check_subset(kernel: Kernel, subset) -> list[int]:
-    idx = [int(i) for i in subset]
-    if len(set(idx)) != len(idx):
-        raise InvalidShapeError("subset has repeated indices")
-    if any(i < 0 or i >= kernel.size for i in idx):
-        raise InvalidShapeError(f"subset indices must lie in [0, {kernel.size})")
-    return idx
-
-
-def _block_factor(kernel: Kernel, idx: list[int]) -> np.ndarray:
-    """Lower Cholesky factor of the subset's shifted Gram block."""
+def _block_factor(kernel: Kernel, idx) -> np.ndarray:
+    """Lower Cholesky factor of the subset's shifted Gram block, rows in the order of idx."""
     return psd_cholesky(kernel.gram[np.ix_(idx, idx)] + kernel.epsilon * np.eye(len(idx)))
 
 
 def logdet_subset(kernel: Kernel, subset) -> float:
     """log det of the subset's shifted Gram block, via Cholesky."""
-    idx = _check_subset(kernel, subset)
+    idx = check_indices(subset, kernel.size)
     if not idx:
         raise InvalidShapeError("subset must be nonempty")
     return float(2.0 * np.sum(np.log(np.diag(_block_factor(kernel, idx)))))
@@ -90,12 +81,7 @@ def marginal_gain(kernel: Kernel, subset, e: int) -> float:
     log(1 + epsilon). The Schur complement is the shifted squared distance of
     feature e to the span of the subset's features.
     """
-    idx = _check_subset(kernel, subset)
-    e = int(e)
-    if e < 0 or e >= kernel.size:
-        raise InvalidShapeError(f"element {e} out of range")
-    if e in idx:
-        raise InvalidShapeError(f"element {e} already in subset")
+    *idx, e = check_indices([*subset, e], kernel.size)
     if not idx:
         return float(np.log(kernel.gram[e, e] + kernel.epsilon))
     return _schur_gain(kernel, idx, _block_factor(kernel, idx), e)
@@ -206,7 +192,7 @@ class NemhauserReport:
 
 def shifted_objective(kernel: Kernel, subset) -> float:
     """logdet(L_S + eps I) - |S| log eps: nonnegative, monotone, submodular."""
-    idx = _check_subset(kernel, subset)
+    idx = check_indices(subset, kernel.size)
     if not idx:
         return 0.0
     return logdet_subset(kernel, idx) - len(idx) * float(np.log(kernel.epsilon))

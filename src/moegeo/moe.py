@@ -594,16 +594,19 @@ def train_fold(config, train, test, fold=0):
     for epoch in range(1, config.epochs + 1):
         perm = stream(config.seed, "shuffle", fold, epoch).permutation(n)
         sums = np.zeros(3)
+        # a diverging model overflows before anything turns non-finite, so an
+        # overflow or invalid operation aborts the fold where it happens
         try:
-            for start in range(0, n, config.batch):
-                idx = perm[start:start + config.batch]
-                trace = forward(params, config, train_x[idx])
-                comps, grads = backward(params, trace, train_y[idx], config)
-                adamw_step(params, grads, config)
-                sums += idx.size * np.array([comps.task, comps.aux, comps.reg])
-        except NonFiniteError as exc:
+            with np.errstate(over="raise", invalid="raise"):
+                for start in range(0, n, config.batch):
+                    idx = perm[start:start + config.batch]
+                    trace = forward(params, config, train_x[idx])
+                    comps, grads = backward(params, trace, train_y[idx], config)
+                    adamw_step(params, grads, config)
+                    sums += idx.size * np.array([comps.task, comps.aux, comps.reg])
+                selections = record(sums / n)
+        except FloatingPointError as exc:  # NonFiniteError is one
             raise NonFiniteError(f"fold {fold} diverged at epoch {epoch}: {exc}") from None
-        selections = record(sums / n)
 
     return TrainReport(
         fold=fold, config=config,

@@ -24,6 +24,7 @@ from .core import (
     _solve_gram,
     check_enumerable,
     check_k,
+    check_vector,
     least_squares_on_support,
     mutual_coherence,
     run_jobs,
@@ -40,15 +41,6 @@ _SCORE_BAND = 1e-9
 _CERT_RTOL = 1e3 * _PIVOT_RTOL
 
 
-def _vector(y, dim: int) -> np.ndarray:
-    v = y.vector if isinstance(y, TargetSignal) else np.asarray(y, dtype=np.float64)
-    if v.shape != (dim,):
-        raise InvalidShapeError(f"target must be a vector of length {dim}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidShapeError("target contains non-finite entries")
-    return v
-
-
 def brute_force_sss(dictionary: UnitDictionary, y, k: int) -> SparseSolution:
     """Exhaustive search over all k-subsets of atoms.
 
@@ -57,7 +49,7 @@ def brute_force_sss(dictionary: UnitDictionary, y, k: int) -> SparseSolution:
     Supports whose Gram matrix is singular are skipped. Refuses to enumerate
     more than 10^7 subsets.
     """
-    v = _vector(y, dictionary.dim)
+    v = check_vector(y, dictionary.dim)
     n = dictionary.n_atoms
     k = check_k(k, n)
     check_enumerable(n, k)
@@ -84,7 +76,7 @@ def brute_force_sss(dictionary: UnitDictionary, y, k: int) -> SparseSolution:
 
 def greedy_topk_select(dictionary: UnitDictionary, y, k: int) -> tuple[int, ...]:
     """One-shot rule: the k atoms with largest |<E_i, y>|, ties to lower index."""
-    v = _vector(y, dictionary.dim)
+    v = check_vector(y, dictionary.dim)
     k = check_k(k, dictionary.n_atoms)
     return tuple(int(i) for i in topk_indices(np.abs(dictionary.data.T @ v), k))
 
@@ -147,7 +139,7 @@ def omp_select_stacked(dictionaries, targets, k: int) -> list[tuple[int, ...]]:
         raise InvalidShapeError("stacked OMP needs one target per dictionary, all of one shape")
     n = shape[1]
     k = check_k(k, n)
-    vs = [_vector(y, shape[0]) for y in targets]
+    vs = [check_vector(y, shape[0]) for y in targets]
     live = at = np.arange(len(vs))
     corr = np.stack([d.data.T @ v for d, v in zip(dictionaries, vs)])
     norm_v = np.linalg.norm(np.stack(vs), axis=1)

@@ -18,7 +18,7 @@ import numpy as np
 from .core import normalize_columns, topk_indices
 from .diversity import Kernel, nemhauser_audit, submodularity_audit
 from .dictgen import random_orthonormal_dictionary
-from .errors import IdentityViolationError
+from .errors import IdentityViolationError, InvalidConfigError
 from .infotheory import (
     CategoricalDist,
     RoutingBatch,
@@ -211,11 +211,14 @@ ALL_CHECKS = {
 
 
 def run_verification(seed=42, checks=None):
-    """Run the selected checks (all by default), each on its own stream."""
+    """Run the selected checks (all by default), each on its own stream.
+
+    InvalidConfigError names the first check that ALL_CHECKS does not hold.
+    """
     names = list(ALL_CHECKS) if not checks else list(checks)
     unknown = [n for n in names if n not in ALL_CHECKS]
     if unknown:
-        raise KeyError(f"unknown check {unknown[0]!r}; known: {', '.join(ALL_CHECKS)}")
+        raise InvalidConfigError(f"unknown check {unknown[0]!r}; known: {', '.join(ALL_CHECKS)}")
     results = []
     for name in names:
         check, cases = ALL_CHECKS[name]

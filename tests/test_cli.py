@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,21 @@ class TestExitCodes:
                          "--output_dir", str(tmp_path / "o")])
         assert code == 3
         assert capsys.readouterr().err.startswith("abort:")
+
+    def test_diverged_fold_is_one_abort_line(self, tmp_path):
+        # the outputs grow huge but finite before anything turns non-finite: the
+        # first overflow aborts the fold, with no numpy warning on stderr
+        src = str(Path(cli.__file__).resolve().parents[1])
+        argv = ["train", "--lr", "1e6", "--epochs", "2", "--folds", "2", "--workers", "1",
+                "--output_dir", str(tmp_path / "o")]
+        code = (f"import sys; sys.path.insert(0, {src!r}); from moegeo.cli import main; "
+                f"sys.exit(main({argv!r}))")
+        proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 3
+        assert re.fullmatch(r"abort: fold 0 diverged at epoch [12]: [^\n]+\n", proc.stderr), \
+            proc.stderr
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("argv, call", [
         (["barrier"], "barrier_sweep"),

@@ -1,16 +1,25 @@
-"""Dictionary types, coherence, and least squares on supports."""
+"""Dictionary types, coherence, least squares on supports, and the shared input checks."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from moegeo import core, errors
 from moegeo.core import (
     SparseSolution,
+    TargetSignal,
     UnitDictionary,
+    _frozen_array,
+    check_indices,
+    check_vector,
     least_squares_on_support,
     mutual_coherence,
     normalize_columns,
 )
-from moegeo.errors import InvalidShapeError, SingularGramError, ZeroColumnError
+from moegeo.diversity import Kernel, marginal_gain
+from moegeo.errors import InvalidShapeError, MoegeoError, SingularGramError, ZeroColumnError
 
 
 def lstsq_oracle(dictionary, y, support):
@@ -171,6 +180,13 @@ class TestLeastSquaresOnSupport:
         with pytest.raises(InvalidShapeError):
             least_squares_on_support(d, np.ones(3), (0,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        d = UnitDictionary(np.eye(4))
+        y = np.array([1.0, bad, 0.0, 0.0])
+        with pytest.raises(InvalidShapeError, match="^target contains non-finite entries$"):
+            least_squares_on_support(d, y, (0, 2))
+
 
 class TestSparseSolution:
     def test_rejects_negative_residual(self):
@@ -180,3 +196,102 @@ class TestSparseSolution:
     def test_rejects_misaligned_coefficients(self):
         with pytest.raises(InvalidShapeError):
             SparseSolution(support=(0, 1), coefficients=np.array([1.0]), residual_sq=0.0)
+
+
+class TestCheckIndices:
+    def test_keeps_order_and_returns_ints(self):
+        idx = check_indices(np.array([5, 2, 9]), 10)
+        assert idx == (5, 2, 9)
+        assert all(type(i) is int for i in idx)
+
+    def test_rejects_a_repeat(self):
+        with pytest.raises(InvalidShapeError, match="^support has repeated indices$"):
+            check_indices([3, 1, 3])
+
+    @pytest.mark.parametrize("indices", [[0, 4], [-1, 2]])
+    def test_rejects_out_of_range_given_n(self, indices):
+        with pytest.raises(InvalidShapeError, match=r"^support indices must lie in \[0, 4\)$"):
+            check_indices(indices, 4)
+
+    def test_no_upper_bound_without_n(self):
+        assert check_indices([7, 100]) == (7, 100)
+        assert check_indices([]) == ()
+        with pytest.raises(InvalidShapeError):
+            check_indices([-1])
+
+
+class TestCheckVector:
+    def test_accepts_a_target_signal(self):
+        signal = TargetSignal(vector=np.arange(3.0), support=(2, 0),
+                              coefficients=np.array([1.0, -1.0]))
+        assert check_vector(signal, 3) is signal.vector
+
+    @pytest.mark.parametrize("y", [np.ones(4), np.ones((3, 1)), 1.0])
+    def test_rejects_a_wrong_shape(self, y):
+        with pytest.raises(InvalidShapeError, match="^target must be a vector of length 3"):
+            check_vector(y, 3)
+
+    def test_rejects_nan(self):
+        with pytest.raises(InvalidShapeError, match="^target contains non-finite entries$"):
+            check_vector([0.0, np.nan, 1.0], 3)
+
+
+class TestFrozenArray:
+    def test_named_copy_is_read_only(self):
+        src = np.arange(4.0)
+        a = _frozen_array(src, name="weights")
+        assert not a.flags.writeable and a is not src
+        src[0] = 9.0
+        assert a[0] == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_error_names_the_array(self, bad):
+        with pytest.raises(InvalidShapeError, match="^weights contains non-finite entries$"):
+            _frozen_array([1.0, bad], name="weights")
+
+    def test_unnamed_array_skips_the_finite_check(self):
+        assert np.isnan(_frozen_array([np.nan])[0])
+
+
+class TestMarginalGainChecks:
+    @pytest.mark.parametrize("subset, e", [([0, 2], 2), ([1], 5), ([1], -1), ([1, 1], 3)])
+    def test_bad_element_or_subset_rejected(self, subset, e):
+        kernel = Kernel(UnitDictionary(np.eye(5)))
+        with pytest.raises(InvalidShapeError):
+            marginal_gain(kernel, subset, e)
+
+
+def _program_trees():
+    """(file name, syntax tree) of every module in the moegeo package."""
+    for path in sorted(Path(core.__file__).resolve().parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+class TestTypedErrors:
+    """Every failure the library raises is typed, and no assert does a runtime job."""
+
+    def test_every_raise_names_a_moegeo_error(self):
+        # cli._coerce raises bare ValueErrors and turns them into InvalidConfigError itself
+        allowed = {("cli.py", "_coerce", "ValueError")}
+        untyped = []
+        for name, tree in _program_trees():
+            owner = {}
+            # ast.walk is breadth first, so the innermost function is recorded last
+            for func in ast.walk(tree):
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owner.update((id(node), func.name) for node in ast.walk(func))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Raise):
+                    continue
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised = getattr(exc, "id", getattr(exc, "attr", None))
+                typed = isinstance(getattr(errors, str(raised), None), type) and \
+                    issubclass(getattr(errors, raised), MoegeoError)
+                if not typed and (name, owner.get(id(node)), raised) not in allowed:
+                    untyped.append(f"{name}:{node.lineno} raises {raised}")
+        assert untyped == []
+
+    def test_no_assert_statements(self):
+        asserts = [f"{name}:{node.lineno}" for name, tree in _program_trees()
+                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert asserts == []

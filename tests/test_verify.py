@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moegeo import diversity, infotheory, sss, verify
-from moegeo.errors import IdentityViolationError
+from moegeo.errors import IdentityViolationError, InvalidConfigError
 from moegeo.verify import ALL_CHECKS, run_verification
 
 
@@ -27,7 +27,8 @@ def test_filtering_runs_requested_subset_in_order():
 
 
 def test_unknown_check_rejected():
-    with pytest.raises(KeyError):
+    # a config error, typed so the CLI maps it to exit 2 without translating it
+    with pytest.raises(InvalidConfigError, match="^unknown check 'no-such-check'; known: "):
         run_verification(checks=["no-such-check"])
 
 
