@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .diversity import Kernel, dpp_greedy_select, logdet_subset
-from .dictgen import COHERENCE_TOL, coherent_dictionaries, synthetic_classification
+from .dictgen import COHERENCE_TOL, blend_bases, coherent_dictionaries, synthetic_classification
 from .errors import (
     InvalidConfigError,
     InvalidKError,
@@ -321,7 +321,7 @@ def cmd_kl_project(cfg):
 )
 def cmd_dpp_select(cfg):
     (dictionary,), (measured,) = coherent_dictionaries(
-        cfg["d"], cfg["n_atoms"], cfg["coherence"], COHERENCE_TOL, [cfg["seed"]])
+        blend_bases(cfg["d"], cfg["n_atoms"], [cfg["seed"]]), cfg["coherence"], COHERENCE_TOL)
     kernel = Kernel(dictionary)
     selection, gains = dpp_greedy_select(kernel, cfg["k"])
     return {"selection.json": {

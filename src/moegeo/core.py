@@ -32,13 +32,19 @@ _MAX_ENUM = 10**7
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def _frozen_array(x, dtype=np.float64, ndim=None, name=None) -> np.ndarray:
-    """A read-only copy of x; given a name, InvalidShapeError on a non-finite entry."""
+def _checked_copy(x, dtype=np.float64, ndim=None, name=None) -> np.ndarray:
+    """A copy of x (dtype None keeps x's); given a name, InvalidShapeError on a non-finite entry."""
     a = np.array(x, dtype=dtype, copy=True)
     if ndim is not None and a.ndim != ndim:
         raise InvalidShapeError(f"expected {ndim}-d array, got shape {a.shape}")
     if name is not None and not np.all(np.isfinite(a)):
         raise InvalidShapeError(f"{name} contains non-finite entries")
+    return a
+
+
+def _frozen_array(x, dtype=np.float64, ndim=None, name=None) -> np.ndarray:
+    """The read-only _checked_copy of x."""
+    a = _checked_copy(x, dtype, ndim, name)
     a.setflags(write=False)
     return a
 

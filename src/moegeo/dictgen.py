@@ -79,9 +79,9 @@ def _blend_coherence(ext: list[float], t: float) -> float:
     squares an array with a multiply, and the two round differently:
     ``(1 - t) ** 2`` disagreed on 1,712 of 2,000,000 uniform draws of t
     (``np.random.default_rng(0)``). Squaring with a multiply moves one
-    barrier dictionary in 2,000 (seed 777, grid index 14, target
-    0.5541666667, trial 15) by 1.1e-16, so a closed form vectorized over the
-    trials keeps the bytes only if it reproduces ``pow``.
+    128 x 64 dictionary in 2,000 (seed rng.derive_state(777, "barrier", 14,
+    15, 0), target 0.5541666667) by 1.1e-16, so a closed form vectorized over
+    the trials keeps the bytes only if it reproduces ``pow``.
     """
     c = (1.0 - t) * t
     s, c2, tt = (1.0 - t) ** 2, 2.0 * c, t * t
@@ -121,23 +121,48 @@ def _bisect_blend(ext: list[float], target_mu: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def coherent_dictionaries(
-    dim: int, n_atoms: int, target_mu: float, tol: float, seeds
-) -> tuple[list[UnitDictionary], list[float]]:
-    """One dictionary per seed whose mutual coherence is target_mu within tol,
-    and each one's measured coherence.
+def blend_bases(dim: int, n_atoms: int, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only (base, u, |a|) stack that coherent_dictionaries blends, one entry per seed.
 
-    Construction: draw an orthonormal base and a random unit direction u, flip
-    base column signs so every column has nonnegative inner product with u,
-    then blend, e_i = normalize((1-t) q_i + t u). Coherence is 0 at t=0,
+    Each seed draws from its own stream, its Gaussian block and then a random
+    unit direction u. The (T, dim, n_atoms) stack of blocks is factored in one
+    QR call into orthonormal bases, each with the bytes of its draw alone, and
+    every base column's sign is flipped so that its inner product with u is
+    nonnegative: a = base^T u before the flips, |a| after them. Requires
+    2 <= n_atoms <= dim.
+    """
+    if not 2 <= n_atoms <= dim:
+        raise InvalidShapeError(f"need 2 <= n_atoms <= dim, got dim={dim}, n_atoms={n_atoms}")
+    gens = [rng.stream(seed, "coherent") for seed in seeds]
+    base = _haar_columns(gens, dim, n_atoms)
+    u = np.stack([gen.standard_normal(dim) for gen in gens])
+    for row in u:
+        row /= np.linalg.norm(row)
+    a = (base.transpose(0, 2, 1) @ u[..., None])[..., 0]
+    base *= np.where(a < 0, -1.0, 1.0)[:, None, :]
+    bases = base, u, np.abs(a)
+    for x in bases:
+        x.setflags(write=False)
+    return bases
+
+
+def coherent_dictionaries(
+    bases, target_mu: float, tol: float
+) -> tuple[list[UnitDictionary], list[float]]:
+    """One dictionary per base of bases = blend_bases(...) whose mutual
+    coherence is target_mu within tol, and each one's measured coherence.
+
+    Construction: blend each sign-aligned orthonormal base toward its unit
+    direction u, e_i = normalize((1-t) q_i + t u). Coherence is 0 at t=0,
     approaches 1 as t -> 1, and the sign alignment makes it monotone in t, so
     the target is found by bisection. Raises UnreachableError when the target
-    cannot be bracketed or hit within tol.
+    cannot be bracketed or hit within tol. The bases are only read, so one
+    stack serves every target; at target 0 each dictionary is a copy of its
+    base.
 
-    Each seed draws from its own stream, its Gaussian block and then u, and
-    the draws, sign flips, blends and column normalizations run on the
-    (T, dim, n_atoms) stack of all seeds, each matrix with the bytes of its
-    draw alone. The bisection runs seed by seed (see _blend_coherence).
+    The blends and column normalizations run on the (T, dim, n_atoms) stack,
+    each matrix with the bytes of its base alone. The bisection runs base by
+    base (see _blend_coherence).
 
     The ceiling check and each bisection step read the coherence from the
     closed form of _blend_coherence, not a built d x N dictionary. For
@@ -155,21 +180,11 @@ def coherent_dictionaries(
         raise InvalidConfigError(f"target_mu must be in [0, 1), got {target_mu}")
     if not tol > 0.0:
         raise InvalidConfigError(f"tol must be positive, got {tol}")
-    if not 2 <= n_atoms <= dim:
-        raise InvalidShapeError(f"need 2 <= n_atoms <= dim, got dim={dim}, n_atoms={n_atoms}")
-
-    gens = [rng.stream(seed, "coherent") for seed in seeds]
-    base = _haar_columns(gens, dim, n_atoms)
-    u = np.stack([gen.standard_normal(dim) for gen in gens])
-    for row in u:
-        row /= np.linalg.norm(row)
-    a = (base.transpose(0, 2, 1) @ u[..., None])[..., 0]
-    base *= np.where(a < 0, -1.0, 1.0)[:, None, :]
+    base, u, a = bases
     if target_mu == 0.0:
         data = base
     else:
-        # after the flips, base^T u is |a|
-        t = [_bisect_blend(_extreme_entries(row), target_mu) for row in np.abs(a)]
+        t = [_bisect_blend(_extreme_entries(row), target_mu) for row in a]
         data = _blend(base, u, np.array(t)[:, None, None])
     dictionaries = [UnitDictionary(m) for m in data]
     measured = [mutual_coherence(d) for d in dictionaries]
@@ -185,8 +200,8 @@ def coherent_dictionary(
     dim: int, n_atoms: int, target_mu: float, tol: float, seed: int
 ) -> UnitDictionary:
     """Dictionary whose mutual coherence is target_mu within tol: the one-seed
-    coherent_dictionaries."""
-    return coherent_dictionaries(dim, n_atoms, target_mu, tol, [seed])[0][0]
+    coherent_dictionaries of blend_bases."""
+    return coherent_dictionaries(blend_bases(dim, n_atoms, [seed]), target_mu, tol)[0][0]
 
 
 def planted_signal(dictionary: UnitDictionary, k: int, seed: int) -> TargetSignal:

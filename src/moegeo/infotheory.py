@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_k, topk_indices
+from .core import _frozen_array, check_k, topk_indices
 from .errors import IdentityViolationError, InvalidKError, InvalidShapeError, ZeroProbabilityError
 
 
@@ -31,7 +31,7 @@ class CategoricalDist:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.probs, dtype=np.float64, copy=True)
+        p = _frozen_array(self.probs)
         if p.ndim != 1 or p.shape[0] < 2:
             raise InvalidShapeError(f"need a vector of >= 2 probabilities, got shape {p.shape}")
         if not np.all(np.isfinite(p)) or np.any(p < 0.0):
@@ -39,7 +39,6 @@ class CategoricalDist:
         if abs(float(p.sum()) - 1.0) > 1e-9:
             raise InvalidShapeError(
                 f"probabilities sum to {float(p.sum())}, expected 1 within 1e-9")
-        p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
     @property
@@ -69,8 +68,8 @@ class RoutingBatch:
     marginal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        p = np.array(self.dense_probs, dtype=np.float64, copy=True)
-        s = np.array(self.selections, dtype=np.int64, copy=True)
+        p = _frozen_array(self.dense_probs)
+        s = _frozen_array(self.selections, dtype=np.int64)
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 2:
             raise InvalidShapeError(f"dense_probs must be T x E with E >= 2, got {p.shape}")
         if s.ndim != 2 or s.shape[0] != p.shape[0]:
@@ -90,11 +89,12 @@ class RoutingBatch:
         if np.any(mass <= 0.0):
             raise ZeroProbabilityError("a token's selected mass is zero; cannot renormalize")
         load = np.bincount(s.ravel(), minlength=p.shape[1])
-        derived = dict(dense_probs=p, selections=s, gates=picked / mass, kept_mass=mass,
-                       load=load, frequencies=load / p.shape[0], marginal=p.mean(axis=0))
+        derived = dict(gates=picked / mass, kept_mass=mass, load=load,
+                       frequencies=load / p.shape[0], marginal=p.mean(axis=0))
+        object.__setattr__(self, "dense_probs", p)
+        object.__setattr__(self, "selections", s)
         for name, arr in derived.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(arr, dtype=None))
 
     @property
     def n_tokens(self) -> int:

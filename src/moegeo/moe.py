@@ -20,8 +20,8 @@ from functools import partial
 import numpy as np
 
 from .core import (
-    UnitDictionary, _frozen_array, mutual_coherence, psd_cholesky, run_jobs, softmax_rows,
-    topk_indices,
+    UnitDictionary, _checked_copy, _frozen_array, mutual_coherence, psd_cholesky, run_jobs,
+    softmax_rows, topk_indices,
 )
 from .errors import (
     DegenerateProbeError,
@@ -129,9 +129,10 @@ class MoEParams:
     def __post_init__(self):
         self.moments = {}
         for name in ("w_g", "w_in", "w_out"):
-            w = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(w)):
-                raise NonFiniteError(f"{name} contains non-finite entries")
+            try:
+                w = _checked_copy(getattr(self, name), name=name)
+            except InvalidShapeError as exc:  # a non-finite weight is a divergence
+                raise NonFiniteError(str(exc)) from None
             setattr(self, name, w)
             self.moments[name] = (np.zeros(w.shape), np.zeros(w.shape))
         if self.w_in.shape[0] != self.w_g.shape[0] or self.w_out.shape[0] != self.w_g.shape[0]:

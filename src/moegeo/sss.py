@@ -30,7 +30,7 @@ from .core import (
     run_jobs,
     topk_indices,
 )
-from .dictgen import COHERENCE_TOL, coherent_dictionaries, planted_signal
+from .dictgen import COHERENCE_TOL, blend_bases, coherent_dictionaries, planted_signal
 from .errors import InvalidConfigError, InvalidShapeError, SingularGramError
 
 # OMP picks whose runner-up lies within this many |y| / lambda_min of the best
@@ -253,26 +253,26 @@ class BarrierCurve:
             object.__setattr__(self, name, value)
 
 
-# A grid point's trials are drawn, built and run through OMP in chunks whose
-# stack of d x N float64 dictionaries holds at most this many bytes (and at
-# least one trial), so a chunk's memory stays bounded at any trial count.
+# A barrier job holds the bases of a chunk of trials, and at each grid point
+# their dictionaries, as stacks of d x N float64 matrices of at most this many
+# bytes each (and at least one trial), so a job's memory stays bounded at any
+# trial count.
 _STACK_BYTES = 1 << 20
 
 
-def _run_grid_point(args):
-    """Every trial of one grid point, drawn, built and run a chunk at a time:
-    mu_measured (T,) and the planted, greedy and OMP supports (T, k)."""
-    d, n, k, mu, trials, seed, grid_index = args
-    chunk = max(1, _STACK_BYTES // (8 * d * n))
-    chunks = []
-    for start in range(0, trials, chunk):
-        ts = range(start, min(start + chunk, trials))
-        dictionaries, measured = coherent_dictionaries(
-            d, n, mu, COHERENCE_TOL, [rng.derive_state(seed, "barrier", grid_index, t, 0) for t in ts])
-        signals = [planted_signal(e, k, rng.derive_state(seed, "barrier", grid_index, t, 1))
+def _run_trials(args):
+    """Trials ts across the whole grid, each trial's base drawn once and blended
+    to every target: mu_measured (P, T) and the planted, greedy and OMP supports
+    (P, T, k) for T = len(ts)."""
+    d, n, k, grid, ts, seed = args
+    bases = blend_bases(d, n, [rng.derive_state(seed, "barrier", t, 0) for t in ts])
+    points = []
+    for gi, mu in enumerate(grid):
+        dictionaries, measured = coherent_dictionaries(bases, mu, COHERENCE_TOL)
+        signals = [planted_signal(e, k, rng.derive_state(seed, "barrier", gi, t, 1))
                    for t, e in zip(ts, dictionaries)]
-        chunks.append((measured, *recovery_trials(dictionaries, signals, k)))
-    return tuple(np.concatenate(column) for column in zip(*chunks))
+        points.append((measured, *recovery_trials(dictionaries, signals, k)))
+    return tuple(np.stack(column) for column in zip(*points))
 
 
 def barrier_sweep(
@@ -286,9 +286,13 @@ def barrier_sweep(
 ) -> BarrierCurve:
     """Exact recovery by both selectors, trial by trial, across a coherence grid.
 
-    Each (grid point, trial) pair draws its dictionary and planted signal from
-    its own derived seed stream, so the curve is independent of scheduling and
-    of ``workers``.
+    Trial t draws one base from its own derived stream, (seed, "barrier", t, 0),
+    and blends it to every target of the grid, so a trial's dictionaries are
+    paired across grid points (common random numbers) and each grid point's
+    rate still averages ``trials`` independent trials. The signal planted at
+    grid point gi has its own stream, (seed, "barrier", gi, t, 1). A job runs a
+    chunk of trials over the whole grid; the chunks are cut here from the
+    shape alone, so the curve is independent of scheduling and of ``workers``.
     """
     grid = [float(m) for m in mu_grid]
     if len(grid) < 1:
@@ -304,6 +308,8 @@ def barrier_sweep(
     check_k(k, n_atoms)
     seed = rng.check_seed(seed)
 
-    jobs = [(d, n_atoms, k, mu, trials, seed, gi) for gi, mu in enumerate(grid)]
-    points = run_jobs(_run_grid_point, jobs, workers)
-    return BarrierCurve(tuple(grid), k, *(np.stack(column) for column in zip(*points)))
+    chunk = max(1, _STACK_BYTES // (8 * d * n_atoms))
+    jobs = [(d, n_atoms, k, grid, range(start, min(start + chunk, trials)), seed)
+            for start in range(0, trials, chunk)]
+    parts = run_jobs(_run_trials, jobs, workers)
+    return BarrierCurve(tuple(grid), k, *(np.concatenate(column, axis=1) for column in zip(*parts)))

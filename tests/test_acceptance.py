@@ -219,8 +219,11 @@ def test_04_coherence_barrier(barrier_run):
 
     # (c) the smoothed curve never rises beyond Monte-Carlo noise. A 5-point
     # moving average of 200-trial rates has step deviation at most
-    # sqrt(2 * 0.25 / (25 * 200)) = 0.01, so 0.03 is a 3-sigma allowance;
-    # a genuine re-entrant recovery regime would blow far past it.
+    # sqrt(2 * 0.25 / (25 * 200)) = 0.01 for independent grid points, so 0.03
+    # is a 3-sigma allowance. Each trial blends one base to every target, so
+    # the trials are paired across grid points; paired rates covary
+    # positively, the step deviation only shrinks, and the allowance is
+    # conservative. A genuine re-entrant recovery regime would blow far past it.
     ma = np.convolve(curve.success_rate_greedy, np.ones(5) / 5.0, mode="valid")
     max_step = float(np.diff(ma).max())
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moegeo import cli, diversity, verify
+from moegeo import cli, diversity, sss, verify
 from moegeo.cli import build_parser, main
 from moegeo.errors import NonFiniteError
 
@@ -334,7 +334,9 @@ class TestArtifacts:
         assert summary["theoretical_bound"] == pytest.approx(1 / 11, abs=1e-12)
         assert len(summary["mu_grid"]) == 2
 
-    def test_barrier_workers_do_not_change_bytes(self, tmp_path):
+    def test_barrier_workers_do_not_change_bytes(self, tmp_path, monkeypatch):
+        # one trial a job, so the two trials make two jobs and workers=3 runs them on the pool
+        monkeypatch.setattr(sss, "_STACK_BYTES", 8 * 20 * 10)
         base = ["barrier", "--d", "20", "--n_atoms", "10", "--trials", "2",
                 "--mu_grid", "0,0.2,0.4"]
         out1, out2 = tmp_path / "w1", tmp_path / "w2"

@@ -12,6 +12,7 @@ from moegeo.dictgen import (
     _blend_coherence,
     _extreme_entries,
     _haar_columns,
+    blend_bases,
     coherent_dictionaries,
     coherent_dictionary,
     planted_signal,
@@ -40,7 +41,7 @@ def sign_aligned_base(dim, n_atoms, seed):
 
 
 def barrier_seeds(trials):
-    """(target, dictionary seed) of the first trials of every barrier grid point at seed 42."""
+    """(target, dictionary seed) pairs: every barrier target with trials seeds of its own."""
     return [(mu, rng.derive_state(42, "barrier", gi, t, 0))
             for gi, mu in enumerate(BARRIER_GRID) for t in range(trials)]
 
@@ -56,7 +57,11 @@ def all_pairs_blend_coherence(a, t):
 
 def all_pairs_coherent_dictionary(dim, n_atoms, target_mu, seed):
     """coherent_dictionary's bisection with each step read over every pair of columns."""
-    base, u = sign_aligned_base(dim, n_atoms, seed)
+    return all_pairs_blend(*sign_aligned_base(dim, n_atoms, seed), target_mu)
+
+
+def all_pairs_blend(base, u, target_mu):
+    """The all-pairs bisection on a given sign-aligned base and direction."""
     if target_mu == 0.0:
         return UnitDictionary(base)
     a = base.T @ u
@@ -215,32 +220,65 @@ class TestStackedDraws:
 
     @pytest.mark.parametrize("chunk", [8, 3])
     def test_barrier_grid_bytes(self, monkeypatch, chunk):
-        # chunk 3 splits each grid point's 8 trials into stacks of 3, 3 and 2
+        # chunk 3 splits the 8 trials into jobs of 3, 3 and 2, each blended to all 25 targets
         monkeypatch.setattr(sss, "_STACK_BYTES", chunk * 8 * 128 * 64)
-        stacks = []
+        drawn, stacks = {}, []
 
-        def recording(*args):
-            built = coherent_dictionaries(*args)
-            stacks.append((args, built))
+        def drawing(dim, n_atoms, seeds):
+            bases = blend_bases(dim, n_atoms, seeds)
+            drawn[id(bases)] = (dim, n_atoms, seeds)
+            return bases
+
+        def recording(bases, target, tol):
+            built = coherent_dictionaries(bases, target, tol)
+            stacks.append((drawn[id(bases)], target, built))
             return built
 
+        monkeypatch.setattr(sss, "blend_bases", drawing)
         monkeypatch.setattr(sss, "coherent_dictionaries", recording)
         sss.barrier_sweep(128, 64, 6, BARRIER_GRID, trials=8, seed=42)
-        sizes = [len(args[4]) for args, _ in stacks]
-        assert sizes == [8] * 25 if chunk == 8 else sizes == [3, 3, 2] * 25
-        assert [seed for args, _ in stacks for seed in args[4]] == [s for _, s in barrier_seeds(8)]
-        for (dim, n_atoms, target, _, seeds), (dictionaries, measured) in stacks:
+        jobs = [list(range(8))] if chunk == 8 else [[0, 1, 2], [3, 4, 5], [6, 7]]
+        assert [(seeds, target) for (_, _, seeds), target, _ in stacks] == [
+            ([rng.derive_state(42, "barrier", t, 0) for t in ts], target)
+            for ts in jobs for target in BARRIER_GRID]
+        for (dim, n_atoms, seeds), target, (dictionaries, measured) in stacks:
             for seed, d, mu in zip(seeds, dictionaries, measured):
                 ref = all_pairs_coherent_dictionary(dim, n_atoms, target, seed)
                 assert d.data.tobytes() == ref.data.tobytes()
                 assert mu == mutual_coherence(ref)
+
+    def test_sweep_draws_each_base_once(self, monkeypatch):
+        # one draw per job, whose bases every target reads and none writes
+        monkeypatch.setattr(sss, "_STACK_BYTES", 3 * 8 * 128 * 64)
+        draws, stacks = [], []
+
+        def counting(gens, dim, n):
+            draws.append(len(gens))
+            return _haar_columns(gens, dim, n)
+
+        def recording(bases, target, tol):
+            built = coherent_dictionaries(bases, target, tol)
+            stacks.append((target, built[0]))
+            return built
+
+        monkeypatch.setattr(dictgen, "_haar_columns", counting)
+        monkeypatch.setattr(sss, "coherent_dictionaries", recording)
+        sss.barrier_sweep(128, 64, 6, BARRIER_GRID, trials=8, seed=42)
+        assert draws == [3, 3, 2]
+        trials = [t for ts in ([0, 1, 2], [3, 4, 5], [6, 7]) for _ in BARRIER_GRID for t in ts]
+        built = [(target, d) for target, dictionaries in stacks for d in dictionaries]
+        assert len(built) == len(trials) == 8 * len(BARRIER_GRID)
+        for t, (target, d) in zip(trials, built):
+            (base,), (u,), _ = blend_bases(128, 64, [rng.derive_state(42, "barrier", t, 0)])
+            ref = UnitDictionary(base) if target == 0.0 else all_pairs_blend(base, u, target)
+            assert d.data.tobytes() == ref.data.tobytes()
 
     @pytest.mark.parametrize("n_atoms", [2, 3, 4, 5])
     def test_few_atoms_bytes(self, n_atoms):
         # _extreme_entries returns every entry of a up to N = 4
         for gi, target in enumerate(BARRIER_GRID):
             seeds = [rng.derive_state(42, "barrier", gi, t, 0) for t in range(8)]
-            dictionaries, _ = coherent_dictionaries(16, n_atoms, target, 0.005, seeds)
+            dictionaries, _ = coherent_dictionaries(blend_bases(16, n_atoms, seeds), target, 0.005)
             for seed, d in zip(seeds, dictionaries):
                 ref = all_pairs_coherent_dictionary(16, n_atoms, target, seed)
                 assert d.data.tobytes() == ref.data.tobytes()
@@ -248,9 +286,18 @@ class TestStackedDraws:
     def test_bisection_squares_with_pow(self):
         # (1 - t) ** 2 squared with a multiply, as numpy squares arrays, moves this one by 1.1e-16
         seed = rng.derive_state(777, "barrier", 14, 15, 0)
-        [d], _ = coherent_dictionaries(128, 64, BARRIER_GRID[14], 0.005, [seed])
+        [d], _ = coherent_dictionaries(blend_bases(128, 64, [seed]), BARRIER_GRID[14], 0.005)
         ref = all_pairs_coherent_dictionary(128, 64, BARRIER_GRID[14], seed)
         assert d.data.tobytes() == ref.data.tobytes()
+
+    def test_bases_are_read_only(self):
+        # every target blends the same bases, so no call may write into them
+        base, u, a = blend_bases(16, 8, [1, 2])
+        for x in (base, u, a):
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+        assert (a >= 0.0).all()
+        np.testing.assert_array_equal(a, (base.transpose(0, 2, 1) @ u[..., None])[..., 0])
 
 
 class TestPlantedSignal:

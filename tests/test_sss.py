@@ -8,6 +8,7 @@ import pytest
 from moegeo import rng, sss
 from moegeo.core import (
     UnitDictionary, _solve_gram, least_squares_on_support, mutual_coherence, normalize_columns,
+    run_jobs,
 )
 from moegeo.dictgen import coherent_dictionary, planted_signal, random_orthonormal_dictionary
 from moegeo.errors import (
@@ -32,7 +33,7 @@ BARRIER_GRID = [round(x, 10) for x in np.linspace(0.0, 0.95, 25)]
 def barrier_instances(dim, n_atoms, k, gi, trials):
     """The dictionaries and planted signals of one barrier grid point at seed 42, seed by seed."""
     dictionaries = [coherent_dictionary(dim, n_atoms, BARRIER_GRID[gi], 0.005,
-                                        rng.derive_state(42, "barrier", gi, t, 0))
+                                        rng.derive_state(42, "barrier", t, 0))
                     for t in range(trials)]
     signals = [planted_signal(d, k, rng.derive_state(42, "barrier", gi, t, 1))
                for t, d in enumerate(dictionaries)]
@@ -400,9 +401,16 @@ class TestBarrierSweep:
                     whole.mu_measured[gi, t],
                     *(tuple(c[gi, t].tolist()) for c in (whole.planted, whole.greedy, whole.omp)))
 
-    def test_workers_do_not_change_results(self):
+    def test_workers_do_not_change_results(self, monkeypatch):
+        # chunks of 3 trials make 3 jobs, so workers=3 runs them on the pool;
+        # chunks are cut in this process, so the spawned workers need no patch
+        monkeypatch.setattr(sss, "_STACK_BYTES", 3 * 8 * 16 * 8)
+        jobs = []
+        monkeypatch.setattr(sss, "run_jobs",
+                            lambda fn, js, w: jobs.append(len(js)) or run_jobs(fn, js, w))
         a = barrier_sweep(16, 8, 2, [0.1, 0.4, 0.7], trials=8, seed=3, workers=1)
         b = barrier_sweep(16, 8, 2, [0.1, 0.4, 0.7], trials=8, seed=3, workers=3)
+        assert jobs == [3, 3]
         assert_same_curve(a, b)
 
     @pytest.mark.parametrize("trials", [1, 7, 8, 9, 200])
