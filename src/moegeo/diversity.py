@@ -3,19 +3,17 @@
 The kernel is the Gram matrix of unit-norm feature columns, Tikhonov-shifted
 by epsilon so determinants of rank-deficient subsets stay finite. Greedy
 selection maximizes log det; its marginal gains are Schur complements, which
-is also what makes the objective submodular. The audits check submodularity
-and the greedy (1 - 1/e) approximation bound empirically.
+is also what makes the shifted objective monotone submodular, so greedy keeps
+1 - 1/e of its optimum. `verify` audits both properties on random kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from . import rng
-from .core import UnitDictionary, check_enumerable, check_indices, check_k, psd_cholesky
+from .core import UnitDictionary, check_indices, check_k, psd_cholesky
 from .errors import InvalidShapeError, NotPSDError
 
 # Greedy candidates whose incremental gain lies within this many nats of the
@@ -136,60 +134,6 @@ def dpp_greedy_select(kernel: Kernel, k: int) -> tuple[tuple[int, ...], list[flo
     return tuple(selected), paid
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    """Outcome of a sampled submodularity / monotonicity audit."""
-
-    samples: int
-    violations: int
-    worst_margin: float
-
-
-def submodularity_audit(kernel: Kernel, samples: int, seed: int) -> AuditReport:
-    """Check diminishing returns and shifted-objective monotonicity by sampling.
-
-    Draws random chains A subset-of B and e outside B, then requires
-    gain(A,e) >= gain(B,e) - 1e-8 and gain(B,e) - log(eps) >= -1e-8 (the
-    latter is monotonicity of the shifted objective, whose per-element gain is
-    the raw gain minus log eps). Returns the violation count and the worst
-    signed margin seen (negative = violation).
-    """
-    if samples < 1:
-        raise InvalidShapeError("samples must be >= 1")
-    gen = rng.stream(seed, "submodularity")
-    n = kernel.size
-    log_eps = float(np.log(kernel.epsilon))
-    violations = 0
-    worst = np.inf
-    for _ in range(samples):
-        perm = gen.permutation(n)
-        a_size = int(gen.integers(0, n - 1))
-        b_size = int(gen.integers(a_size, n))
-        a = sorted(int(i) for i in perm[:a_size])
-        b = sorted(int(i) for i in perm[:b_size])
-        e = int(perm[b_size])
-        gain_a = marginal_gain(kernel, a, e)
-        gain_b = marginal_gain(kernel, b, e)
-        diminishing = gain_a - gain_b
-        monotone = gain_b - log_eps
-        worst = min(worst, diminishing, monotone)
-        if diminishing < -1e-8 or monotone < -1e-8:
-            violations += 1
-    return AuditReport(samples=samples, violations=violations, worst_margin=float(worst))
-
-
-@dataclass(frozen=True)
-class NemhauserReport:
-    """Greedy-vs-exhaustive comparison of the shifted volume objective."""
-
-    k: int
-    greedy_support: tuple[int, ...]
-    best_support: tuple[int, ...]
-    shifted_greedy: float
-    shifted_best: float
-    shifted_ratio: float
-
-
 def shifted_objective(kernel: Kernel, subset) -> float:
     """logdet(L_S + eps I) - |S| log eps: nonnegative, monotone, submodular."""
     idx = check_indices(subset, kernel.size)
@@ -197,29 +141,3 @@ def shifted_objective(kernel: Kernel, subset) -> float:
         return 0.0
     return logdet_subset(kernel, idx) - len(idx) * float(np.log(kernel.epsilon))
 
-
-def nemhauser_audit(kernel: Kernel, k: int) -> NemhauserReport:
-    """Exhaustively compare the greedy subset with the true optimum.
-
-    The asserted guarantee lives on the shifted objective.
-    """
-    check_k(k, kernel.size)
-    check_enumerable(kernel.size, k)
-    greedy, _ = dpp_greedy_select(kernel, k)
-    best_val = -np.inf
-    best_sup: tuple[int, ...] = ()
-    for sup in combinations(range(kernel.size), k):
-        val = shifted_objective(kernel, sup)
-        if val > best_val:
-            best_val = val
-            best_sup = sup
-    greedy_val = shifted_objective(kernel, greedy)
-    ratio = greedy_val / best_val if best_val > 0 else 1.0
-    return NemhauserReport(
-        k=k,
-        greedy_support=tuple(sorted(greedy)),
-        best_support=best_sup,
-        shifted_greedy=greedy_val,
-        shifted_best=best_val,
-        shifted_ratio=float(ratio),
-    )

@@ -1,10 +1,11 @@
 """Distributions over experts and the identities the routing losses obey.
 
 Sparse KL projection (truncate-and-renormalize is the information projection
-onto k-sparse distributions), collision entropy and its link to the
-load-balancing loss, the log-k ceiling on routing conditional entropy, and the
-empirical mutual information of a routing batch. Natural log everywhere;
-0 log 0 is 0.
+onto k-sparse distributions), collision mass and collision entropy (in the
+balanced regime the load-balancing loss is E times the collision mass of the
+batch marginal; `verify` checks that identity), the log-k ceiling on routing
+conditional entropy, and the empirical mutual information of a routing batch.
+Natural log everywhere; 0 log 0 is 0.
 """
 
 from __future__ import annotations
@@ -149,18 +150,6 @@ def aux_loss(batch: RoutingBatch) -> float:
     the mean dense probability. The trainer applies its own weight.
     """
     return float(batch.n_experts * np.sum(batch.frequencies * batch.marginal))
-
-
-def collision_identity_check(batch: RoutingBatch) -> tuple[float, float, float]:
-    """E sum P_i^2 versus E exp(-H2(P)); they agree identically.
-
-    This is the balanced regime of the load-balancing loss (f replaced by P),
-    rewritten through the collision entropy of the batch marginal.
-    """
-    p_bar = mean_routing_probs(batch)
-    lhs = batch.n_experts * collision_mass(p_bar)
-    rhs = float(batch.n_experts * np.exp(-renyi2_entropy(p_bar)))
-    return lhs, rhs, abs(lhs - rhs)
 
 
 def topk_conditional_entropy(batch: RoutingBatch) -> float:

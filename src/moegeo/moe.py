@@ -44,6 +44,8 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _NORM_FLOOR = 1e-8
 _PROBE_SIZE = 256
+# rows per forward pass when evaluating a split
+_EVAL_CHUNK = 512
 _REG_KINDS = ("none", "ortho", "ncl", "dpp")
 # AdamW moment decays, denominator guard and decoupled weight decay.
 ADAM_BETA1 = 0.9
@@ -514,21 +516,19 @@ def _eval_metrics(params, config, test_x, test_y):
     """Accuracy, routing statistics and the stacked selections of the test split."""
     correct = 0
     probs_chunks, sel_chunks = [], []
-    audit_done = False
-    for start in range(0, len(test_y), 512):
-        trace = forward(params, config, test_x[start:start + 512])
+    for start in range(0, len(test_y), _EVAL_CHUNK):
+        trace = forward(params, config, test_x[start:start + _EVAL_CHUNK])
         pred = np.argmax(trace.logits, axis=1)
-        correct += int(np.sum(pred == test_y[start:start + 512]))
+        correct += int(np.sum(pred == test_y[start:start + _EVAL_CHUNK]))
         probs_chunks.append(trace.routing.dense_probs)
         sel_chunks.append(trace.routing.selections)
-        if not audit_done:
+        if start == 0:
             for row in range(min(8, trace.batch_size)):
                 target = np.zeros(config.classes)
-                target[test_y[start + row]] = 1.0
+                target[test_y[row]] = 1.0
                 _, mean_ind, _, gap = ambiguity_decomposition(trace.expert_outputs[row], target)
                 if not gap <= 1e-10 * max(1.0, mean_ind):  # rounding grows with ||y||^2
                     raise IdentityViolationError(f"ambiguity identity violated by {gap:.3e}")
-            audit_done = True
     batch = RoutingBatch(dense_probs=np.vstack(probs_chunks),
                          selections=np.vstack(sel_chunks))
     p_bar = mean_routing_probs(batch)
@@ -548,9 +548,9 @@ def _eval_metrics(params, config, test_x, test_y):
 def _eval_loss(params, config, x, y):
     """Sample-weighted mean loss components without parameter updates."""
     sums = np.zeros(3)
-    for start in range(0, len(y), 512):
-        trace = forward(params, config, x[start:start + 512])
-        _, comps = total_loss(trace, y[start:start + 512], config)
+    for start in range(0, len(y), _EVAL_CHUNK):
+        trace = forward(params, config, x[start:start + _EVAL_CHUNK])
+        _, comps = total_loss(trace, y[start:start + _EVAL_CHUNK], config)
         sums += trace.batch_size * np.array([comps.task, comps.aux, comps.reg])
     return sums / len(y)
 

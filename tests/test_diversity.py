@@ -1,5 +1,6 @@
-"""Volume (log-det) selection: Schur gains, greedy, and audits."""
+"""Volume (log-det) selection: Schur gains, greedy, and the audits of its guarantees."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,9 +14,7 @@ from moegeo.diversity import (
     dpp_greedy_select,
     logdet_subset,
     marginal_gain,
-    nemhauser_audit,
     shifted_objective,
-    submodularity_audit,
 )
 from moegeo.errors import InvalidShapeError
 
@@ -346,25 +345,34 @@ class TestReportedGains:
 class TestSubmodularityAudit:
     def test_random_kernels_clean(self):
         for seed in range(5):
-            k = random_kernel(9, 14, seed)
-            report = submodularity_audit(k, samples=200, seed=seed)
-            assert report.violations == 0
-            assert report.worst_margin >= -1e-8
+            result = verify.check_submodularity(np.random.default_rng(seed), 200)
+            assert result.passed and result.detail.startswith("0 violations in 200 chains")
+            assert result.margin >= -1e-8
 
-    def test_identity_kernel_clean(self):
-        report = submodularity_audit(Kernel(UnitDictionary(np.eye(8))), samples=200, seed=0)
-        assert report.violations == 0
+    def test_identity_kernel_clean(self, monkeypatch):
+        # orthogonal features: every gain is log(1 + eps), so returns never diminish
+        def identity_kernels(gen, count):
+            for _ in range(count):
+                yield Kernel(UnitDictionary(np.eye(8))), int(gen.integers(0, 2**63))
+
+        monkeypatch.setattr(verify, "_volume_kernels", identity_kernels)
+        result = verify.check_submodularity(np.random.default_rng(0), 200)
+        assert result.passed and result.detail.startswith("0 violations in 200 chains")
+        assert result.margin == 0.0
 
 
 class TestNemhauser:
     def test_bound_on_random_instances(self):
         floor = 1 - 1 / np.e
         for seed in range(15):
-            k = random_kernel(int(np.random.default_rng(seed).integers(6, 12)), 16, seed)
+            n = int(np.random.default_rng(seed).integers(6, 12))
+            k = random_kernel(n, 16, seed)
             for size in (1, 2, 3, 4):
-                report = nemhauser_audit(k, size)
-                assert report.shifted_ratio >= floor - 1e-9
-                assert report.shifted_best >= report.shifted_greedy - 1e-9
+                greedy = shifted_objective(k, dpp_greedy_select(k, size)[0])
+                best = max(shifted_objective(k, sup)
+                           for sup in itertools.combinations(range(n), size))
+                assert best >= greedy - 1e-9
+                assert greedy / best >= floor - 1e-9
 
     def test_shifted_objective_nonnegative_and_zero_at_empty(self):
         k = random_kernel(7, 9, 8)

@@ -10,7 +10,7 @@ from moegeo.infotheory import (
     CategoricalDist,
     RoutingBatch,
     aux_loss,
-    collision_identity_check,
+    collision_mass,
     empirical_mi,
     entropy,
     kl_sparse_project,
@@ -160,13 +160,21 @@ class TestAuxLoss:
         assert batch.frequencies.sum() == pytest.approx(3.0, abs=1e-12)
 
 
+def collision_identity(batch):
+    """E sum P_i^2 and E exp(-H2(P)) of the batch marginal P, and their gap."""
+    p_bar = mean_routing_probs(batch)
+    lhs = batch.n_experts * collision_mass(p_bar)
+    rhs = float(batch.n_experts * np.exp(-renyi2_entropy(p_bar)))
+    return lhs, rhs, abs(lhs - rhs)
+
+
 class TestCollisionIdentity:
     def test_uniform_marginal(self):
         e = 4
         probs = np.full((8, e), 1.0 / e)
         batch = RoutingBatch(dense_probs=probs,
                              selections=(np.arange(8) % e).reshape(-1, 1))
-        lhs, rhs, gap = collision_identity_check(batch)
+        lhs, rhs, gap = collision_identity(batch)
         assert lhs == pytest.approx(1.0, abs=1e-12)
         assert gap <= 1e-9
 
@@ -176,7 +184,7 @@ class TestCollisionIdentity:
         probs[:, 2] = 1.0
         batch = RoutingBatch(dense_probs=probs,
                              selections=np.full((4, 1), 2, dtype=int))
-        lhs, rhs, gap = collision_identity_check(batch)
+        lhs, rhs, gap = collision_identity(batch)
         assert lhs == pytest.approx(float(e), abs=1e-12)
         assert gap <= 1e-9
 
@@ -184,7 +192,7 @@ class TestCollisionIdentity:
         rng = np.random.default_rng(5)
         for _ in range(200):
             batch = random_batch(rng, int(rng.integers(2, 20)), int(rng.integers(2, 10)), 1)
-            _, _, gap = collision_identity_check(batch)
+            _, _, gap = collision_identity(batch)
             assert gap <= 1e-9
 
     def test_collision_floor(self):
