@@ -320,8 +320,8 @@ def cmd_kl_project(cfg):
     seed=Field(42, "int", "master seed"),
 )
 def cmd_dpp_select(cfg):
-    (dictionary,), (measured,) = coherent_dictionaries(
-        blend_bases(cfg["d"], cfg["n_atoms"], [cfg["seed"]]), cfg["coherence"], COHERENCE_TOL)
+    (dictionary,), (measured,) = next(coherent_dictionaries(
+        blend_bases(cfg["d"], cfg["n_atoms"], [cfg["seed"]]), [cfg["coherence"]], COHERENCE_TOL))
     kernel = Kernel(dictionary)
     selection, gains = dpp_greedy_select(kernel, cfg["k"])
     return {"selection.json": {

@@ -18,6 +18,16 @@ from .errors import InvalidConfigError, InvalidShapeError, UnreachableError
 
 # Bisection on the blend parameter stops after this many halvings.
 _MAX_BISECT = 60
+# The blend parameter's upper end: the coherence there is the construction's ceiling.
+_T_MAX = 1.0 - 1e-9
+# coherent_dictionaries bisects all its lanes (nonzero targets x bases) in one
+# numpy pass from this many on. On a 2-core Xeon a numpy step costs about
+# 15 us however many lanes it carries and a scalar step about 0.85 us a lane,
+# so the routes break even near 20 lanes; fewer lanes, dpp-select's single
+# one among them, stay on the scalar loop.
+_VECTOR_LANES = 20
+# The (i, j) pairs, i < j, of each width of _extreme_entries, for _lane_coherence.
+_PAIRS = {w: np.triu_indices(w, 1) for w in (2, 3, 4)}
 # Coherence tolerance of the dictionaries that barrier and dpp-select build.
 COHERENCE_TOL = 0.005
 
@@ -57,10 +67,11 @@ def _blend(base: np.ndarray, u: np.ndarray, t) -> np.ndarray:
     return m
 
 
-def _extreme_entries(a: np.ndarray) -> list[float]:
-    """Two smallest and two largest entries of a = base^T u, ascending; all of a when N <= 4."""
-    ranked = sorted(a.tolist())
-    return ranked if len(ranked) <= 4 else ranked[:2] + ranked[-2:]
+def _extreme_entries(a: np.ndarray) -> np.ndarray:
+    """Two smallest and two largest entries of each row of a = base^T u,
+    ascending; all of a row when N <= 4."""
+    ranked = np.sort(a, axis=-1)
+    return ranked if ranked.shape[-1] <= 4 else ranked[..., [0, 1, -2, -1]]
 
 
 def _blend_coherence(ext: list[float], t: float) -> float:
@@ -74,14 +85,14 @@ def _blend_coherence(ext: list[float], t: float) -> float:
     Four entries, the case of every N >= 4, take the six pairs in straight
     line, with the float operations and their order of the pair loop.
 
-    It stays scalar, one trial at a time, although the draws and the builds
-    are stacked. A Python ``float ** 2`` calls libm ``pow``, while numpy
-    squares an array with a multiply, and the two round differently:
-    ``(1 - t) ** 2`` disagreed on 1,712 of 2,000,000 uniform draws of t
+    _lane_coherence is the same form on many lanes at once, with the same
+    bytes. A Python ``float ** 2`` calls libm ``pow``, and so does
+    ``np.float_power`` element by element, while a multiply (``x * x``, or
+    ``np.power`` with exponent 2) rounds differently: on ``(1 - t) ** 2`` the
+    two disagreed on 1,712 of 2,000,000 uniform draws of t
     (``np.random.default_rng(0)``). Squaring with a multiply moves one
     128 x 64 dictionary in 2,000 (seed rng.derive_state(777, "barrier", 14,
-    15, 0), target 0.5541666667) by 1.1e-16, so a closed form vectorized over
-    the trials keeps the bytes only if it reproduces ``pow``.
+    15, 0), target 0.5541666667) by 1.1e-16, so both forms square with pow.
     """
     c = (1.0 - t) * t
     s, c2, tt = (1.0 - t) ** 2, 2.0 * c, t * t
@@ -99,17 +110,35 @@ def _blend_coherence(ext: list[float], t: float) -> float:
                for i, j in itertools.combinations(range(len(ext)), 2))
 
 
-def _bisect_blend(ext: list[float], target_mu: float) -> float:
-    """The blend parameter t at which _blend_coherence(ext, t) crosses target_mu.
+def _lane_coherence(ext: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """_blend_coherence of every lane: column l of ext (w, L), ascending, at t[l].
 
-    UnreachableError when the coherence at t = 1 - 1e-9, the ceiling, stays below it.
+    The same float operations in the same order, and the square by libm pow,
+    so each lane has the bytes of the scalar call. Lanes run along the last
+    axis, where numpy's elementwise and max-over-pairs loops are fastest.
     """
-    lo, hi = 0.0, 1.0 - 1e-9
-    mu_hi = _blend_coherence(ext, hi)
+    c = (1.0 - t) * t
+    s, c2, tt = np.float_power(1.0 - t, 2.0), 2.0 * c, t * t
+    inv_norm = 1.0 / np.sqrt(s + c2 * ext + tt)
+    i, j = _PAIRS[len(ext)]
+    return ((c * (ext[i] + ext[j]) + tt) * (inv_norm[i] * inv_norm[j])).max(axis=0)
+
+
+def _check_ceiling(target_mu, mu_hi: float) -> None:
+    """UnreachableError when mu_hi, the coherence at t = _T_MAX, stays below target_mu."""
     if mu_hi < target_mu:
         raise UnreachableError(
             f"coherence {target_mu} exceeds the construction's ceiling {mu_hi:.6f}"
         )
+
+
+def _bisect_blend(ext: list[float], target_mu: float) -> float:
+    """The blend parameter t at which _blend_coherence(ext, t) crosses target_mu.
+
+    UnreachableError when the coherence at t = _T_MAX, the ceiling, stays below it.
+    """
+    lo, hi = 0.0, _T_MAX
+    _check_ceiling(target_mu, _blend_coherence(ext, hi))
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -118,6 +147,27 @@ def _bisect_blend(ext: list[float], target_mu: float) -> float:
             lo = mid
         else:
             hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _bisect_lanes(ext: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """_bisect_blend, without its ceiling check, of every lane at once: column l
+    of ext (w, L) to targets[l].
+
+    Each step evaluates _lane_coherence on every lane. A lane stops where the
+    scalar loop stops, once its midpoint equals an end of its bracket, and its
+    bracket is not moved again; the loop ends when every lane has stopped or
+    after _MAX_BISECT steps.
+    """
+    lo, hi = np.zeros(ext.shape[1]), np.full(ext.shape[1], _T_MAX)
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        live = (mid != lo) & (mid != hi)
+        if not live.any():
+            break
+        raise_lo = live & (_lane_coherence(ext, mid) < targets)
+        lo = np.where(raise_lo, mid, lo)
+        hi = np.where(live & ~raise_lo, mid, hi)
     return 0.5 * (lo + hi)
 
 
@@ -146,23 +196,29 @@ def blend_bases(dim: int, n_atoms: int, seeds) -> tuple[np.ndarray, np.ndarray, 
     return bases
 
 
-def coherent_dictionaries(
-    bases, target_mu: float, tol: float
-) -> tuple[list[UnitDictionary], list[float]]:
-    """One dictionary per base of bases = blend_bases(...) whose mutual
-    coherence is target_mu within tol, and each one's measured coherence.
+def coherent_dictionaries(bases, targets, tol: float):
+    """For each target of targets in turn, one dictionary per base of
+    bases = blend_bases(...) whose mutual coherence is the target within tol,
+    and each one's measured coherence: a generator of (dictionaries, measured).
 
     Construction: blend each sign-aligned orthonormal base toward its unit
     direction u, e_i = normalize((1-t) q_i + t u). Coherence is 0 at t=0,
     approaches 1 as t -> 1, and the sign alignment makes it monotone in t, so
-    the target is found by bisection. Raises UnreachableError when the target
-    cannot be bracketed or hit within tol. The bases are only read, so one
-    stack serves every target; at target 0 each dictionary is a copy of its
-    base.
+    the target is found by bisection. Raises UnreachableError, at the target
+    where it first happens, when that target cannot be bracketed or hit
+    within tol; InvalidConfigError, before the first yield, for a target
+    outside [0, 1) or a tol that is not positive. The bases are only read, so
+    one stack serves every target; at target 0 each dictionary is a copy of
+    its base.
 
     The blends and column normalizations run on the (T, dim, n_atoms) stack,
-    each matrix with the bytes of its base alone. The bisection runs base by
-    base (see _blend_coherence).
+    one target at a time, each matrix with the bytes of its base alone. The
+    bisection has a lane per (nonzero target, base). From _VECTOR_LANES lanes
+    on, _bisect_lanes bisects every lane in one numpy pass before the first
+    target is built; below, each lane runs _bisect_blend when its target is
+    reached, since a numpy step costs as much at one lane as at twenty. The
+    two routes give the same bytes and raise the same errors at the same
+    target and base.
 
     The ceiling check and each bisection step read the coherence from the
     closed form of _blend_coherence, not a built d x N dictionary. For
@@ -174,34 +230,49 @@ def coherent_dictionaries(
     closed form is within a few ULP of the built coherence, far inside tol.
     The loop stops once the midpoint equals an end of the bracket; only the
     final dictionaries are built, and the tol check reads their built
-    coherence, which is returned beside them.
+    coherence, which is yielded beside them.
     """
-    if not 0.0 <= target_mu < 1.0:
-        raise InvalidConfigError(f"target_mu must be in [0, 1), got {target_mu}")
+    targets = list(targets)
+    for target_mu in targets:
+        if not 0.0 <= target_mu < 1.0:
+            raise InvalidConfigError(f"target_mu must be in [0, 1), got {target_mu}")
     if not tol > 0.0:
         raise InvalidConfigError(f"tol must be positive, got {tol}")
     base, u, a = bases
-    if target_mu == 0.0:
-        data = base
-    else:
-        t = [_bisect_blend(_extreme_entries(row), target_mu) for row in a]
-        data = _blend(base, u, np.array(t)[:, None, None])
-    dictionaries = [UnitDictionary(m) for m in data]
-    measured = [mutual_coherence(d) for d in dictionaries]
-    for mu in measured:
-        if abs(mu - target_mu) > tol:
-            raise UnreachableError(
-                f"bisection missed coherence {target_mu} within tol {tol}"
-            )
-    return dictionaries, measured
+    ext = _extreme_entries(a)
+    nonzero = [mu for mu in targets if mu != 0.0]
+    vector = len(nonzero) * len(a) >= _VECTOR_LANES
+    if vector:
+        ceiling = _lane_coherence(ext.T, np.full(len(a), _T_MAX)).tolist()
+        bisected = iter(_bisect_lanes(np.tile(ext.T, len(nonzero)),
+                                      np.repeat(nonzero, len(a))).reshape(len(nonzero), len(a)))
+    for target_mu in targets:
+        if target_mu == 0.0:
+            data = base
+        else:
+            if vector:
+                for mu_hi in ceiling:
+                    _check_ceiling(target_mu, mu_hi)
+                t = next(bisected)
+            else:
+                t = np.array([_bisect_blend(row, target_mu) for row in ext.tolist()])
+            data = _blend(base, u, t[:, None, None])
+        dictionaries = [UnitDictionary(m) for m in data]
+        measured = [mutual_coherence(d) for d in dictionaries]
+        for mu in measured:
+            if abs(mu - target_mu) > tol:
+                raise UnreachableError(
+                    f"bisection missed coherence {target_mu} within tol {tol}"
+                )
+        yield dictionaries, measured
 
 
 def coherent_dictionary(
     dim: int, n_atoms: int, target_mu: float, tol: float, seed: int
 ) -> UnitDictionary:
-    """Dictionary whose mutual coherence is target_mu within tol: the one-seed
-    coherent_dictionaries of blend_bases."""
-    return coherent_dictionaries(blend_bases(dim, n_atoms, [seed]), target_mu, tol)[0][0]
+    """Dictionary whose mutual coherence is target_mu within tol: the one-seed,
+    one-target coherent_dictionaries of blend_bases."""
+    return next(coherent_dictionaries(blend_bases(dim, n_atoms, [seed]), [target_mu], tol))[0][0]
 
 
 def planted_signal(dictionary: UnitDictionary, k: int, seed: int) -> TargetSignal:

@@ -22,6 +22,8 @@ finalizer. The key seeds Philox directly; no entropy pooling is involved.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import InvalidConfigError
@@ -41,10 +43,17 @@ def _mix64(z: int) -> int:
 
 
 def _fnv1a64(data: bytes) -> int:
+    """FNV-1a-64 of data."""
     h = _FNV_OFFSET
     for b in data:
         h = ((h ^ b) * _FNV_PRIME) & _MASK64
     return h
+
+
+@functools.cache
+def _tag_hash(tag: str) -> int:
+    """FNV-1a-64 of a string tag's UTF-8 bytes, hashed once per distinct tag."""
+    return _fnv1a64(tag.encode("utf-8"))
 
 
 def check_seed(seed: int) -> int:
@@ -59,10 +68,7 @@ def derive_state(seed: int, *path: int | str) -> int:
     """Fold a tag path into the master seed; returns a 64-bit stream state."""
     state = check_seed(seed)
     for tag in path:
-        if isinstance(tag, str):
-            t = _fnv1a64(tag.encode("utf-8"))
-        else:
-            t = int(tag) & _MASK64
+        t = _tag_hash(tag) if isinstance(tag, str) else int(tag) & _MASK64
         state = _mix64(((state + _GOLDEN) & _MASK64) ^ t)
     return state
 

@@ -134,14 +134,27 @@ def omp_select_stacked(dictionaries, targets, k: int) -> list[tuple[int, ...]]:
     and in pair order, so SingularGramError is raised for exactly the
     supports the reference route raises for.
     """
+    return _omp_from_correlations(dictionaries, *_stacked_correlations(dictionaries, targets, k))
+
+
+def _stacked_correlations(dictionaries, targets, k: int):
+    """The checked (targets, E^T y stack, k) of same-shape (dictionary, target) pairs.
+
+    Row t of the (n, N) stack is pair t's own E^T y product, with the bytes of
+    greedy_topk_select's.
+    """
     shape = dictionaries[0].data.shape
     if any(d.data.shape != shape for d in dictionaries) or len(targets) != len(dictionaries):
         raise InvalidShapeError("stacked OMP needs one target per dictionary, all of one shape")
-    n = shape[1]
-    k = check_k(k, n)
+    k = check_k(k, shape[1])
     vs = [check_vector(y, shape[0]) for y in targets]
+    return vs, np.stack([d.data.T @ v for d, v in zip(dictionaries, vs)]), k
+
+
+def _omp_from_correlations(dictionaries, vs, corr, k: int) -> list[tuple[int, ...]]:
+    """omp_select_stacked from the checked output of _stacked_correlations; corr is consumed."""
+    n = corr.shape[1]
     live = at = np.arange(len(vs))
-    corr = np.stack([d.data.T @ v for d, v in zip(dictionaries, vs)])
     norm_v = np.linalg.norm(np.stack(vs), axis=1)
     gram = np.stack([d.gram for d in dictionaries])
     support = np.zeros((len(vs), k), dtype=np.intp)
@@ -193,12 +206,15 @@ def recovery_trials(dictionaries, signals, k: int):
 
     Returns the sorted planted, greedy and OMP supports, each an (n, k) int
     array, row t for pair t; a selector succeeds on a pair when its row equals
-    the planted row. OMP runs once on the stack through omp_select_stacked,
-    greedy pair by pair.
+    the planted row. Each pair's correlations E^T y are formed once, as one
+    stack: greedy takes the top k of every row's |E^T y| at once, as
+    greedy_topk_select does pair by pair, and OMP starts from the same stack,
+    as omp_select_stacked does.
     """
     planted = np.sort([s.support for s in signals], axis=1)
-    greedy = np.array([greedy_topk_select(e, s, k) for e, s in zip(dictionaries, signals)])
-    return planted, greedy, np.array(omp_select_stacked(dictionaries, signals, k))
+    vs, corr, k = _stacked_correlations(dictionaries, signals, k)
+    greedy = topk_indices(np.abs(corr), k)
+    return planted, greedy, np.array(_omp_from_correlations(dictionaries, vs, corr, k))
 
 
 def recovery_trial(dictionary: UnitDictionary, signal: TargetSignal, k: int):
@@ -267,8 +283,8 @@ def _run_trials(args):
     d, n, k, grid, ts, seed = args
     bases = blend_bases(d, n, [rng.derive_state(seed, "barrier", t, 0) for t in ts])
     points = []
-    for gi, mu in enumerate(grid):
-        dictionaries, measured = coherent_dictionaries(bases, mu, COHERENCE_TOL)
+    stacks = coherent_dictionaries(bases, grid, COHERENCE_TOL)
+    for gi, (dictionaries, measured) in enumerate(stacks):
         signals = [planted_signal(e, k, rng.derive_state(seed, "barrier", gi, t, 1))
                    for t, e in zip(ts, dictionaries)]
         points.append((measured, *recovery_trials(dictionaries, signals, k)))
@@ -293,6 +309,10 @@ def barrier_sweep(
     grid point gi has its own stream, (seed, "barrier", gi, t, 1). A job runs a
     chunk of trials over the whole grid; the chunks are cut here from the
     shape alone, so the curve is independent of scheduling and of ``workers``.
+    A job makes one coherent_dictionaries call for its whole grid, which
+    bisects every (target, trial) lane at once when there are enough of them
+    (a bench job's 24 nonzero targets x 8 trials are 192), and one
+    recovery_trials call per grid point.
     """
     grid = [float(m) for m in mu_grid]
     if len(grid) < 1:

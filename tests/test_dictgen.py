@@ -8,10 +8,13 @@ from moegeo import rng
 from moegeo import dictgen, sss
 from moegeo.core import UnitDictionary, mutual_coherence, normalize_columns
 from moegeo.dictgen import (
+    _bisect_blend,
+    _bisect_lanes,
     _blend,
     _blend_coherence,
     _extreme_entries,
     _haar_columns,
+    _lane_coherence,
     blend_bases,
     coherent_dictionaries,
     coherent_dictionary,
@@ -229,10 +232,10 @@ class TestStackedDraws:
             drawn[id(bases)] = (dim, n_atoms, seeds)
             return bases
 
-        def recording(bases, target, tol):
-            built = coherent_dictionaries(bases, target, tol)
-            stacks.append((drawn[id(bases)], target, built))
-            return built
+        def recording(bases, targets, tol):
+            for target, built in zip(targets, coherent_dictionaries(bases, targets, tol)):
+                stacks.append((drawn[id(bases)], target, built))
+                yield built
 
         monkeypatch.setattr(sss, "blend_bases", drawing)
         monkeypatch.setattr(sss, "coherent_dictionaries", recording)
@@ -256,10 +259,10 @@ class TestStackedDraws:
             draws.append(len(gens))
             return _haar_columns(gens, dim, n)
 
-        def recording(bases, target, tol):
-            built = coherent_dictionaries(bases, target, tol)
-            stacks.append((target, built[0]))
-            return built
+        def recording(bases, targets, tol):
+            for target, built in zip(targets, coherent_dictionaries(bases, targets, tol)):
+                stacks.append((target, built[0]))
+                yield built
 
         monkeypatch.setattr(dictgen, "_haar_columns", counting)
         monkeypatch.setattr(sss, "coherent_dictionaries", recording)
@@ -278,7 +281,8 @@ class TestStackedDraws:
         # _extreme_entries returns every entry of a up to N = 4
         for gi, target in enumerate(BARRIER_GRID):
             seeds = [rng.derive_state(42, "barrier", gi, t, 0) for t in range(8)]
-            dictionaries, _ = coherent_dictionaries(blend_bases(16, n_atoms, seeds), target, 0.005)
+            bases = blend_bases(16, n_atoms, seeds)
+            [(dictionaries, _)] = coherent_dictionaries(bases, [target], 0.005)
             for seed, d in zip(seeds, dictionaries):
                 ref = all_pairs_coherent_dictionary(16, n_atoms, target, seed)
                 assert d.data.tobytes() == ref.data.tobytes()
@@ -286,7 +290,7 @@ class TestStackedDraws:
     def test_bisection_squares_with_pow(self):
         # (1 - t) ** 2 squared with a multiply, as numpy squares arrays, moves this one by 1.1e-16
         seed = rng.derive_state(777, "barrier", 14, 15, 0)
-        [d], _ = coherent_dictionaries(blend_bases(128, 64, [seed]), BARRIER_GRID[14], 0.005)
+        [([d], _)] = coherent_dictionaries(blend_bases(128, 64, [seed]), [BARRIER_GRID[14]], 0.005)
         ref = all_pairs_coherent_dictionary(128, 64, BARRIER_GRID[14], seed)
         assert d.data.tobytes() == ref.data.tobytes()
 
@@ -298,6 +302,111 @@ class TestStackedDraws:
                 x[0] = 0.0
         assert (a >= 0.0).all()
         np.testing.assert_array_equal(a, (base.transpose(0, 2, 1) @ u[..., None])[..., 0])
+
+
+# Values x where the multiply x * x rounds differently from libm pow(x, 2).
+MULTIPLY_MISSES = [0.8172877423377221, 0.6652694415317056, 0.2690027627898468,
+                   0.4770965117628909, 0.5419105676690009]
+NEAR_CEILING = [0.999, 1.0 - 1e-9, 1.0 - 1e-13]
+
+
+def built_until_error(bases, targets, tol):
+    """The byte strings of each stack coherent_dictionaries yields, and the message that ends it."""
+    built = []
+    try:
+        for dictionaries, measured in coherent_dictionaries(bases, targets, tol):
+            built.append(([d.data.tobytes() for d in dictionaries], measured))
+    except UnreachableError as exc:
+        return built, str(exc)
+    return built, None
+
+
+class TestLaneBisection:
+    """The lane route bisects every (target, base) lane at once, with the scalar loop's bytes."""
+
+    def test_float_power_squares_with_pow(self):
+        # the lane route keeps the scalar bytes only while np.float_power calls libm pow
+        x = 1.0 - np.random.default_rng(0).random(200_000)
+        assert np.float_power(x, 2.0).tolist() == [v ** 2 for v in x.tolist()]
+        for v in MULTIPLY_MISSES:
+            assert v * v != v ** 2
+            assert float(np.float_power(np.array([v]), 2.0)[0]) == v ** 2
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_lane_coherence_matches_scalar(self, width):
+        gen = np.random.default_rng(width)
+        ts = np.concatenate([gen.random(20_000), 1.0 - np.array(MULTIPLY_MISSES),
+                             1.0 - np.logspace(-1, -9, 9), [1e-12, 0.5]])
+        ext = np.sort(gen.random((ts.size, width)), axis=1)
+        lanes = _lane_coherence(ext.T, ts)
+        scalar = [_blend_coherence(row, t) for row, t in zip(ext.tolist(), ts.tolist())]
+        assert lanes.tolist() == scalar
+
+    @pytest.mark.parametrize("dim, n_atoms", [(16, 2), (16, 3), (16, 4), (16, 5), (128, 64)])
+    def test_lanes_match_scalar_and_all_pairs(self, monkeypatch, dim, n_atoms):
+        # widths 2, 3 and 4 of the extreme entries, every barrier target and the near-ceiling ones
+        seeds = [rng.derive_state(42, "barrier", t, 0) for t in range(8)]
+        bases = blend_bases(dim, n_atoms, seeds)
+        targets = BARRIER_GRID[1:] + NEAR_CEILING
+        ext = _extreme_entries(bases[2])
+        lanes = np.tile(ext.T, len(targets)), np.repeat(targets, len(seeds))
+        t = _bisect_lanes(*lanes).reshape(len(targets), len(seeds))
+        assert t.tolist() == [[_bisect_blend(row, mu) for row in ext.tolist()] for mu in targets]
+        built, message = built_until_error(bases, BARRIER_GRID + NEAR_CEILING, 0.005)
+        assert message is None and len(built) == len(BARRIER_GRID + NEAR_CEILING)
+        monkeypatch.setattr(dictgen, "_VECTOR_LANES", 10**9)
+        assert built_until_error(bases, BARRIER_GRID + NEAR_CEILING, 0.005) == (built, None)
+        # near the ceiling at N = 64 a pair between the extremes can round one ULP
+        # above them, so the all-pairs oracle stops there at other bytes
+        oracle = BARRIER_GRID + (NEAR_CEILING if n_atoms <= 5 else [])
+        for target, (stack, _) in zip(oracle, built):
+            for seed, data in zip(seeds, stack):
+                ref = all_pairs_coherent_dictionary(dim, n_atoms, target, seed)
+                assert data == ref.data.tobytes()
+
+    @pytest.mark.parametrize("n_targets, n_bases", [
+        (1, 1), (dictgen._VECTOR_LANES - 1, 1), (dictgen._VECTOR_LANES, 1), (4, 4), (6, 4)])
+    def test_route_follows_lane_count(self, monkeypatch, n_targets, n_bases):
+        # target 0 makes no lane; the scalar loop runs once a lane below _VECTOR_LANES
+        scalar = []
+
+        def counting(ext, target_mu):
+            scalar.append(target_mu)
+            return _bisect_blend(ext, target_mu)
+
+        monkeypatch.setattr(dictgen, "_bisect_blend", counting)
+        targets = [0.0] + [round(0.9 * (i + 1) / n_targets, 10) for i in range(n_targets)]
+        seeds = list(range(n_bases))
+        stacks = list(coherent_dictionaries(blend_bases(16, 8, seeds), targets, 0.005))
+        lanes = n_targets * n_bases
+        assert len(scalar) == (0 if lanes >= dictgen._VECTOR_LANES else lanes)
+        for target, (dictionaries, _) in zip(targets, stacks):
+            for seed, d in zip(seeds, dictionaries):
+                ref = all_pairs_coherent_dictionary(16, 8, target, seed)
+                assert d.data.tobytes() == ref.data.tobytes()
+
+    @pytest.mark.parametrize("t_max, tol", [(0.3, 0.005), (1.0 - 1e-9, 1e-18)],
+                             ids=["ceiling", "tol"])
+    def test_routes_raise_alike(self, monkeypatch, t_max, tol):
+        # a lower t_max puts each base's ceiling inside the grid, the lowest not
+        # at the first base; a tol below float resolution misses the first target
+        monkeypatch.setattr(dictgen, "_T_MAX", t_max)
+        bases = blend_bases(16, 8, [rng.derive_state(42, "barrier", t, 0) for t in range(8)])
+        runs = []
+        for lanes in (1, 10**9):
+            monkeypatch.setattr(dictgen, "_VECTOR_LANES", lanes)
+            runs.append(built_until_error(bases, BARRIER_GRID, tol))
+        (built, message), scalar = runs
+        assert scalar == (built, message)
+        target = BARRIER_GRID[len(built)]
+        if tol < 1e-9:
+            assert message == f"bisection missed coherence {target} within tol {tol}"
+            return
+        ceilings = [_blend_coherence(row, t_max) for row in _extreme_entries(bases[2]).tolist()]
+        assert BARRIER_GRID[len(built) - 1] <= min(ceilings) < target
+        first = next(mu for mu in ceilings if mu < target)
+        assert ceilings[0] >= target
+        assert message == f"coherence {target} exceeds the construction's ceiling {first:.6f}"
 
 
 class TestPlantedSignal:
@@ -400,6 +509,32 @@ class TestRngDerivation:
 
     def test_string_and_int_tags_differ(self):
         assert rng.derive_state(0, "0") != rng.derive_state(0, 0)
+
+    def test_known_answers(self):
+        # the documented derivation rule: SplitMix64's finalizer and FNV-1a-64
+        assert rng._mix64(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
+        assert rng._fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+        assert rng._fnv1a64(b"foobar") == 0x85944171F73967E8
+        golden, mask = 0x9E3779B97F4A7C15, (1 << 64) - 1
+        state = rng._mix64(((7 + golden) & mask) ^ rng._fnv1a64(b"coherent"))
+        assert rng.derive_state(7, "coherent") == state == 0x981399E1338B10DA
+        assert rng.derive_state(42, "barrier", 3, 0) == 0x83035A0E24F8770E
+        assert rng.derive_state(mask, "x", mask, "\u00e9") == 0x08F228A769C0ECEA
+        assert rng.derive_state(0) == 0
+        gen = rng.stream(42, "barrier", 3, 0)
+        assert gen.bit_generator.state["state"]["key"].tolist() == [
+            0x83035A0E24F8770E, rng._mix64((0x83035A0E24F8770E + golden) & mask)]
+        assert gen.integers(0, 2**63, size=3).tolist() == [
+            1876916650101274162, 7526065780652397772, 9109529685022004247]
+
+    def test_string_tags_hashed_once(self):
+        # each distinct string tag is hashed once, to the bytes of the rule
+        rng._tag_hash.cache_clear()
+        for seed in range(3):
+            rng.derive_state(seed, "barrier", seed, "\u00e9")
+        assert rng._tag_hash.cache_info().misses == 2
+        for tag in ("barrier", "\u00e9"):
+            assert rng._tag_hash(tag) == rng._fnv1a64(tag.encode("utf-8"))
 
     def test_seed_bounds(self):
         with pytest.raises(InvalidConfigError):

@@ -58,7 +58,8 @@ PLANTED = {
     "collision-identity": (verify, "renyi2_entropy", lambda h, *_: h - 1e-6),
     "topk-entropy-bound": (verify, "topk_conditional_entropy", lambda h, *_: h + 1.0),
     "orthogonal-greedy-optimality": (verify, "greedy_topk_select", _shift),
-    "coherence-barrier-region": (sss, "greedy_topk_select", _shift),
+    # the sweep's greedy is the top k of its stacked correlations
+    "coherence-barrier-region": (sss, "topk_indices", lambda r, *_: r + 1),
     "submodularity": (verify, "marginal_gain",
                       lambda g, kernel, subset, e: g + len(subset)),
     "nemhauser-ratio": (verify, "dpp_greedy_select",
