@@ -64,23 +64,50 @@ def check_indices(indices, n=None) -> tuple[int, ...]:
     return idx
 
 
+def _unit_matrices(x, ndim: int) -> np.ndarray:
+    """x, checked, as one read-only d x N dictionary (ndim 2) or a (T, d, N) stack of them (ndim 3).
+
+    A read-only C-contiguous float64 array is held as it is, not copied: the
+    package writes no array once it has frozen one, so a freshly blended
+    stack, or a view of one, is held without a second copy. Anything else is
+    copied first. InvalidShapeError when a matrix has a non-finite entry,
+    d < 1 or N < 2, or a column whose norm is not 1 within 1e-10: the message
+    is the one that the first such matrix, in stack order, raises alone.
+    """
+    frozen = (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == ndim
+              and x.flags.c_contiguous and not x.flags.writeable)
+    a = x if frozen else _frozen_array(x, ndim=ndim)
+    stack = a[None] if ndim == 2 else a
+    d, n = stack.shape[1:]
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    norms = np.linalg.norm(stack, axis=1)
+    off = np.abs(norms - 1.0)
+    bad = ~finite | (off > 1e-10).any(axis=1) | (d < 1 or n < 2)
+    if bad.any():
+        t = int(np.argmax(bad))
+        if not finite[t]:
+            raise InvalidShapeError("dictionary contains non-finite entries")
+        if d < 1 or n < 2:
+            raise InvalidShapeError(f"dictionary needs d >= 1 and N >= 2, got {d} x {n}")
+        worst = int(np.argmax(off[t]))
+        raise InvalidShapeError(
+            f"column {worst} has norm {float(norms[t, worst])}, expected 1 within 1e-10"
+        )
+    return a
+
+
 @dataclass(frozen=True)
 class UnitDictionary:
-    """d x N matrix with unit-norm columns; column i is atom i."""
+    """d x N matrix with unit-norm columns; column i is atom i.
+
+    Its checks are those of the one-matrix DictionaryStack. A stack's matrix t,
+    ``stack[t]``, is a UnitDictionary that views the stack's data and gram.
+    """
 
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_array(self.data, ndim=2, name="dictionary"))
-        d, n = self.data.shape
-        if d < 1 or n < 2:
-            raise InvalidShapeError(f"dictionary needs d >= 1 and N >= 2, got {d} x {n}")
-        norms = np.linalg.norm(self.data, axis=0)
-        if np.any(np.abs(norms - 1.0) > 1e-10):
-            worst = int(np.argmax(np.abs(norms - 1.0)))
-            raise InvalidShapeError(
-                f"column {worst} has norm {float(norms[worst])}, expected 1 within 1e-10"
-            )
+        object.__setattr__(self, "data", _unit_matrices(self.data, 2))
 
     @property
     def dim(self) -> int:
@@ -94,6 +121,47 @@ class UnitDictionary:
     def gram(self) -> np.ndarray:
         """N x N inner products of the atoms, DᵀD; formed once per dictionary, read-only."""
         g = self.data.T @ self.data
+        g.setflags(write=False)
+        return g
+
+
+@dataclass(frozen=True, eq=False)
+class DictionaryStack:
+    """T unit dictionaries of one shape as a read-only (T, d, N) stack; matrix t is dictionary t.
+
+    The finiteness and unit-column checks run once for the whole stack. The
+    stack's ``gram`` is every matrix's DᵀD from one stacked product, each
+    (N, N) slice with the bytes of that matrix's own ``UnitDictionary.gram``.
+    """
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "data", _unit_matrices(self.data, 3))
+
+    def __len__(self) -> int:
+        return self.data.shape[0]
+
+    def __getitem__(self, t: int) -> UnitDictionary:
+        """Matrix t as a UnitDictionary: a view of the stack's data, already checked,
+        that carries its slice of the stack's gram."""
+        one = object.__new__(UnitDictionary)
+        object.__setattr__(one, "data", self.data[t])
+        one.__dict__["gram"] = self.gram[t]
+        return one
+
+    @property
+    def dim(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def n_atoms(self) -> int:
+        return self.data.shape[2]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """(T, N, N) inner products of each matrix's atoms; formed once per stack, read-only."""
+        g = self.data.transpose(0, 2, 1) @ self.data
         g.setflags(write=False)
         return g
 
@@ -140,14 +208,18 @@ class SparseSolution:
         object.__setattr__(self, "residual_sq", float(self.residual_sq))
 
 
-def check_vector(y, dim: int) -> np.ndarray:
-    """The target as a float vector: a TargetSignal's vector, or y itself.
+def check_vector(y, dim: int, count: int | None = None) -> np.ndarray:
+    """The target as a float vector: a TargetSignal's vector, or y itself;
+    given count, y is a stack of count targets, one a row.
 
-    InvalidShapeError unless it has shape (dim,) and finite entries.
+    InvalidShapeError unless it has shape (dim,), or (count, dim), and finite
+    entries.
     """
     v = y.vector if isinstance(y, TargetSignal) else np.asarray(y, dtype=np.float64)
-    if v.shape != (dim,):
+    if count is None and v.shape != (dim,):
         raise InvalidShapeError(f"target must be a vector of length {dim}, got shape {v.shape}")
+    if count is not None and v.shape != (count, dim):
+        raise InvalidShapeError(f"targets must be a {count} x {dim} stack, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InvalidShapeError("target contains non-finite entries")
     return v
@@ -167,15 +239,17 @@ def normalize_columns(matrix: np.ndarray) -> UnitDictionary:
     return UnitDictionary(m / norms)
 
 
-def mutual_coherence(dictionary: UnitDictionary) -> float:
-    """Largest absolute inner product between two distinct atoms.
+def mutual_coherence(dictionary: UnitDictionary | DictionaryStack) -> float | list[float]:
+    """Largest absolute inner product between two distinct atoms; for a
+    DictionaryStack, the list of every matrix's, read from the stacked gram.
 
     Lies in [0, 1] for unit-norm columns; tiny floating excess over 1 is
     clipped.
     """
     g = np.abs(dictionary.gram)
-    np.fill_diagonal(g, 0.0)
-    return float(min(g.max(), 1.0))
+    diagonal = np.arange(g.shape[-1])
+    g[..., diagonal, diagonal] = 0.0
+    return np.minimum(g.max(axis=(-2, -1)), 1.0).tolist()
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import TargetSignal, UnitDictionary, _frozen_array, check_k, mutual_coherence
+from .core import (
+    DictionaryStack, TargetSignal, UnitDictionary, _frozen_array, check_k, mutual_coherence,
+)
 from .errors import InvalidConfigError, InvalidShapeError, UnreachableError
 
 # Bisection on the blend parameter stops after this many halvings.
@@ -197,9 +199,10 @@ def blend_bases(dim: int, n_atoms: int, seeds) -> tuple[np.ndarray, np.ndarray, 
 
 
 def coherent_dictionaries(bases, targets, tol: float):
-    """For each target of targets in turn, one dictionary per base of
-    bases = blend_bases(...) whose mutual coherence is the target within tol,
-    and each one's measured coherence: a generator of (dictionaries, measured).
+    """For each target of targets in turn, the DictionaryStack of one dictionary
+    per base of bases = blend_bases(...) whose mutual coherence is the target
+    within tol, and each one's measured coherence: a generator of
+    (dictionaries, measured).
 
     Construction: blend each sign-aligned orthonormal base toward its unit
     direction u, e_i = normalize((1-t) q_i + t u). Coherence is 0 at t=0,
@@ -208,8 +211,9 @@ def coherent_dictionaries(bases, targets, tol: float):
     where it first happens, when that target cannot be bracketed or hit
     within tol; InvalidConfigError, before the first yield, for a target
     outside [0, 1) or a tol that is not positive. The bases are only read, so
-    one stack serves every target; at target 0 each dictionary is a copy of
-    its base.
+    one stack serves every target; at target 0 the dictionaries are the
+    bases. Each target's blend is frozen and held by its DictionaryStack
+    without a copy.
 
     The blends and column normalizations run on the (T, dim, n_atoms) stack,
     one target at a time, each matrix with the bytes of its base alone. The
@@ -229,8 +233,9 @@ def coherent_dictionaries(bases, targets, tol: float):
     a = base^T u, and a step costs O(1) where all pairs cost O(N^2). The
     closed form is within a few ULP of the built coherence, far inside tol.
     The loop stops once the midpoint equals an end of the bracket; only the
-    final dictionaries are built, and the tol check reads their built
-    coherence, which is yielded beside them.
+    final dictionaries are built. The stack is checked once, and the tol
+    check reads the built coherence of its stacked gram, which later readers
+    (OMP's Gram rows, a ``Kernel`` of ``dictionaries[t]``) share.
     """
     targets = list(targets)
     for target_mu in targets:
@@ -257,8 +262,9 @@ def coherent_dictionaries(bases, targets, tol: float):
             else:
                 t = np.array([_bisect_blend(row, target_mu) for row in ext.tolist()])
             data = _blend(base, u, t[:, None, None])
-        dictionaries = [UnitDictionary(m) for m in data]
-        measured = [mutual_coherence(d) for d in dictionaries]
+            data.setflags(write=False)
+        dictionaries = DictionaryStack(data)
+        measured = mutual_coherence(dictionaries)
         for mu in measured:
             if abs(mu - target_mu) > tol:
                 raise UnreachableError(
@@ -275,19 +281,42 @@ def coherent_dictionary(
     return next(coherent_dictionaries(blend_bases(dim, n_atoms, [seed]), [target_mu], tol))[0][0]
 
 
-def planted_signal(dictionary: UnitDictionary, k: int, seed: int) -> TargetSignal:
-    """Exact k-sparse combination of dictionary atoms with recorded truth.
+def planted_signals(dictionaries: DictionaryStack, k: int, seeds):
+    """Exact k-sparse combinations of each matrix's atoms, seeds[t] for matrix t:
+    the read-only (T, k) supports, sorted, (T, k) signs and (T, d) vectors.
 
-    The support is a uniform random k-subset and the coefficients are +-1
-    signs: equal magnitudes are the adversarial case for greedy recovery.
+    Each seed draws from its own stream, a uniform random k-subset and then
+    +-1 signs: equal magnitudes are the adversarial case for greedy recovery.
+    The vectors are one stacked product of each matrix's support columns with
+    its signs, row t with the bytes of the product on matrix t alone.
     """
-    n = dictionary.n_atoms
-    check_k(k, n)
-    gen = rng.stream(seed, "planted")
-    support = np.sort(gen.choice(n, size=k, replace=False))
-    coef = gen.integers(0, 2, size=k) * 2.0 - 1.0
-    vector = dictionary.data[:, support] @ coef
-    return TargetSignal(vector=vector, support=tuple(int(i) for i in support), coefficients=coef)
+    seeds = list(seeds)
+    if len(seeds) != len(dictionaries):
+        raise InvalidShapeError(f"need one seed per dictionary, got {len(seeds)} for "
+                                f"{len(dictionaries)}")
+    n = dictionaries.n_atoms
+    k = check_k(k, n)
+    supports = np.empty((len(seeds), k), dtype=np.intp)
+    signs = np.empty((len(seeds), k))
+    for seed, support, sign in zip(seeds, supports, signs):
+        gen = rng.stream(seed, "planted")
+        support[:] = np.sort(gen.choice(n, size=k, replace=False))
+        sign[:] = gen.integers(0, 2, size=k) * 2.0 - 1.0
+    # (T, k, d): each matrix's support columns, laid out as the 2-D gather
+    # data[:, support] lays out its (d, k) columns, so the products round alike
+    columns = dictionaries.data[np.arange(len(seeds))[:, None], :, supports]
+    planted = supports, signs, (columns.transpose(0, 2, 1) @ signs[..., None])[..., 0]
+    for x in planted:
+        x.setflags(write=False)
+    return planted
+
+
+def planted_signal(dictionary: UnitDictionary, k: int, seed: int) -> TargetSignal:
+    """Exact k-sparse combination of dictionary atoms with recorded truth: the
+    one-matrix planted_signals."""
+    (support,), (sign,), (vector,) = planted_signals(
+        DictionaryStack(dictionary.data[None]), k, [seed])
+    return TargetSignal(vector=vector, support=tuple(support.tolist()), coefficients=sign)
 
 
 @dataclass(frozen=True)

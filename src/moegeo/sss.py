@@ -17,6 +17,7 @@ import numpy as np
 
 from . import rng
 from .core import (
+    DictionaryStack,
     TargetSignal,
     UnitDictionary,
     SparseSolution,
@@ -30,7 +31,7 @@ from .core import (
     run_jobs,
     topk_indices,
 )
-from .dictgen import COHERENCE_TOL, blend_bases, coherent_dictionaries, planted_signal
+from .dictgen import COHERENCE_TOL, blend_bases, coherent_dictionaries, planted_signals
 from .errors import InvalidConfigError, InvalidShapeError, SingularGramError
 
 # OMP picks whose runner-up lies within this many |y| / lambda_min of the best
@@ -106,18 +107,18 @@ def omp_select(dictionary: UnitDictionary, y, k: int) -> tuple[int, ...]:
 def omp_select_stacked(dictionaries, targets, k: int) -> list[tuple[int, ...]]:
     """omp_select on each (dictionary, target) pair, all pairs' factors grown together.
 
-    The dictionaries share one shape. The reference route refits least
-    squares on the sorted support after every pick and correlates the
-    residual with every atom. Here a Cholesky factor L of the support's Gram,
-    in pick order, grows one row per pick (the incremental pattern of
-    dpp_greedy_select), for every pair of the stack at once.
+    The dictionaries share one shape and are copied into one DictionaryStack.
+    The reference route refits least squares on the sorted support after
+    every pick and correlates the residual with every atom. Here a Cholesky
+    factor L of the support's Gram, in pick order, grows one row per pick
+    (the incremental pattern of dpp_greedy_select), for every pair at once.
     rows = L^-1 G[S, :] holds every atom's coordinates in an orthonormal basis
     of the support's span; a pick j with d^2 = G_jj - |rows[:, j]|^2 appends
     the row e = (G[j, :] - rows[:, j]^T rows) / d, and the residual
     correlations c0 - G[:, S] coef, c0 = E^T y, lose (corr_j / d) e. G's rows
-    are read from the dictionary's cached gram; a pick costs O(N k), with no
-    refit. The first pick reads each pair's own E^T y product, as the
-    reference route does.
+    are read from the stack's gram; a pick costs O(N k), with no refit. The
+    first pick reads each pair's own E^T y product, as the reference route
+    does.
 
     The two routes round differently, so a pair whose next pick has its
     runner-up score within _SCORE_BAND * |y| / lam of the best leaves the
@@ -130,33 +131,32 @@ def omp_select_stacked(dictionaries, targets, k: int) -> list[tuple[int, ...]]:
     of 1 for unit columns, so a support with lam >= _CERT_RTOL passes that
     check with room for its rounding; a pair whose support loses this
     certificate leaves the stack. A pair that left makes its remaining
-    picks on the reference route, refits included, after the stack is done
-    and in pair order, so SingularGramError is raised for exactly the
-    supports the reference route raises for.
-    """
-    return _omp_from_correlations(dictionaries, *_stacked_correlations(dictionaries, targets, k))
-
-
-def _stacked_correlations(dictionaries, targets, k: int):
-    """The checked (targets, E^T y stack, k) of same-shape (dictionary, target) pairs.
-
-    Row t of the (n, N) stack is pair t's own E^T y product, with the bytes of
-    greedy_topk_select's.
+    picks on the reference route, refits included, on its matrix of the
+    stack, after the stack is done and in pair order, so SingularGramError is
+    raised for exactly the supports the reference route raises for.
     """
     shape = dictionaries[0].data.shape
     if any(d.data.shape != shape for d in dictionaries) or len(targets) != len(dictionaries):
         raise InvalidShapeError("stacked OMP needs one target per dictionary, all of one shape")
     k = check_k(k, shape[1])
-    vs = [check_vector(y, shape[0]) for y in targets]
-    return vs, np.stack([d.data.T @ v for d, v in zip(dictionaries, vs)]), k
+    vs = np.stack([check_vector(y, shape[0]) for y in targets])
+    stack = DictionaryStack(np.stack([d.data for d in dictionaries]))
+    return _omp_from_correlations(stack, vs, _correlations(stack, vs), k)
 
 
-def _omp_from_correlations(dictionaries, vs, corr, k: int) -> list[tuple[int, ...]]:
-    """omp_select_stacked from the checked output of _stacked_correlations; corr is consumed."""
+def _correlations(dictionaries: DictionaryStack, vs: np.ndarray) -> np.ndarray:
+    """The (T, N) stack of E^T y, one stacked product; row t has the bytes of
+    matrix t's own product with target vs[t], as greedy_topk_select forms it."""
+    return (dictionaries.data.transpose(0, 2, 1) @ vs[..., None])[..., 0]
+
+
+def _omp_from_correlations(dictionaries: DictionaryStack, vs, corr, k: int) -> list[tuple[int, ...]]:
+    """omp_select_stacked on a stack and its (T, d) checked targets from their
+    _correlations; corr is consumed."""
     n = corr.shape[1]
     live = at = np.arange(len(vs))
-    norm_v = np.linalg.norm(np.stack(vs), axis=1)
-    gram = np.stack([d.gram for d in dictionaries])
+    norm_v = np.linalg.norm(vs, axis=1)
+    gram = dictionaries.gram
     support = np.zeros((len(vs), k), dtype=np.intp)
     rows = np.zeros((len(vs), k, n))
     linv = np.zeros((len(vs), k, k))
@@ -192,36 +192,41 @@ def _omp_from_correlations(dictionaries, vs, corr, k: int) -> list[tuple[int, ..
     for t, picks in zip(live.tolist(), support.tolist()):
         out[t] = tuple(sorted(picks))
     for t in sorted(left):
-        picks = left[t]
+        picks, dictionary = left[t], dictionaries[t]
         while len(picks) < k:
-            picks.append(int(np.argmax(_refit_scores(dictionaries[t], vs[t], picks))))
+            picks.append(int(np.argmax(_refit_scores(dictionary, vs[t], picks))))
         # the refit the reference route makes after its last pick
-        _refit_scores(dictionaries[t], vs[t], picks)
+        _refit_scores(dictionary, vs[t], picks)
         out[t] = tuple(sorted(picks))
     return out
 
 
-def recovery_trials(dictionaries, signals, k: int):
-    """Both selectors on each (dictionary, planted signal) pair, as columns.
+def recovery_trials(dictionaries: DictionaryStack, vectors, k: int):
+    """Both selectors on each matrix of a stack and its target, as columns.
 
-    Returns the sorted planted, greedy and OMP supports, each an (n, k) int
-    array, row t for pair t; a selector succeeds on a pair when its row equals
-    the planted row. Each pair's correlations E^T y are formed once, as one
-    stack: greedy takes the top k of every row's |E^T y| at once, as
-    greedy_topk_select does pair by pair, and OMP starts from the same stack,
-    as omp_select_stacked does.
+    vectors is the (T, d) stack of targets, row t for matrix t (the planted
+    vectors of planted_signals). Returns the sorted greedy and OMP supports,
+    each a (T, k) int array, row t for pair t; a selector succeeds on a pair
+    when its row equals the pair's sorted planted support. Every pair's
+    correlations E^T y are formed in one stacked product: greedy takes the
+    top k of every row's |E^T y| at once, as greedy_topk_select does pair by
+    pair, and OMP starts from the same stack and reads its Gram rows from
+    the stack's gram, as omp_select_stacked does.
     """
-    planted = np.sort([s.support for s in signals], axis=1)
-    vs, corr, k = _stacked_correlations(dictionaries, signals, k)
+    k = check_k(k, dictionaries.n_atoms)
+    vs = check_vector(vectors, dictionaries.dim, len(dictionaries))
+    corr = _correlations(dictionaries, vs)
     greedy = topk_indices(np.abs(corr), k)
-    return planted, greedy, np.array(_omp_from_correlations(dictionaries, vs, corr, k))
+    return greedy, np.array(_omp_from_correlations(dictionaries, vs, corr, k))
 
 
 def recovery_trial(dictionary: UnitDictionary, signal: TargetSignal, k: int):
     """The one-trial call of recovery_trials, with the dictionary's coherence:
     (mu_measured, planted, greedy, omp), each support a sorted tuple."""
-    supports = recovery_trials([dictionary], [signal], k)
-    return (mutual_coherence(dictionary), *(tuple(s[0].tolist()) for s in supports))
+    stack = DictionaryStack(dictionary.data[None])
+    greedy, omp = recovery_trials(stack, check_vector(signal, dictionary.dim)[None], k)
+    return (mutual_coherence(dictionary), tuple(sorted(signal.support)),
+            tuple(greedy[0].tolist()), tuple(omp[0].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,15 +284,16 @@ _STACK_BYTES = 1 << 20
 def _run_trials(args):
     """Trials ts across the whole grid, each trial's base drawn once and blended
     to every target: mu_measured (P, T) and the planted, greedy and OMP supports
-    (P, T, k) for T = len(ts)."""
+    (P, T, k) for T = len(ts). Each grid point's trials are one DictionaryStack
+    from the blend to OMP."""
     d, n, k, grid, ts, seed = args
     bases = blend_bases(d, n, [rng.derive_state(seed, "barrier", t, 0) for t in ts])
     points = []
     stacks = coherent_dictionaries(bases, grid, COHERENCE_TOL)
     for gi, (dictionaries, measured) in enumerate(stacks):
-        signals = [planted_signal(e, k, rng.derive_state(seed, "barrier", gi, t, 1))
-                   for t, e in zip(ts, dictionaries)]
-        points.append((measured, *recovery_trials(dictionaries, signals, k)))
+        planted, _, vectors = planted_signals(
+            dictionaries, k, [rng.derive_state(seed, "barrier", gi, t, 1) for t in ts])
+        points.append((measured, planted, *recovery_trials(dictionaries, vectors, k)))
     return tuple(np.stack(column) for column in zip(*points))
 
 
@@ -311,8 +317,10 @@ def barrier_sweep(
     shape alone, so the curve is independent of scheduling and of ``workers``.
     A job makes one coherent_dictionaries call for its whole grid, which
     bisects every (target, trial) lane at once when there are enough of them
-    (a bench job's 24 nonzero targets x 8 trials are 192), and one
-    recovery_trials call per grid point.
+    (a bench job's 24 nonzero targets x 8 trials are 192). At each grid point
+    its trials are one DictionaryStack, checked once, whose stacked gram gives
+    the measured coherence and OMP's Gram rows; one planted_signals call and
+    one recovery_trials call run on it.
     """
     grid = [float(m) for m in mu_grid]
     if len(grid) < 1:

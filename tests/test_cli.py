@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moegeo import cli, diversity, sss, verify
+from moegeo import cli, dictgen, diversity, sss, verify
 from moegeo.cli import build_parser, main
 from moegeo.errors import NonFiniteError
 
@@ -434,6 +434,34 @@ class TestArtifacts:
         payload = json.loads((out / "selection.json").read_text())
         assert len(payload["marginal_gains"]) == len(payload["selection"])
         assert calls == []
+
+    @pytest.mark.parametrize("shape", [[], ["--d", "256", "--n_atoms", "256", "--k", "32"]],
+                             ids=["defaults", "bench-shape"])
+    def test_dpp_select_reads_the_blended_stack(self, tmp_path, monkeypatch, shape):
+        # the kernel's dictionary views the blend itself, held by the checked stack, and
+        # its gram is the stacked gram the measured coherence was read from: no second
+        # copy of the dictionary, no second Gram product
+        blends, stacks, grams, kernels = [], [], [], []
+
+        def recording(*args):
+            for built in dictgen.coherent_dictionaries(*args):
+                stacks.append(built)
+                yield built
+
+        real, blend = dictgen.mutual_coherence, dictgen._blend
+        monkeypatch.setattr(dictgen, "_blend", lambda *args: blends.append(blend(*args)) or blends[-1])
+        monkeypatch.setattr(cli, "coherent_dictionaries", recording)
+        monkeypatch.setattr(dictgen, "mutual_coherence",
+                            lambda d: grams.append(d.gram) or real(d))
+        monkeypatch.setattr(cli, "Kernel", lambda d: kernels.append(diversity.Kernel(d)) or kernels[-1])
+        assert main(["dpp-select", *shape, "--output_dir", str(tmp_path / "d")]) == 0
+        [blended], [(stack, measured)], [gram], [kernel] = blends, stacks, grams, kernels
+        assert stack.data is blended
+        assert np.shares_memory(kernel.dictionary.data, blended)
+        assert np.shares_memory(kernel.dictionary.gram, gram)
+        assert gram is stack.gram
+        payload = json.loads((tmp_path / "d" / "selection.json").read_text())
+        assert payload["coherence_measured"] == measured[0]
 
     def test_info_smoke(self, tmp_path):
         out = tmp_path / "i"

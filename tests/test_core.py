@@ -8,6 +8,7 @@ import pytest
 
 from moegeo import core, errors
 from moegeo.core import (
+    DictionaryStack,
     SparseSolution,
     TargetSignal,
     UnitDictionary,
@@ -82,6 +83,75 @@ class TestUnitDictionary:
         with pytest.raises(ValueError):
             d.gram[0, 0] = 2.0
         assert d.gram.tobytes() == (d.data.T @ d.data).tobytes()
+
+
+def first_alone_error(stack):
+    """The message UnitDictionary raises on the first matrix of stack, in order, that it refuses."""
+    for m in stack:
+        try:
+            UnitDictionary(m)
+        except InvalidShapeError as exc:
+            return str(exc)
+    return None
+
+
+class TestDictionaryStack:
+    def unit_stack(self, t=4, d=6, n=5):
+        m = np.random.default_rng(9).standard_normal((t, d, n))
+        return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("plant", [
+        {2: "nan"}, {3: "inf"}, {1: "norm"}, {1: "norm", 3: "nan"}, {0: "nan", 1: "norm"},
+        {2: "norm", 0: "norm"}, {1: "zero", 2: "nan"},
+    ])
+    def test_rejects_what_the_first_bad_matrix_alone_rejects(self, plant):
+        # the checks run once for the stack, and the message is the one the first
+        # refused matrix raises alone: non-finite before its norms
+        stack = self.unit_stack()
+        for t, kind in plant.items():
+            if kind == "nan":
+                stack[t, 1, 4] = np.nan
+                stack[t, 0, 0] *= 3.0
+            elif kind == "inf":
+                stack[t, 5, 2] = -np.inf
+            elif kind == "norm":
+                stack[t, :, t + 1] *= 1.0 + 1e-9 * (t + 1)
+            else:
+                stack[t, :, 3] = 0.0
+        expected = first_alone_error(stack)
+        assert expected is not None
+        with pytest.raises(InvalidShapeError) as raised:
+            DictionaryStack(stack)
+        assert str(raised.value) == expected
+
+    def test_messages_are_those_of_unit_dictionary(self):
+        stack = self.unit_stack()
+        stack[1, 2, 3] = np.nan
+        with pytest.raises(InvalidShapeError, match="^dictionary contains non-finite entries$"):
+            DictionaryStack(stack)
+        stack = self.unit_stack()
+        stack[2, :, 4] *= 2.0
+        with pytest.raises(InvalidShapeError,
+                           match=r"^column 4 has norm 2\.0\d*, expected 1 within 1e-10$"):
+            DictionaryStack(stack)
+        with pytest.raises(InvalidShapeError, match="expected 3-d array"):
+            DictionaryStack(np.eye(3))
+        with pytest.raises(InvalidShapeError, match="needs d >= 1 and N >= 2, got 3 x 1"):
+            DictionaryStack(np.ones((2, 3, 1)))
+
+    def test_gram_and_coherence_are_each_matrix_own(self):
+        stack = DictionaryStack(self.unit_stack(t=5, d=128, n=64))
+        assert not stack.data.flags.writeable and not stack.gram.flags.writeable
+        assert stack.gram is stack.gram
+        alone = [UnitDictionary(m) for m in stack.data]
+        assert len(stack) == 5 and (stack.dim, stack.n_atoms) == (128, 64)
+        for t, d in enumerate(alone):
+            # stack[t], the view a pair that leaves OMP's stack refits on, copies nothing
+            view = stack[t]
+            assert np.shares_memory(view.data, stack.data) and np.shares_memory(view.gram, stack.gram)
+            assert not view.data.flags.writeable and not view.gram.flags.writeable
+            assert stack.gram[t].tobytes() == view.gram.tobytes() == d.gram.tobytes()
+        assert mutual_coherence(stack) == [mutual_coherence(d) for d in alone]
 
 
 class TestMutualCoherence:

@@ -19,6 +19,7 @@ from moegeo.dictgen import (
     coherent_dictionaries,
     coherent_dictionary,
     planted_signal,
+    planted_signals,
     random_orthonormal_dictionary,
     synthetic_classification,
 )
@@ -321,6 +322,18 @@ def built_until_error(bases, targets, tol):
     return built, None
 
 
+class TestStackErrors:
+    def test_tol_miss_raises_at_the_earliest_miss_of_any_seed(self):
+        # a tol a few ULP wide: the stack stops at the first target one of its seeds misses alone
+        seeds = [rng.derive_state(42, "barrier", t, 0) for t in range(8)]
+        tol = 4e-16
+        built, message = built_until_error(blend_bases(128, 64, seeds), BARRIER_GRID, tol)
+        alone = [len(built_until_error(blend_bases(128, 64, [s]), BARRIER_GRID, tol)[0])
+                 for s in seeds]
+        assert 0 < len(built) == min(alone) < len(BARRIER_GRID)
+        assert message == f"bisection missed coherence {BARRIER_GRID[min(alone)]} within tol {tol}"
+
+
 class TestLaneBisection:
     """The lane route bisects every (target, base) lane at once, with the scalar loop's bytes."""
 
@@ -409,7 +422,39 @@ class TestLaneBisection:
         assert message == f"coherence {target} exceeds the construction's ceiling {first:.6f}"
 
 
+def one_planted_draw(dictionary, k, seed):
+    """The planted draw on one dictionary as written before draws were stacked."""
+    gen = rng.stream(seed, "planted")
+    support = np.sort(gen.choice(dictionary.n_atoms, size=k, replace=False))
+    coef = gen.integers(0, 2, size=k) * 2.0 - 1.0
+    return support, coef, dictionary.data[:, support] @ coef
+
+
 class TestPlantedSignal:
+    @pytest.mark.parametrize("dim, n_atoms, k", [(128, 64, 6), (16, 4, 4), (4, 2, 1)])
+    def test_stacked_draw_matches_each_matrix(self, dim, n_atoms, k):
+        # each matrix of the stack draws from its own stream, with the bytes of its draw alone
+        bases = blend_bases(dim, n_atoms, [rng.derive_state(42, "barrier", t, 0) for t in range(8)])
+        for gi, (stack, _) in enumerate(coherent_dictionaries(bases, BARRIER_GRID[::6], 0.005)):
+            seeds = [rng.derive_state(42, "barrier", gi, t, 1) for t in range(8)]
+            supports, signs, vectors = planted_signals(stack, k, seeds)
+            for x in (supports, signs, vectors):
+                assert not x.flags.writeable
+            for t, seed in enumerate(seeds):
+                alone = UnitDictionary(stack.data[t])
+                sig = planted_signal(alone, k, seed)
+                support, coef, vector = one_planted_draw(alone, k, seed)
+                assert supports[t].tolist() == list(sig.support) == support.tolist()
+                assert signs[t].tobytes() == sig.coefficients.tobytes() == coef.tobytes()
+                assert vectors[t].tobytes() == sig.vector.tobytes() == vector.tobytes()
+
+    def test_stacked_draw_needs_a_seed_per_matrix(self):
+        stack = next(coherent_dictionaries(blend_bases(8, 4, [1, 2]), [0.2], 0.005))[0]
+        with pytest.raises(InvalidShapeError, match="need one seed per dictionary"):
+            planted_signals(stack, 2, [1])
+        with pytest.raises(InvalidKError):
+            planted_signals(stack, 5, [1, 2])
+
     def test_vector_is_exact_combination(self):
         d = random_orthonormal_dictionary(12, 8, seed=0)
         sig = planted_signal(d, k=3, seed=1)

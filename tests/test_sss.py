@@ -7,10 +7,13 @@ import pytest
 
 from moegeo import rng, sss
 from moegeo.core import (
-    UnitDictionary, _solve_gram, least_squares_on_support, mutual_coherence, normalize_columns,
-    run_jobs,
+    DictionaryStack, UnitDictionary, _solve_gram, least_squares_on_support, mutual_coherence,
+    normalize_columns, run_jobs,
 )
-from moegeo.dictgen import coherent_dictionary, planted_signal, random_orthonormal_dictionary
+from moegeo.dictgen import (
+    COHERENCE_TOL, blend_bases, coherent_dictionaries, coherent_dictionary, planted_signal,
+    random_orthonormal_dictionary,
+)
 from moegeo.errors import (
     InvalidConfigError, InvalidKError, InvalidShapeError, SingularGramError, TooLargeError,
 )
@@ -38,6 +41,31 @@ def barrier_instances(dim, n_atoms, k, gi, trials):
     signals = [planted_signal(d, k, rng.derive_state(42, "barrier", gi, t, 1))
                for t, d in enumerate(dictionaries)]
     return dictionaries, signals
+
+
+def per_trial_job(args):
+    """A sweep job trial by trial, the oracle of the stacked job sss._run_trials:
+    at each grid point, each trial's own UnitDictionary (a copy, with its own
+    gram), its coherence, its planted signal and its one-trial recovery."""
+    d, n, k, grid, ts, seed = args
+    bases = blend_bases(d, n, [rng.derive_state(seed, "barrier", t, 0) for t in ts])
+    points = []
+    for gi, (stack, _) in enumerate(coherent_dictionaries(bases, grid, COHERENCE_TOL)):
+        trials = []
+        for t, data in zip(ts, stack.data):
+            e = UnitDictionary(data.copy())
+            sig = planted_signal(e, k, rng.derive_state(seed, "barrier", gi, t, 1))
+            mu, *supports = recovery_trial(e, sig, k)
+            assert mu == mutual_coherence(e)
+            trials.append((mu, *supports))
+        points.append([np.array(column) for column in zip(*trials)])
+    return tuple(np.stack(column) for column in zip(*points))
+
+
+def assert_same_columns(stacked, oracle):
+    """mu_measured, planted, greedy and OMP columns equal, bit for bit."""
+    for name, a, b in zip(("mu_measured", "planted", "greedy", "omp"), stacked, oracle):
+        assert a.shape == b.shape and a.tobytes() == b.astype(a.dtype).tobytes(), name
 
 
 def enumeration_oracle(dictionary, y, k):
@@ -336,10 +364,21 @@ class TestRecoveryTrial:
 
     def test_columns_are_each_pairs_trial(self):
         dictionaries, signals = barrier_instances(128, 64, 6, 10, 5)
-        columns = recovery_trials(dictionaries, signals, 6)
+        stack = DictionaryStack(np.stack([d.data for d in dictionaries]))
+        columns = (np.sort([s.support for s in signals], axis=1),
+                   *recovery_trials(stack, np.stack([s.vector for s in signals]), 6))
         assert all(c.shape == (5, 6) for c in columns)
         for t, (d, sig) in enumerate(zip(dictionaries, signals)):
             assert recovery_trial(d, sig, 6)[1:] == tuple(tuple(c[t].tolist()) for c in columns)
+
+    def test_targets_checked_as_a_stack(self):
+        stack = DictionaryStack(np.stack([np.eye(4)] * 3))
+        with pytest.raises(InvalidShapeError, match=r"^targets must be a 3 x 4 stack"):
+            recovery_trials(stack, np.ones((2, 4)), 2)
+        bad = np.ones((3, 4))
+        bad[2, 1] = np.inf
+        with pytest.raises(InvalidShapeError, match="target contains non-finite entries"):
+            recovery_trials(stack, bad, 2)
 
     def test_greedy_never_beats_oracle(self):
         rng = np.random.default_rng(8)
@@ -400,6 +439,29 @@ class TestBarrierSweep:
                 assert recovery_trial(d, sig, 6) == (
                     whole.mu_measured[gi, t],
                     *(tuple(c[gi, t].tolist()) for c in (whole.planted, whole.greedy, whole.omp)))
+
+    @pytest.mark.parametrize("d, n_atoms, k", [(128, 64, 6), (16, 4, 2), (4, 2, 2), (16, 8, 8)],
+                             ids=["bench", "d16-n4", "d4-n2", "k-eq-n"])
+    def test_stacked_job_matches_per_trial_oracle(self, d, n_atoms, k):
+        args = (d, n_atoms, k, BARRIER_GRID, range(8), 42)
+        assert_same_columns(sss._run_trials(args), per_trial_job(args))
+
+    @pytest.mark.parametrize("targets, trials", [(1, 1), (19, 1), (20, 1), (7, 3)],
+                             ids=["1-lane", "19-lanes", "20-lanes", "21-lanes"])
+    def test_both_bisection_routes_match_per_trial_oracle(self, targets, trials):
+        # target 0 makes no lane; from 20 lanes on the job bisects them in one pass
+        grid = [0.0] + BARRIER_GRID[-targets:]
+        args = (32, 16, 3, grid, range(5, 5 + trials), 7)
+        assert_same_columns(sss._run_trials(args), per_trial_job(args))
+
+    @pytest.mark.parametrize("seed", [1, 7, 42, 2024])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_matches_per_trial_oracle(self, monkeypatch, seed, workers):
+        # chunks of 3 trials make the 6 trials two jobs, so workers=2 runs them on the pool
+        monkeypatch.setattr(sss, "_STACK_BYTES", 3 * 8 * 24 * 12)
+        curve = barrier_sweep(24, 12, 3, BARRIER_GRID, trials=6, seed=seed, workers=workers)
+        stacked = (curve.mu_measured, curve.planted, curve.greedy, curve.omp)
+        assert_same_columns(stacked, per_trial_job((24, 12, 3, BARRIER_GRID, range(6), seed)))
 
     def test_workers_do_not_change_results(self, monkeypatch):
         # chunks of 3 trials make 3 jobs, so workers=3 runs them on the pool;
