@@ -167,28 +167,6 @@ class DictionaryStack:
 
 
 @dataclass(frozen=True)
-class TargetSignal:
-    """A vector to approximate, with the sparse combination that planted it.
-
-    ``support`` and ``coefficients`` record the ground truth; they are
-    bookkeeping, never recomputed.
-    """
-
-    vector: np.ndarray
-    support: tuple[int, ...]
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", _frozen_array(self.vector, ndim=1))
-        sup = check_indices(self.support)
-        coef = _frozen_array(self.coefficients, ndim=1)
-        if len(sup) != coef.shape[0]:
-            raise InvalidShapeError("planted coefficients must align with support")
-        object.__setattr__(self, "support", sup)
-        object.__setattr__(self, "coefficients", coef)
-
-
-@dataclass(frozen=True)
 class SparseSolution:
     """Least-squares fit on a fixed support: indices, coefficients, residual."""
 
@@ -209,13 +187,13 @@ class SparseSolution:
 
 
 def check_vector(y, dim: int, count: int | None = None) -> np.ndarray:
-    """The target as a float vector: a TargetSignal's vector, or y itself;
-    given count, y is a stack of count targets, one a row.
+    """The target y as a float vector; given count, y is a stack of count
+    targets, one a row.
 
     InvalidShapeError unless it has shape (dim,), or (count, dim), and finite
     entries.
     """
-    v = y.vector if isinstance(y, TargetSignal) else np.asarray(y, dtype=np.float64)
+    v = np.asarray(y, dtype=np.float64)
     if count is None and v.shape != (dim,):
         raise InvalidShapeError(f"target must be a vector of length {dim}, got shape {v.shape}")
     if count is not None and v.shape != (count, dim):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import rng
 from .core import (
-    DictionaryStack, TargetSignal, UnitDictionary, _frozen_array, check_k, mutual_coherence,
+    DictionaryStack, UnitDictionary, _frozen_array, check_k, mutual_coherence,
 )
 from .errors import InvalidConfigError, InvalidShapeError, UnreachableError
 
@@ -24,9 +24,10 @@ _MAX_BISECT = 60
 _T_MAX = 1.0 - 1e-9
 # coherent_dictionaries bisects all its lanes (nonzero targets x bases) in one
 # numpy pass from this many on. On a 2-core Xeon a numpy step costs about
-# 15 us however many lanes it carries and a scalar step about 0.85 us a lane,
-# so the routes break even near 20 lanes; fewer lanes, dpp-select's single
-# one among them, stay on the scalar loop.
+# 15 us however many lanes it carries and a scalar step about 2.4 us a lane,
+# so the routes break even near 10 lanes. dpp-select's single lane (0.13 ms
+# on the scalar loop against 1.2 ms in one numpy pass) and a barrier job's
+# 24 targets x its trials sit on either side of any count from 10 to 24.
 _VECTOR_LANES = 20
 # The (i, j) pairs, i < j, of each width of _extreme_entries, for _lane_coherence.
 _PAIRS = {w: np.triu_indices(w, 1) for w in (2, 3, 4)}
@@ -84,8 +85,6 @@ def _blend_coherence(ext: list[float], t: float) -> float:
     n_i^2 = (1-t)^2 + 2c a_i + t^2 and cosine (c (a_i + a_j) + t^2) / (n_i n_j)
     with column j, positive because a >= 0. Evaluated in floats over the
     pairs of ext: O(1) a call (see coherent_dictionaries for why they suffice).
-    Four entries, the case of every N >= 4, take the six pairs in straight
-    line, with the float operations and their order of the pair loop.
 
     _lane_coherence is the same form on many lanes at once, with the same
     bytes. A Python ``float ** 2`` calls libm ``pow``, and so does
@@ -98,15 +97,6 @@ def _blend_coherence(ext: list[float], t: float) -> float:
     """
     c = (1.0 - t) * t
     s, c2, tt = (1.0 - t) ** 2, 2.0 * c, t * t
-    if len(ext) == 4:
-        a0, a1, a2, a3 = ext
-        n0 = 1.0 / math.sqrt(s + c2 * a0 + tt)
-        n1 = 1.0 / math.sqrt(s + c2 * a1 + tt)
-        n2 = 1.0 / math.sqrt(s + c2 * a2 + tt)
-        n3 = 1.0 / math.sqrt(s + c2 * a3 + tt)
-        return max((c * (a0 + a1) + tt) * (n0 * n1), (c * (a0 + a2) + tt) * (n0 * n2),
-                   (c * (a0 + a3) + tt) * (n0 * n3), (c * (a1 + a2) + tt) * (n1 * n2),
-                   (c * (a1 + a3) + tt) * (n1 * n3), (c * (a2 + a3) + tt) * (n2 * n3))
     inv_norm = [1.0 / math.sqrt(s + c2 * x + tt) for x in ext]
     return max((c * (ext[i] + ext[j]) + tt) * (inv_norm[i] * inv_norm[j])
                for i, j in itertools.combinations(range(len(ext)), 2))
@@ -126,21 +116,11 @@ def _lane_coherence(ext: np.ndarray, t: np.ndarray) -> np.ndarray:
     return ((c * (ext[i] + ext[j]) + tt) * (inv_norm[i] * inv_norm[j])).max(axis=0)
 
 
-def _check_ceiling(target_mu, mu_hi: float) -> None:
-    """UnreachableError when mu_hi, the coherence at t = _T_MAX, stays below target_mu."""
-    if mu_hi < target_mu:
-        raise UnreachableError(
-            f"coherence {target_mu} exceeds the construction's ceiling {mu_hi:.6f}"
-        )
-
-
 def _bisect_blend(ext: list[float], target_mu: float) -> float:
-    """The blend parameter t at which _blend_coherence(ext, t) crosses target_mu.
-
-    UnreachableError when the coherence at t = _T_MAX, the ceiling, stays below it.
-    """
+    """The blend parameter t in [0, _T_MAX] at which _blend_coherence(ext, t)
+    crosses target_mu; next to _T_MAX when the coherence there, the
+    construction's ceiling, stays below target_mu."""
     lo, hi = 0.0, _T_MAX
-    _check_ceiling(target_mu, _blend_coherence(ext, hi))
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -153,8 +133,7 @@ def _bisect_blend(ext: list[float], target_mu: float) -> float:
 
 
 def _bisect_lanes(ext: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """_bisect_blend, without its ceiling check, of every lane at once: column l
-    of ext (w, L) to targets[l].
+    """_bisect_blend of every lane at once: column l of ext (w, L) to targets[l].
 
     Each step evaluates _lane_coherence on every lane. A lane stops where the
     scalar loop stops, once its midpoint equals an end of its bracket, and its
@@ -208,9 +187,11 @@ def coherent_dictionaries(bases, targets, tol: float):
     direction u, e_i = normalize((1-t) q_i + t u). Coherence is 0 at t=0,
     approaches 1 as t -> 1, and the sign alignment makes it monotone in t, so
     the target is found by bisection. Raises UnreachableError, at the target
-    where it first happens, when that target cannot be bracketed or hit
-    within tol; InvalidConfigError, before the first yield, for a target
-    outside [0, 1) or a tol that is not positive. The bases are only read, so
+    where it first happens, when a built dictionary misses its target by more
+    than tol, as one does whose target lies above the construction's ceiling
+    (the coherence at t = _T_MAX, which rounds to 1 for every real base, so
+    only a lowered _T_MAX reaches it); InvalidConfigError, before the first
+    yield, for a target outside [0, 1) or a tol that is not positive. The bases are only read, so
     one stack serves every target; at target 0 the dictionaries are the
     bases. Each target's blend is frozen and held by its DictionaryStack
     without a copy.
@@ -222,11 +203,11 @@ def coherent_dictionaries(bases, targets, tol: float):
     target is built; below, each lane runs _bisect_blend when its target is
     reached, since a numpy step costs as much at one lane as at twenty. The
     two routes give the same bytes and raise the same errors at the same
-    target and base.
+    target.
 
-    The ceiling check and each bisection step read the coherence from the
-    closed form of _blend_coherence, not a built d x N dictionary. For
-    t in (0, 1) and column j fixed, d/da_i log cos_ij has the sign of
+    Each bisection step reads the coherence from the closed form of
+    _blend_coherence, not a built d x N dictionary. For t in (0, 1) and
+    column j fixed, d/da_i log cos_ij has the sign of
     (1-t)^2 + (1-t)t (a_i - a_j), increasing in a_i, so cos_ij is quasiconvex
     in a_i and its maximum over i != j sits at the smallest or largest a_i:
     the maximizing pair is among the two smallest and two largest entries of
@@ -248,7 +229,6 @@ def coherent_dictionaries(bases, targets, tol: float):
     nonzero = [mu for mu in targets if mu != 0.0]
     vector = len(nonzero) * len(a) >= _VECTOR_LANES
     if vector:
-        ceiling = _lane_coherence(ext.T, np.full(len(a), _T_MAX)).tolist()
         bisected = iter(_bisect_lanes(np.tile(ext.T, len(nonzero)),
                                       np.repeat(nonzero, len(a))).reshape(len(nonzero), len(a)))
     for target_mu in targets:
@@ -256,8 +236,6 @@ def coherent_dictionaries(bases, targets, tol: float):
             data = base
         else:
             if vector:
-                for mu_hi in ceiling:
-                    _check_ceiling(target_mu, mu_hi)
                 t = next(bisected)
             else:
                 t = np.array([_bisect_blend(row, target_mu) for row in ext.tolist()])
@@ -311,12 +289,10 @@ def planted_signals(dictionaries: DictionaryStack, k: int, seeds):
     return planted
 
 
-def planted_signal(dictionary: UnitDictionary, k: int, seed: int) -> TargetSignal:
-    """Exact k-sparse combination of dictionary atoms with recorded truth: the
-    one-matrix planted_signals."""
-    (support,), (sign,), (vector,) = planted_signals(
-        DictionaryStack(dictionary.data[None]), k, [seed])
-    return TargetSignal(vector=vector, support=tuple(support.tolist()), coefficients=sign)
+def planted_signal(dictionary: UnitDictionary, k: int, seed: int):
+    """Exact k-sparse combination of dictionary atoms: the one-matrix
+    planted_signals, its row (support, signs, vector)."""
+    return tuple(x[0] for x in planted_signals(DictionaryStack(dictionary.data[None]), k, [seed]))
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,12 @@ import numpy as np
 from . import rng
 from .core import (
     DictionaryStack,
-    TargetSignal,
     UnitDictionary,
     SparseSolution,
     _PIVOT_RTOL,
     _solve_gram,
     check_enumerable,
+    check_indices,
     check_k,
     check_vector,
     least_squares_on_support,
@@ -99,15 +99,17 @@ def omp_select(dictionary: UnitDictionary, y, k: int) -> tuple[int, ...]:
 
     Same tie rule as the one-shot selector. Raises SingularGramError if the
     running support ever becomes rank-deficient. The one-pair call of
-    omp_select_stacked, where the route is described.
+    recovery_trials' OMP, whose route _omp_from_correlations describes.
     """
-    return omp_select_stacked([dictionary], [y], k)[0]
+    return tuple(recovery_trials(DictionaryStack(dictionary.data[None]),
+                                 check_vector(y, dictionary.dim)[None], k)[1][0].tolist())
 
 
-def omp_select_stacked(dictionaries, targets, k: int) -> list[tuple[int, ...]]:
-    """omp_select on each (dictionary, target) pair, all pairs' factors grown together.
+def _omp_from_correlations(dictionaries: DictionaryStack, vs, corr, k: int) -> list[tuple[int, ...]]:
+    """omp_select on each matrix of a stack and its target, row t of the (T, d)
+    checked targets vs, all pairs' factors grown together from corr, the
+    (T, N) stack of each pair's E^T y; corr is consumed.
 
-    The dictionaries share one shape and are copied into one DictionaryStack.
     The reference route refits least squares on the sorted support after
     every pick and correlates the residual with every atom. Here a Cholesky
     factor L of the support's Gram, in pick order, grows one row per pick
@@ -135,24 +137,6 @@ def omp_select_stacked(dictionaries, targets, k: int) -> list[tuple[int, ...]]:
     stack, after the stack is done and in pair order, so SingularGramError is
     raised for exactly the supports the reference route raises for.
     """
-    shape = dictionaries[0].data.shape
-    if any(d.data.shape != shape for d in dictionaries) or len(targets) != len(dictionaries):
-        raise InvalidShapeError("stacked OMP needs one target per dictionary, all of one shape")
-    k = check_k(k, shape[1])
-    vs = np.stack([check_vector(y, shape[0]) for y in targets])
-    stack = DictionaryStack(np.stack([d.data for d in dictionaries]))
-    return _omp_from_correlations(stack, vs, _correlations(stack, vs), k)
-
-
-def _correlations(dictionaries: DictionaryStack, vs: np.ndarray) -> np.ndarray:
-    """The (T, N) stack of E^T y, one stacked product; row t has the bytes of
-    matrix t's own product with target vs[t], as greedy_topk_select forms it."""
-    return (dictionaries.data.transpose(0, 2, 1) @ vs[..., None])[..., 0]
-
-
-def _omp_from_correlations(dictionaries: DictionaryStack, vs, corr, k: int) -> list[tuple[int, ...]]:
-    """omp_select_stacked on a stack and its (T, d) checked targets from their
-    _correlations; corr is consumed."""
     n = corr.shape[1]
     live = at = np.arange(len(vs))
     norm_v = np.linalg.norm(vs, axis=1)
@@ -208,25 +192,27 @@ def recovery_trials(dictionaries: DictionaryStack, vectors, k: int):
     vectors of planted_signals). Returns the sorted greedy and OMP supports,
     each a (T, k) int array, row t for pair t; a selector succeeds on a pair
     when its row equals the pair's sorted planted support. Every pair's
-    correlations E^T y are formed in one stacked product: greedy takes the
-    top k of every row's |E^T y| at once, as greedy_topk_select does pair by
-    pair, and OMP starts from the same stack and reads its Gram rows from
-    the stack's gram, as omp_select_stacked does.
+    correlations E^T y are formed in one stacked product, row t with the
+    bytes of matrix t's own product: greedy takes the top k of every row's
+    |E^T y| at once, as greedy_topk_select does pair by pair, and OMP
+    (_omp_from_correlations) starts from the same stack and reads its Gram
+    rows from the stack's gram.
     """
     k = check_k(k, dictionaries.n_atoms)
     vs = check_vector(vectors, dictionaries.dim, len(dictionaries))
-    corr = _correlations(dictionaries, vs)
+    corr = (dictionaries.data.transpose(0, 2, 1) @ vs[..., None])[..., 0]
     greedy = topk_indices(np.abs(corr), k)
     return greedy, np.array(_omp_from_correlations(dictionaries, vs, corr, k))
 
 
-def recovery_trial(dictionary: UnitDictionary, signal: TargetSignal, k: int):
-    """The one-trial call of recovery_trials, with the dictionary's coherence:
-    (mu_measured, planted, greedy, omp), each support a sorted tuple."""
-    stack = DictionaryStack(dictionary.data[None])
-    greedy, omp = recovery_trials(stack, check_vector(signal, dictionary.dim)[None], k)
-    return (mutual_coherence(dictionary), tuple(sorted(signal.support)),
-            tuple(greedy[0].tolist()), tuple(omp[0].tolist()))
+def recovery_trial(dictionary: UnitDictionary, support, vector, k: int):
+    """The one-trial call of recovery_trials on a planted support and its vector,
+    with the dictionary's coherence: (mu_measured, planted, greedy, omp), each
+    support a sorted tuple."""
+    greedy, omp = recovery_trials(DictionaryStack(dictionary.data[None]),
+                                  check_vector(vector, dictionary.dim)[None], k)
+    planted = tuple(sorted(check_indices(support, dictionary.n_atoms)))
+    return mutual_coherence(dictionary), planted, tuple(greedy[0].tolist()), tuple(omp[0].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,7 +292,7 @@ def barrier_sweep(
     seed: int,
     workers: int = 1,
 ) -> BarrierCurve:
-    """Exact recovery by both selectors, trial by trial, across a coherence grid.
+    """Exact recovery by both selectors for every trial across a coherence grid.
 
     Trial t draws one base from its own derived stream, (seed, "barrier", t, 0),
     and blends it to every target of the grid, so a trial's dictionaries are
@@ -320,7 +306,9 @@ def barrier_sweep(
     (a bench job's 24 nonzero targets x 8 trials are 192). At each grid point
     its trials are one DictionaryStack, checked once, whose stacked gram gives
     the measured coherence and OMP's Gram rows; one planted_signals call and
-    one recovery_trials call run on it.
+    one recovery_trials call run on it. There is no per-trial route:
+    planted_signal, omp_select and recovery_trial are the one-matrix calls of
+    these stacked bodies.
     """
     grid = [float(m) for m in mu_grid]
     if len(grid) < 1:

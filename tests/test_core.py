@@ -10,7 +10,6 @@ from moegeo import core, errors
 from moegeo.core import (
     DictionaryStack,
     SparseSolution,
-    TargetSignal,
     UnitDictionary,
     _frozen_array,
     check_indices,
@@ -291,11 +290,6 @@ class TestCheckIndices:
 
 
 class TestCheckVector:
-    def test_accepts_a_target_signal(self):
-        signal = TargetSignal(vector=np.arange(3.0), support=(2, 0),
-                              coefficients=np.array([1.0, -1.0]))
-        assert check_vector(signal, 3) is signal.vector
-
     @pytest.mark.parametrize("y", [np.ones(4), np.ones((3, 1)), 1.0])
     def test_rejects_a_wrong_shape(self, y):
         with pytest.raises(InvalidShapeError, match="^target must be a vector of length 3"):

@@ -23,7 +23,6 @@ from moegeo.sss import (
     brute_force_sss,
     greedy_topk_select,
     omp_select,
-    omp_select_stacked,
     recovery_trial,
     recovery_trials,
 )
@@ -34,13 +33,20 @@ BARRIER_GRID = [round(x, 10) for x in np.linspace(0.0, 0.95, 25)]
 
 
 def barrier_instances(dim, n_atoms, k, gi, trials):
-    """The dictionaries and planted signals of one barrier grid point at seed 42, seed by seed."""
+    """The dictionaries and planted (support, signs, vector) signals of one
+    barrier grid point at seed 42, seed by seed."""
     dictionaries = [coherent_dictionary(dim, n_atoms, BARRIER_GRID[gi], 0.005,
                                         rng.derive_state(42, "barrier", t, 0))
                     for t in range(trials)]
     signals = [planted_signal(d, k, rng.derive_state(42, "barrier", gi, t, 1))
                for t, d in enumerate(dictionaries)]
     return dictionaries, signals
+
+
+def as_stack(dictionaries, signals):
+    """The dictionaries as one DictionaryStack, and their planted vectors as its (T, d) targets."""
+    return (DictionaryStack(np.stack([d.data for d in dictionaries])),
+            np.stack([vector for *_, vector in signals]))
 
 
 def per_trial_job(args):
@@ -54,8 +60,8 @@ def per_trial_job(args):
         trials = []
         for t, data in zip(ts, stack.data):
             e = UnitDictionary(data.copy())
-            sig = planted_signal(e, k, rng.derive_state(seed, "barrier", gi, t, 1))
-            mu, *supports = recovery_trial(e, sig, k)
+            support, _, vector = planted_signal(e, k, rng.derive_state(seed, "barrier", gi, t, 1))
+            mu, *supports = recovery_trial(e, support, vector, k)
             assert mu == mutual_coherence(e)
             trials.append((mu, *supports))
         points.append([np.array(column) for column in zip(*trials)])
@@ -100,7 +106,7 @@ def gram_in_place_brute_force(dictionary, y, k):
 
 def refit_omp(dictionary, y, k):
     """OMP that refits least squares on the sorted support after every pick."""
-    v = np.asarray(y.vector if hasattr(y, "vector") else y, dtype=np.float64)
+    v = np.asarray(y, dtype=np.float64)
     residual = v
     support = []
     for _ in range(k):
@@ -123,9 +129,9 @@ def outcome(select, dictionary, y, k):
 class TestBruteForce:
     def test_exact_sparse_target_recovered(self):
         d = random_orthonormal_dictionary(10, 8, seed=0)
-        sig = planted_signal(d, k=3, seed=1)
-        sol = brute_force_sss(d, sig, 3)
-        assert sol.support == sig.support
+        support, _, y = planted_signal(d, k=3, seed=1)
+        sol = brute_force_sss(d, y, 3)
+        assert sol.support == tuple(support.tolist())
         assert sol.residual_sq <= 1e-18
 
     def test_orthonormal_equals_topk_correlation(self):
@@ -220,8 +226,8 @@ class TestOmp:
         # k=3 has guarantee threshold 1/5; 0.1 sits safely below it.
         for seed in range(20):
             d = coherent_dictionary(32, 16, target_mu=0.1, tol=0.005, seed=seed)
-            sig = planted_signal(d, k=3, seed=seed + 1000)
-            assert omp_select(d, sig, 3) == sig.support
+            support, _, y = planted_signal(d, k=3, seed=seed + 1000)
+            assert omp_select(d, y, 3) == tuple(support.tolist())
 
 
 class TestOmpMatchesRefitRoute:
@@ -229,15 +235,15 @@ class TestOmpMatchesRefitRoute:
 
     def test_barrier_grid_seeds(self):
         for gi in range(len(BARRIER_GRID)):
-            for d, sig in zip(*barrier_instances(128, 64, 6, gi, 3)):
-                assert omp_select(d, sig, 6) == refit_omp(d, sig, 6)
+            for d, (_, _, y) in zip(*barrier_instances(128, 64, 6, gi, 3)):
+                assert omp_select(d, y, 6) == refit_omp(d, y, 6)
 
     def test_noisy_targets(self):
         gen = np.random.default_rng(21)
         for trial in range(60):
             mu = float(gen.uniform(0.0, 0.9))
             d = coherent_dictionary(32, 24, mu, 0.01, seed=trial)
-            y = planted_signal(d, 4, seed=trial + 500).vector + 0.3 * gen.standard_normal(32)
+            y = planted_signal(d, 4, seed=trial + 500)[2] + 0.3 * gen.standard_normal(32)
             for k in (1, 3, 6, 12):
                 assert omp_select(d, y, k) == refit_omp(d, y, k)
 
@@ -284,34 +290,37 @@ class TestOmpMatchesRefitRoute:
                 q = random_orthonormal_dictionary(13, 13, seed=seed).data
                 centered = q - q.mean(axis=1, keepdims=True)
                 d = normalize_columns(np.linalg.svd(centered)[0][:, :12].T @ centered)
-            sig = planted_signal(d, 6, seed=seed + 100)
-            assert omp_select(d, sig, 3) == refit_omp(d, sig, 3)
+            y = planted_signal(d, 6, seed=seed + 100)[2]
+            assert omp_select(d, y, 3) == refit_omp(d, y, 3)
         assert refits
 
 
 class TestStackedOmp:
-    """OMP over a stack of pairs picks each pair's refit-route support."""
+    """OMP over a DictionaryStack picks each pair's refit-route support."""
 
     def test_barrier_grid_stacks(self, monkeypatch):
-        # a pair leaves the stack for the refit route on a near-tie or a lost certificate
-        refitted = set()
+        # a pair leaves the stack for the refit route on a near-tie or a lost certificate;
+        # each refitted view is held, so no two of them share an id
+        refitted = []
         monkeypatch.setattr(sss, "least_squares_on_support",
-                            lambda d, *a: refitted.add(id(d)) or least_squares_on_support(d, *a))
+                            lambda d, *a: refitted.append(d) or least_squares_on_support(d, *a))
         trials = 0
         for gi in range(len(BARRIER_GRID)):
             dictionaries, signals = barrier_instances(128, 64, 6, gi, 8)
-            stacked = omp_select_stacked(dictionaries, signals, 6)
-            assert stacked == [refit_omp(d, sig, 6) for d, sig in zip(dictionaries, signals)]
-            trials += len(stacked)
-        assert 0 < len(refitted) < trials
+            _, omp = recovery_trials(*as_stack(dictionaries, signals), 6)
+            assert [tuple(row) for row in omp.tolist()] == [
+                refit_omp(d, y, 6) for d, (_, _, y) in zip(dictionaries, signals)]
+            trials += len(omp)
+        assert 0 < len({id(d) for d in refitted}) < trials
 
     @pytest.mark.parametrize("n_atoms", [2, 3, 4, 5])
     def test_few_atoms(self, n_atoms):
         for gi in range(len(BARRIER_GRID)):
             for k in range(1, n_atoms + 1):
                 dictionaries, signals = barrier_instances(16, n_atoms, k, gi, 8)
-                assert omp_select_stacked(dictionaries, signals, k) == [
-                    refit_omp(d, sig, k) for d, sig in zip(dictionaries, signals)]
+                _, omp = recovery_trials(*as_stack(dictionaries, signals), k)
+                assert [tuple(row) for row in omp.tolist()] == [
+                    refit_omp(d, y, k) for d, (_, _, y) in zip(dictionaries, signals)]
 
     def test_singular_pair_raises_as_alone(self):
         # pair 1 has duplicate columns: the stack raises what omp_select raises on it alone
@@ -323,16 +332,14 @@ class TestStackedOmp:
         with pytest.raises(SingularGramError) as alone:
             omp_select(dup, y, 8)
         with pytest.raises(SingularGramError) as stacked:
-            omp_select_stacked([ok, dup], [y, y], 8)
+            recovery_trials(DictionaryStack(np.stack([ok.data, dup.data])), np.stack([y, y]), 8)
         assert stacked.value.support == alone.value.support
 
     def test_mismatched_stack_rejected(self):
+        # one target for a stack of two dictionaries
         a = random_orthonormal_dictionary(8, 4, seed=0)
-        b = random_orthonormal_dictionary(8, 5, seed=0)
-        with pytest.raises(InvalidShapeError):
-            omp_select_stacked([a, b], [np.ones(8), np.ones(8)], 2)
-        with pytest.raises(InvalidShapeError):
-            omp_select_stacked([a, a], [np.ones(8)], 2)
+        with pytest.raises(InvalidShapeError, match=r"^targets must be a 2 x 8 stack"):
+            recovery_trials(DictionaryStack(np.stack([a.data, a.data])), np.ones((1, 8)), 2)
 
 
 class TestNonFiniteTargets:
@@ -342,7 +349,8 @@ class TestNonFiniteTargets:
         greedy_topk_select,
         omp_select,
         lambda d, y, k: brute_force_sss(d, y, k).support,
-        lambda d, y, k: omp_select_stacked([d, d], [d.data[:, 0], y], k),
+        lambda d, y, k: recovery_trials(DictionaryStack(np.stack([d.data, d.data])),
+                                        np.stack([d.data[:, 0], y]), k),
     ], ids=["greedy", "omp", "brute-force", "stacked-omp"])
     @pytest.mark.parametrize("bad", ["all-nan", "one-inf"])
     def test_rejected(self, select, bad):
@@ -355,21 +363,21 @@ class TestNonFiniteTargets:
 class TestRecoveryTrial:
     def test_fields_consistent(self):
         d = coherent_dictionary(24, 12, 0.15, 0.005, seed=0)
-        sig = planted_signal(d, k=2, seed=1)
-        mu, planted, greedy, omp = recovery_trial(d, sig, 2)
+        support, _, y = planted_signal(d, k=2, seed=1)
+        mu, planted, greedy, omp = recovery_trial(d, support, y, 2)
         assert mu == mutual_coherence(d)
-        assert planted == sig.support
-        assert greedy == greedy_topk_select(d, sig, 2)
-        assert omp == omp_select(d, sig, 2)
+        assert planted == tuple(support.tolist())
+        assert greedy == greedy_topk_select(d, y, 2)
+        assert omp == omp_select(d, y, 2)
 
     def test_columns_are_each_pairs_trial(self):
         dictionaries, signals = barrier_instances(128, 64, 6, 10, 5)
-        stack = DictionaryStack(np.stack([d.data for d in dictionaries]))
-        columns = (np.sort([s.support for s in signals], axis=1),
-                   *recovery_trials(stack, np.stack([s.vector for s in signals]), 6))
+        columns = (np.sort([support for support, *_ in signals], axis=1),
+                   *recovery_trials(*as_stack(dictionaries, signals), 6))
         assert all(c.shape == (5, 6) for c in columns)
-        for t, (d, sig) in enumerate(zip(dictionaries, signals)):
-            assert recovery_trial(d, sig, 6)[1:] == tuple(tuple(c[t].tolist()) for c in columns)
+        for t, (d, (support, _, y)) in enumerate(zip(dictionaries, signals)):
+            assert recovery_trial(d, support, y, 6)[1:] == tuple(tuple(c[t].tolist())
+                                                                 for c in columns)
 
     def test_targets_checked_as_a_stack(self):
         stack = DictionaryStack(np.stack([np.eye(4)] * 3))
@@ -385,10 +393,10 @@ class TestRecoveryTrial:
         for seed in range(40):
             mu = float(rng.uniform(0.0, 0.8))
             d = coherent_dictionary(16, 10, mu, 0.01, seed=seed)
-            sig = planted_signal(d, k=3, seed=seed + 77)
-            greedy = recovery_trial(d, sig, 3)[2]
-            greedy_res = least_squares_on_support(d, sig.vector, greedy).residual_sq
-            oracle = brute_force_sss(d, sig, 3)
+            support, _, y = planted_signal(d, k=3, seed=seed + 77)
+            greedy = recovery_trial(d, support, y, 3)[2]
+            greedy_res = least_squares_on_support(d, y, greedy).residual_sq
+            oracle = brute_force_sss(d, y, 3)
             assert greedy_res >= oracle.residual_sq - 1e-9
 
 
@@ -435,8 +443,8 @@ class TestBarrierSweep:
         assert_same_curve(barrier_sweep(128, 64, 6, BARRIER_GRID, trials=8, seed=42), whole)
         for gi in range(len(BARRIER_GRID)):
             dictionaries, signals = barrier_instances(128, 64, 6, gi, 8)
-            for t, (d, sig) in enumerate(zip(dictionaries, signals)):
-                assert recovery_trial(d, sig, 6) == (
+            for t, (d, (support, _, y)) in enumerate(zip(dictionaries, signals)):
+                assert recovery_trial(d, support, y, 6) == (
                     whole.mu_measured[gi, t],
                     *(tuple(c[gi, t].tolist()) for c in (whole.planted, whole.greedy, whole.omp)))
 

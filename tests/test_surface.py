@@ -2,7 +2,9 @@
 
 A public function or class counts as used when `src/` names it (as a name or
 an attribute) outside its own definition, when it is a `@command` handler, or
-when `bench/plan.json` traces it. A function that only a test calls fails here.
+when `bench/plan.json` traces it. A traced definition that `src/` never names
+is kept for the plan alone, so what it names gets no caller from it. A
+function that only a test calls fails here.
 """
 
 import ast
@@ -18,17 +20,16 @@ def _is_command(node):
                for dec in node.decorator_list)
 
 
-def _public_definitions(trees):
+def _definitions(trees):
     for module, tree in trees.items():
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_") and not _is_command(node)):
-                yield module, node
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield f"{module}.{node.name}", node
 
 
 def _uses(tree, skip):
-    """Names and attributes read anywhere in `tree` outside the node `skip`."""
-    inside = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    """Names and attributes read anywhere in `tree` outside the nodes `skip`."""
+    inside = {id(n) for node in skip for n in ast.walk(node)}
     for node in ast.walk(tree):
         if id(node) in inside:
             continue
@@ -38,15 +39,36 @@ def _uses(tree, skip):
             yield node.attr
 
 
+def _has_caller(node, trees, skip):
+    """Whether any tree names `node` outside itself and the nodes `skip`."""
+    return any(node.name in set(_uses(tree, [node, *skip])) for tree in trees.values())
+
+
+def _unused(trees, traced):
+    """The public, untraced, non-command definitions with no caller, as module.name."""
+    pinned = [node for name, node in _definitions(trees)
+              if name in traced and not _has_caller(node, trees, [])]
+    return [name for name, node in _definitions(trees)
+            if not node.name.startswith("_") and not _is_command(node) and name not in traced
+            and not _has_caller(node, trees, pinned)]
+
+
 def test_every_public_definition_has_a_caller_in_src():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     plan = json.loads((ROOT / "bench" / "plan.json").read_text())
     traced = {name for layer in plan["layers"] for name in layer["functions"]}
-    unused = []
-    for module, node in _public_definitions(trees):
-        if f"{module}.{node.name}" in traced:
-            continue
-        if not any(node.name in set(_uses(tree, node if name == module else None))
-                   for name, tree in trees.items()):
-            unused.append(f"{module}.{node.name}")
-    assert unused == []
+    assert _unused(trees, traced) == []
+
+
+def test_a_plan_pin_is_no_caller():
+    # `pinned` is traced and never called, so `helper`, which only it calls, is dead;
+    # `shared` is also called from `entry`, which `main` calls
+    trees = {"lib": ast.parse(
+        "def pinned(): return helper() + shared()\n"
+        "def helper(): return 1\n"
+        "def shared(): return 2\n"
+        "def entry(): return shared()\n"
+        "def main(): return entry()\n"
+        "main()\n")}
+    assert _unused(trees, {"lib.pinned"}) == ["lib.helper"]
+    assert _unused(trees, {"lib.pinned", "lib.helper"}) == []

@@ -82,6 +82,17 @@ def test_planted_fault_fails_its_check(monkeypatch, name):
     assert result.margin < 0
 
 
+def test_collision_floor_fault_fails_the_check(monkeypatch):
+    # halved in both modules, the mass still equals exp(-H2), so only the floor E*mass >= 1 fails
+    for module in (verify, infotheory):
+        _plant(monkeypatch, module, "collision_mass", lambda mass, *_: mass / 2)
+    [result] = run_verification(seed=42, checks=["collision-identity"])
+    gap = float(result.detail.split()[3].rstrip(","))
+    assert gap <= 1e-9
+    assert result.passed is False
+    assert result.margin < -0.4
+
+
 def test_entropy_bound_violation_is_typed_and_fails_the_check(monkeypatch):
     # gates of 1/e are no distributions: k entries give k/e nats, above log k for every k
     built = infotheory.RoutingBatch.__post_init__
