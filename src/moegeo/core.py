@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,8 +63,9 @@ def check_indices(indices, n=None) -> tuple[int, ...]:
     return idx
 
 
-def _unit_matrices(x, ndim: int) -> np.ndarray:
-    """x, checked, as one read-only d x N dictionary (ndim 2) or a (T, d, N) stack of them (ndim 3).
+def _unit_matrices(x, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """x, checked, as one read-only d x N dictionary (ndim 2) or a (T, d, N) stack
+    of them (ndim 3), and its read-only Gram: DᵀD, or every matrix's DᵀD.
 
     A read-only C-contiguous float64 array is held as it is, not copied: the
     package writes no array once it has frozen one, so a freshly blended
@@ -73,6 +73,12 @@ def _unit_matrices(x, ndim: int) -> np.ndarray:
     copied first. InvalidShapeError when a matrix has a non-finite entry,
     d < 1 or N < 2, or a column whose norm is not 1 within 1e-10: the message
     is the one that the first such matrix, in stack order, raises alone.
+
+    The Gram is formed right after the finiteness check, in one stacked
+    product whose (N, N) slices each have the bytes of that matrix's own 2-D
+    syrk, and the column norms are the square roots of its diagonal. Only
+    the matrices before the first non-finite one enter it, since that one's
+    message stands unless an earlier one fails.
     """
     frozen = (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == ndim
               and x.flags.c_contiguous and not x.flags.writeable)
@@ -80,12 +86,15 @@ def _unit_matrices(x, ndim: int) -> np.ndarray:
     stack = a[None] if ndim == 2 else a
     d, n = stack.shape[1:]
     finite = np.isfinite(stack).all(axis=(1, 2))
-    norms = np.linalg.norm(stack, axis=1)
+    first = len(stack) if finite.all() else int(np.argmin(finite))
+    head = stack[:first]
+    grams = head.transpose(0, 2, 1) @ head
+    norms = np.sqrt(np.diagonal(grams, axis1=1, axis2=2))
     off = np.abs(norms - 1.0)
-    bad = ~finite | (off > 1e-10).any(axis=1) | (d < 1 or n < 2)
-    if bad.any():
-        t = int(np.argmax(bad))
-        if not finite[t]:
+    bad = (off > 1e-10).any(axis=1) | (d < 1 or n < 2)
+    if bad.any() or first < len(stack):
+        t = int(np.argmax(bad)) if bad.any() else first
+        if t == first:
             raise InvalidShapeError("dictionary contains non-finite entries")
         if d < 1 or n < 2:
             raise InvalidShapeError(f"dictionary needs d >= 1 and N >= 2, got {d} x {n}")
@@ -93,21 +102,27 @@ def _unit_matrices(x, ndim: int) -> np.ndarray:
         raise InvalidShapeError(
             f"column {worst} has norm {float(norms[t, worst])}, expected 1 within 1e-10"
         )
-    return a
+    gram = grams[0] if ndim == 2 else grams
+    gram.setflags(write=False)
+    return a, gram
 
 
 @dataclass(frozen=True)
 class UnitDictionary:
     """d x N matrix with unit-norm columns; column i is atom i.
 
-    Its checks are those of the one-matrix DictionaryStack. A stack's matrix t,
-    ``stack[t]``, is a UnitDictionary that views the stack's data and gram.
+    Its checks are those of the one-matrix DictionaryStack. ``gram`` is the
+    N x N inner products of the atoms, DᵀD, read-only, formed by the check.
+    A stack's matrix t, ``stack[t]``, is a UnitDictionary that views the
+    stack's data and gram.
     """
 
     data: np.ndarray
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _unit_matrices(self.data, 2))
+        for name, value in zip(("data", "gram"), _unit_matrices(self.data, 2)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -117,27 +132,23 @@ class UnitDictionary:
     def n_atoms(self) -> int:
         return self.data.shape[1]
 
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """N x N inner products of the atoms, DᵀD; formed once per dictionary, read-only."""
-        g = self.data.T @ self.data
-        g.setflags(write=False)
-        return g
-
 
 @dataclass(frozen=True, eq=False)
 class DictionaryStack:
     """T unit dictionaries of one shape as a read-only (T, d, N) stack; matrix t is dictionary t.
 
     The finiteness and unit-column checks run once for the whole stack. The
-    stack's ``gram`` is every matrix's DᵀD from one stacked product, each
-    (N, N) slice with the bytes of that matrix's own ``UnitDictionary.gram``.
+    stack's ``gram`` is every matrix's DᵀD, (T, N, N) and read-only, from the
+    one stacked product the check reads the column norms from, each (N, N)
+    slice with the bytes of that matrix's own ``UnitDictionary.gram``.
     """
 
     data: np.ndarray
+    gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _unit_matrices(self.data, 3))
+        for name, value in zip(("data", "gram"), _unit_matrices(self.data, 3)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -147,7 +158,7 @@ class DictionaryStack:
         that carries its slice of the stack's gram."""
         one = object.__new__(UnitDictionary)
         object.__setattr__(one, "data", self.data[t])
-        one.__dict__["gram"] = self.gram[t]
+        object.__setattr__(one, "gram", self.gram[t])
         return one
 
     @property
@@ -157,13 +168,6 @@ class DictionaryStack:
     @property
     def n_atoms(self) -> int:
         return self.data.shape[2]
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """(T, N, N) inner products of each matrix's atoms; formed once per stack, read-only."""
-        g = self.data.transpose(0, 2, 1) @ self.data
-        g.setflags(write=False)
-        return g
 
 
 @dataclass(frozen=True)
@@ -298,21 +302,52 @@ def run_jobs(fn, jobs, workers: int) -> list:
                 os.environ[name] = value
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray, support) -> np.ndarray:
-    """Solve gram @ x = rhs, rejecting ill-conditioned factorizations.
+def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, ok): x solves gram @ x = rhs through the guarded Cholesky factor,
+    for one (m, m) Gram and its (m,) rhs, or matrix by matrix for a (P, m, m)
+    stack and its (P, m) rhs.
 
-    A support is rejected when Cholesky fails outright or when the smallest
-    pivot falls below _PIVOT_RTOL times the largest.
+    ok, a bool array of gram's batch shape, is False for a Gram the guard
+    rejects: where Cholesky fails or the smallest pivot falls below
+    _PIVOT_RTOL times the largest. The x of a rejected Gram is meaningless.
+    A stack that Cholesky refuses as a whole is factored matrix by matrix,
+    with the same bytes, to find the ones it refuses.
     """
     try:
-        chol = psd_cholesky(gram)
-    except NotPSDError:
-        raise SingularGramError(support) from None
-    pivots = np.diag(chol) ** 2
-    if pivots.min() < _PIVOT_RTOL * pivots.max():
-        raise SingularGramError(support)
-    z = np.linalg.solve(chol, rhs)
-    return np.linalg.solve(chol.T, z)
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        chol = np.full(gram.shape, np.nan)
+        for i in np.ndindex(gram.shape[:-2]):
+            try:
+                chol[i] = np.linalg.cholesky(gram[i])
+            except np.linalg.LinAlgError:
+                pass
+    pivots = np.diagonal(chol, axis1=-2, axis2=-1) ** 2
+    ok = pivots.min(axis=-1) >= _PIVOT_RTOL * pivots.max(axis=-1)
+    if not ok.all():
+        chol = np.where(ok[..., None, None], chol, np.eye(gram.shape[-1]))
+    z = np.linalg.solve(chol, rhs[..., None])
+    return np.linalg.solve(chol.swapaxes(-1, -2), z)[..., 0], ok
+
+
+def least_squares_on_supports(data: np.ndarray, pairs, vs: np.ndarray, supports):
+    """Ordinary least squares of each target vs[p] on the columns supports[p]
+    of matrix pairs[p] of the (T, d, N) stack data, for every p at once:
+    (coef, rhs, fit, ok), row p the coefficients, the support columns' inner
+    products with the target, their combination by coef, and whether the
+    support's Gram passed the pivot guard (the other rows are meaningless).
+
+    supports is a (P, m) array of sorted supports. The columns are gathered
+    as (P, m, d), the layout in which the 2-D gather data[:, support] holds
+    its (d, m) columns, so each row's Gram, rhs, Cholesky, solves and fit
+    have the bytes of the same pair refitted alone. The unchecked body of
+    least_squares_on_support, which is its one-pair call.
+    """
+    cols = data[np.asarray(pairs)[:, None], :, supports]
+    rhs = (cols @ vs[..., None])[..., 0]
+    coef, ok = _solve_gram(cols @ cols.transpose(0, 2, 1), rhs)
+    fit = (cols.transpose(0, 2, 1) @ coef[..., None])[..., 0]
+    return coef, rhs, fit, ok
 
 
 def least_squares_on_support(
@@ -320,7 +355,9 @@ def least_squares_on_support(
 ) -> SparseSolution:
     """Ordinary least squares restricted to the given atom indices.
 
-    Solves the normal equations on the support's Gram matrix. The squared
+    Solves the normal equations on the support's Gram matrix, formed from the
+    support's columns (not read from ``dictionary.gram``). SingularGramError
+    on the sorted support when the pivot guard rejects it. The squared
     residual is computed as ||y||^2 minus the projection energy and clamped
     at zero (it can dip a hair negative in floating point).
     """
@@ -329,9 +366,9 @@ def least_squares_on_support(
     if not sup:
         raise InvalidShapeError("support must be nonempty")
 
-    cols = dictionary.data[:, sup]
-    gram = cols.T @ cols
-    rhs = cols.T @ y
-    coef = _solve_gram(gram, rhs, sup)
-    residual_sq = float(y @ y - rhs @ coef)
-    return SparseSolution(support=sup, coefficients=coef, residual_sq=max(residual_sq, 0.0))
+    coef, rhs, _, ok = least_squares_on_supports(dictionary.data[None], [0], y[None],
+                                                 np.array([sup]))
+    if not ok[0]:
+        raise SingularGramError(sup)
+    residual_sq = float(y @ y - rhs[0] @ coef[0])
+    return SparseSolution(support=sup, coefficients=coef[0], residual_sq=max(residual_sq, 0.0))

@@ -23,12 +23,14 @@ _MAX_BISECT = 60
 # The blend parameter's upper end: the coherence there is the construction's ceiling.
 _T_MAX = 1.0 - 1e-9
 # coherent_dictionaries bisects all its lanes (nonzero targets x bases) in one
-# numpy pass from this many on. On a 2-core Xeon a numpy step costs about
-# 15 us however many lanes it carries and a scalar step about 2.4 us a lane,
-# so the routes break even near 10 lanes. dpp-select's single lane (0.13 ms
-# on the scalar loop against 1.2 ms in one numpy pass) and a barrier job's
-# 24 targets x its trials sit on either side of any count from 10 to 24.
-_VECTOR_LANES = 20
+# numpy pass from this many on, the measured break-even. On a 2-vCPU Xeon VM
+# at 128 x 64 (timeit, one pinned core) a lane costs about 0.135 ms on the
+# scalar loop, and one numpy pass 1.35-1.65 ms at 1 to 24 lanes: 1.37 against
+# 0.13 ms at 1 lane, 1.57 against 0.69 at 5, 1.41-1.44 against 1.37-1.44 at
+# 10, 1.39 against 1.98-2.10 at 15, 1.36-1.43 against 2.67-3.01 at 20 and
+# 1.48-1.65 against 3.19-3.20 at 24. dpp-select's single lane and a barrier
+# job's 24 targets x its trials sit on either side.
+_VECTOR_LANES = 10
 # The (i, j) pairs, i < j, of each width of _extreme_entries, for _lane_coherence.
 _PAIRS = {w: np.triu_indices(w, 1) for w in (2, 3, 4)}
 # Coherence tolerance of the dictionaries that barrier and dpp-select build.
@@ -201,7 +203,7 @@ def coherent_dictionaries(bases, targets, tol: float):
     bisection has a lane per (nonzero target, base). From _VECTOR_LANES lanes
     on, _bisect_lanes bisects every lane in one numpy pass before the first
     target is built; below, each lane runs _bisect_blend when its target is
-    reached, since a numpy step costs as much at one lane as at twenty. The
+    reached, since a numpy pass costs about as much at one lane as at ten. The
     two routes give the same bytes and raise the same errors at the same
     target.
 
@@ -265,6 +267,7 @@ def planted_signals(dictionaries: DictionaryStack, k: int, seeds):
 
     Each seed draws from its own stream, a uniform random k-subset and then
     +-1 signs: equal magnitudes are the adversarial case for greedy recovery.
+    The streams are one generator that rng.streams re-keys per seed.
     The vectors are one stacked product of each matrix's support columns with
     its signs, row t with the bytes of the product on matrix t alone.
     """
@@ -276,8 +279,7 @@ def planted_signals(dictionaries: DictionaryStack, k: int, seeds):
     k = check_k(k, n)
     supports = np.empty((len(seeds), k), dtype=np.intp)
     signs = np.empty((len(seeds), k))
-    for seed, support, sign in zip(seeds, supports, signs):
-        gen = rng.stream(seed, "planted")
+    for gen, support, sign in zip(rng.streams(seeds, "planted"), supports, signs):
         support[:] = np.sort(gen.choice(n, size=k, replace=False))
         sign[:] = gen.integers(0, 2, size=k) * 2.0 - 1.0
     # (T, k, d): each matrix's support columns, laid out as the 2-D gather

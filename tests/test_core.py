@@ -75,6 +75,29 @@ class TestUnitDictionary:
         with pytest.raises(ValueError):
             d.data[0, 0] = 2.0
 
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_unit_check_reads_the_gram_diagonal(self, ndim):
+        # the column norms are the square roots of the Gram's diagonal, held to 1 within 1e-10
+        base = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 5)))[0]
+
+        def build(scale=1.0, entry=None):
+            m = base.copy()
+            m[:, 3] *= scale
+            if entry is not None:
+                m[2, 1] = entry
+            return UnitDictionary(m) if ndim == 2 else DictionaryStack(np.stack([base, m]))
+
+        near = build(1.0 + 5e-11)
+        g = near.gram if ndim == 2 else near.gram[1]
+        assert abs(np.sqrt(g[3, 3]) - 1.0) <= 1e-10
+        for scale in (1.0 + 2e-10, 2.0):
+            with pytest.raises(InvalidShapeError,
+                               match=r"^column 3 has norm [0-9.]+, expected 1 within 1e-10$"):
+                build(scale)
+        for entry in (np.nan, np.inf):
+            with pytest.raises(InvalidShapeError, match="^dictionary contains non-finite entries$"):
+                build(entry=entry)
+
     def test_gram_is_cached_read_only_and_bit_equal(self):
         d = normalize_columns(np.random.default_rng(5).standard_normal((9, 7)))
         assert d.gram is d.gram
@@ -138,6 +161,13 @@ class TestDictionaryStack:
         with pytest.raises(InvalidShapeError, match="needs d >= 1 and N >= 2, got 3 x 1"):
             DictionaryStack(np.ones((2, 3, 1)))
 
+    @pytest.mark.parametrize("t, d, n", [(3, 4, 9), (2, 1, 2), (4, 16, 16)])
+    def test_gram_slices_keep_the_bytes_of_each_matrix_alone(self, t, d, n):
+        # N > d, d = 1 and N = d: the stacked product and each matrix's 2-D syrk agree
+        stack = DictionaryStack(self.unit_stack(t=t, d=d, n=n))
+        for i in range(t):
+            assert stack[i].gram.tobytes() == UnitDictionary(stack.data[i]).gram.tobytes()
+
     def test_gram_and_coherence_are_each_matrix_own(self):
         stack = DictionaryStack(self.unit_stack(t=5, d=128, n=64))
         assert not stack.data.flags.writeable and not stack.gram.flags.writeable
@@ -145,7 +175,7 @@ class TestDictionaryStack:
         alone = [UnitDictionary(m) for m in stack.data]
         assert len(stack) == 5 and (stack.dim, stack.n_atoms) == (128, 64)
         for t, d in enumerate(alone):
-            # stack[t], the view a pair that leaves OMP's stack refits on, copies nothing
+            # stack[t] copies nothing
             view = stack[t]
             assert np.shares_memory(view.data, stack.data) and np.shares_memory(view.gram, stack.gram)
             assert not view.data.flags.writeable and not view.gram.flags.writeable
@@ -184,7 +214,58 @@ class TestMutualCoherence:
         assert mutual_coherence(d) == float(min(g.max(), 1.0))
 
 
+def refit_2d(data, y, support):
+    """One pair's refit as the 2-D route writes it: Gram, rhs, Cholesky, both
+    solves, fit and the residual's |correlation| with every atom."""
+    cols = data[:, support]
+    gram, rhs = cols.T @ cols, cols.T @ y
+    chol = np.linalg.cholesky(gram)
+    z = np.linalg.solve(chol, rhs)
+    coef = np.linalg.solve(chol.T, z)
+    fit = cols @ coef
+    return gram, rhs, chol, z, coef, fit, np.abs(data.T @ (y - fit))
+
+
+def refit_stacked(data, pairs, ys, supports):
+    """refit_2d for every pair at once, the support columns gathered as (P, m, d)."""
+    cols = data[pairs[:, None], :, supports]
+    gram, rhs = cols @ cols.transpose(0, 2, 1), (cols @ ys[..., None])[..., 0]
+    chol = np.linalg.cholesky(gram)
+    z = np.linalg.solve(chol, rhs[..., None])
+    coef = np.linalg.solve(chol.transpose(0, 2, 1), z)[..., 0]
+    fit = (cols.transpose(0, 2, 1) @ coef[..., None])[..., 0]
+    scores = np.abs((data[pairs].transpose(0, 2, 1) @ (ys - fit)[..., None])[..., 0])
+    return gram, rhs, chol, z[..., 0], coef, fit, scores
+
+
 class TestLeastSquaresOnSupport:
+    def test_stacked_gather_refit_keeps_2d_bytes(self):
+        # OMP's refit route runs as a stack only while a (P, m, d) gather, the
+        # layout of the 2-D gather data[:, support], rounds every step as the
+        # 2-D route does; a C-order (P, d, m) gather does not
+        gen = np.random.default_rng(29)
+        cases = 0
+        for shape in ("m=1", "m=d", "N>d", "any") * 150:
+            d = int(gen.integers(1, 13))
+            n = int(gen.integers(d + 1, 24)) if shape == "N>d" else int(gen.integers(max(d, 2), 24))
+            m = 1 if shape == "m=1" else d if shape == "m=d" else int(gen.integers(1, min(d, n) + 1))
+            t = int(gen.integers(1, 6))
+            data = gen.standard_normal((t, d, n))
+            data /= np.linalg.norm(data, axis=1, keepdims=True)
+            pairs = np.sort(gen.choice(t, size=int(gen.integers(1, t + 1)), replace=False))
+            ys = gen.standard_normal((len(pairs), d))
+            supports = np.sort([gen.choice(n, size=m, replace=False) for _ in pairs], axis=1)
+            stacked = refit_stacked(data, pairs, ys, supports)
+            coef, rhs, fit, ok = core.least_squares_on_supports(data, pairs, ys, supports)
+            assert ok.all()
+            assert [coef.tobytes(), rhs.tobytes(), fit.tobytes()] == [
+                stacked[4].tobytes(), stacked[1].tobytes(), stacked[5].tobytes()]
+            for p, (pair, y, support) in enumerate(zip(pairs, ys, supports)):
+                alone = refit_2d(data[pair], y, support)
+                assert [x[p].tobytes() for x in stacked] == [x.tobytes() for x in alone]
+                cases += 1
+        assert cases >= 1000
+
     def test_matches_lstsq_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

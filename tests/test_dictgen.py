@@ -566,6 +566,26 @@ class TestRngDerivation:
         assert gen.integers(0, 2**63, size=3).tolist() == [
             1876916650101274162, 7526065780652397772, 9109529685022004247]
 
+    def test_rekeyed_draws_equal_fresh_streams(self):
+        # one generator re-keyed per seed draws what a fresh stream(seed, *path)
+        # draws, whatever the previous seed's draws left in its buffers
+        def draws(gen, i):
+            n = 3 + i % 60
+            return [gen.choice(n, size=1 + i % n, replace=False).tolist(),
+                    gen.integers(0, 2, size=1 + i % 7).tolist(),
+                    gen.standard_normal(i % 5).tolist(),
+                    gen.permutation(2 + i % 9).tolist(),
+                    gen.integers(0, 2**40, size=i % 3).tolist()]
+
+        paths = [("planted",), ("barrier", 3, 1), ("\u00e9", 0), ()]
+        seeds = [(1 << 64) - 1 - i if i % 5 == 0 else i * 7919 for i in range(260)]
+        checked = 0
+        for path in paths:
+            for i, (seed, gen) in enumerate(zip(seeds, rng.streams(seeds, *path))):
+                assert draws(gen, i) == draws(rng.stream(seed, *path), i)
+                checked += 1
+        assert checked >= 1000
+
     def test_string_tags_hashed_once(self):
         # each distinct string tag is hashed once, to the bytes of the rule
         rng._tag_hash.cache_clear()

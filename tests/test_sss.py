@@ -7,8 +7,8 @@ import pytest
 
 from moegeo import rng, sss
 from moegeo.core import (
-    DictionaryStack, UnitDictionary, _solve_gram, least_squares_on_support, mutual_coherence,
-    normalize_columns, run_jobs,
+    DictionaryStack, UnitDictionary, _solve_gram, least_squares_on_support,
+    least_squares_on_supports, mutual_coherence, normalize_columns, run_jobs,
 )
 from moegeo.dictgen import (
     COHERENCE_TOL, blend_bases, coherent_dictionaries, coherent_dictionary, planted_signal,
@@ -94,9 +94,8 @@ def gram_in_place_brute_force(dictionary, y, k):
     best = None
     for sup in itertools.combinations(range(dictionary.n_atoms), k):
         idx = list(sup)
-        try:
-            coef = _solve_gram(gram[np.ix_(idx, idx)], corr[idx], sup)
-        except SingularGramError:
+        coef, ok = _solve_gram(gram[np.ix_(idx, idx)], corr[idx])
+        if not ok:
             continue
         residual = float(y @ y) - float(corr[idx] @ coef)
         if best is None or residual < best[0]:
@@ -280,8 +279,8 @@ class TestOmpMatchesRefitRoute:
         # decides which 3 of the 6 planted atoms are picked; the band hands
         # those picks to the refit route.
         refits = []
-        monkeypatch.setattr(sss, "least_squares_on_support",
-                            lambda *a: refits.append(1) or least_squares_on_support(*a))
+        monkeypatch.setattr(sss, "least_squares_on_supports",
+                            lambda *a: refits.append(1) or least_squares_on_supports(*a))
         for seed in range(12):
             if frame == "orthonormal":
                 d = random_orthonormal_dictionary(16, 12, seed=seed)
@@ -299,19 +298,22 @@ class TestStackedOmp:
     """OMP over a DictionaryStack picks each pair's refit-route support."""
 
     def test_barrier_grid_stacks(self, monkeypatch):
-        # a pair leaves the stack for the refit route on a near-tie or a lost certificate;
-        # each refitted view is held, so no two of them share an id
+        # a pair leaves the stack for the refit route on a near-tie or a lost
+        # certificate; the stacked refits name the pairs they refit
         refitted = []
-        monkeypatch.setattr(sss, "least_squares_on_support",
-                            lambda d, *a: refitted.append(d) or least_squares_on_support(d, *a))
-        trials = 0
+        monkeypatch.setattr(sss, "least_squares_on_supports",
+                            lambda data, pairs, *a: refitted.append(pairs.tolist())
+                            or least_squares_on_supports(data, pairs, *a))
+        trials = routed = 0
         for gi in range(len(BARRIER_GRID)):
             dictionaries, signals = barrier_instances(128, 64, 6, gi, 8)
+            refitted.clear()
             _, omp = recovery_trials(*as_stack(dictionaries, signals), 6)
             assert [tuple(row) for row in omp.tolist()] == [
                 refit_omp(d, y, 6) for d, (_, _, y) in zip(dictionaries, signals)]
             trials += len(omp)
-        assert 0 < len({id(d) for d in refitted}) < trials
+            routed += len({t for pairs in refitted for t in pairs})
+        assert 0 < routed < trials
 
     @pytest.mark.parametrize("n_atoms", [2, 3, 4, 5])
     def test_few_atoms(self, n_atoms):
@@ -334,6 +336,34 @@ class TestStackedOmp:
         with pytest.raises(SingularGramError) as stacked:
             recovery_trials(DictionaryStack(np.stack([ok.data, dup.data])), np.stack([y, y]), 8)
         assert stacked.value.support == alone.value.support
+
+    def test_lowest_failing_pair_raises(self):
+        # pairs with a near-duplicate column fail at different rounds of the refit
+        # route; the stack raises what the lowest-index failing pair raises alone
+        gen = np.random.default_rng(31)
+        pairs = []
+        for _ in range(12):
+            m = gen.standard_normal((10, 8))
+            a, b = gen.choice(8, size=2, replace=False)
+            m[:, b] = m[:, a] + 1e-9 * gen.standard_normal(10) * (gen.random() < 0.3)
+            d = normalize_columns(m)
+            y = d.data[:, gen.choice(8, size=3, replace=False)] @ gen.standard_normal(3)
+            try:
+                pairs.append((d, y, None, omp_select(d, y, 6)))
+            except SingularGramError as err:
+                pairs.append((d, y, err.support, None))
+        later_round_first = 0
+        for order in (gen.permutation(12)[:4].tolist() for _ in range(60)):
+            failing = [pairs[i][2] for i in order if pairs[i][2] is not None]
+            stack = DictionaryStack(np.stack([pairs[i][0].data for i in order]))
+            targets = np.stack([pairs[i][1] for i in order])
+            try:
+                omp = [tuple(row) for row in recovery_trials(stack, targets, 6)[1].tolist()]
+            except SingularGramError as err:
+                omp = err.support
+            assert omp == (failing[0] if failing else [pairs[i][3] for i in order])
+            later_round_first += bool(failing) and len(failing[0]) > min(map(len, failing))
+        assert later_round_first
 
     def test_mismatched_stack_rejected(self):
         # one target for a stack of two dictionaries
@@ -454,10 +484,10 @@ class TestBarrierSweep:
         args = (d, n_atoms, k, BARRIER_GRID, range(8), 42)
         assert_same_columns(sss._run_trials(args), per_trial_job(args))
 
-    @pytest.mark.parametrize("targets, trials", [(1, 1), (19, 1), (20, 1), (7, 3)],
-                             ids=["1-lane", "19-lanes", "20-lanes", "21-lanes"])
+    @pytest.mark.parametrize("targets, trials", [(1, 1), (9, 1), (10, 1), (7, 3)],
+                             ids=["1-lane", "9-lanes", "10-lanes", "21-lanes"])
     def test_both_bisection_routes_match_per_trial_oracle(self, targets, trials):
-        # target 0 makes no lane; from 20 lanes on the job bisects them in one pass
+        # target 0 makes no lane; from 10 lanes on the job bisects them in one pass
         grid = [0.0] + BARRIER_GRID[-targets:]
         args = (32, 16, 3, grid, range(5, 5 + trials), 7)
         assert_same_columns(sss._run_trials(args), per_trial_job(args))
