@@ -31,9 +31,7 @@ _MAX_ENUM = 10**7
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def _checked_copy(x, dtype=np.float64, ndim=None, name=None) -> np.ndarray:
-    """A copy of x (dtype None keeps x's); given a name, InvalidShapeError on a non-finite entry."""
-    a = np.array(x, dtype=dtype, copy=True)
+def _checked(a, ndim, name) -> np.ndarray:
     if ndim is not None and a.ndim != ndim:
         raise InvalidShapeError(f"expected {ndim}-d array, got shape {a.shape}")
     if name is not None and not np.all(np.isfinite(a)):
@@ -41,8 +39,22 @@ def _checked_copy(x, dtype=np.float64, ndim=None, name=None) -> np.ndarray:
     return a
 
 
+def _checked_copy(x, dtype=np.float64, ndim=None, name=None) -> np.ndarray:
+    """A copy of x (dtype None keeps x's); given a name, InvalidShapeError on a non-finite entry."""
+    return _checked(np.array(x, dtype=dtype, copy=True), ndim, name)
+
+
 def _frozen_array(x, dtype=np.float64, ndim=None, name=None) -> np.ndarray:
-    """The read-only _checked_copy of x."""
+    """x as a read-only array, with the checks of _checked_copy.
+
+    A read-only C-contiguous array of the requested dtype (any dtype when
+    dtype is None) is held as it is: the package writes no array once it has
+    frozen one, so a fresh result that its maker froze needs no second copy.
+    Anything else becomes a read-only _checked_copy.
+    """
+    if (isinstance(x, np.ndarray) and not x.flags.writeable and x.flags.c_contiguous
+            and (dtype is None or x.dtype == dtype)):
+        return _checked(x, ndim, name)
     a = _checked_copy(x, dtype, ndim, name)
     a.setflags(write=False)
     return a
@@ -67,12 +79,11 @@ def _unit_matrices(x, ndim: int) -> tuple[np.ndarray, np.ndarray]:
     """x, checked, as one read-only d x N dictionary (ndim 2) or a (T, d, N) stack
     of them (ndim 3), and its read-only Gram: DᵀD, or every matrix's DᵀD.
 
-    A read-only C-contiguous float64 array is held as it is, not copied: the
-    package writes no array once it has frozen one, so a freshly blended
-    stack, or a view of one, is held without a second copy. Anything else is
-    copied first. InvalidShapeError when a matrix has a non-finite entry,
-    d < 1 or N < 2, or a column whose norm is not 1 within 1e-10: the message
-    is the one that the first such matrix, in stack order, raises alone.
+    x is taken through `_frozen_array`, so a freshly blended stack, or a view
+    of one, is held without a second copy. InvalidShapeError when a matrix
+    has a non-finite entry, d < 1 or N < 2, or a column whose norm is not 1
+    within 1e-10: the message is the one that the first such matrix, in
+    stack order, raises alone.
 
     The Gram is formed right after the finiteness check, in one stacked
     product whose (N, N) slices each have the bytes of that matrix's own 2-D
@@ -80,9 +91,7 @@ def _unit_matrices(x, ndim: int) -> tuple[np.ndarray, np.ndarray]:
     the matrices before the first non-finite one enter it, since that one's
     message stands unless an earlier one fails.
     """
-    frozen = (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == ndim
-              and x.flags.c_contiguous and not x.flags.writeable)
-    a = x if frozen else _frozen_array(x, ndim=ndim)
+    a = _frozen_array(x, ndim=ndim)
     stack = a[None] if ndim == 2 else a
     d, n = stack.shape[1:]
     finite = np.isfinite(stack).all(axis=(1, 2))

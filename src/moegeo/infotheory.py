@@ -51,12 +51,14 @@ class CategoricalDist:
 class RoutingBatch:
     """Dense routing distributions plus the k-subset each token selected.
 
-    Construction derives the k-sparse projection of every row and the batch
-    statistics once, as read-only arrays: `gates` (T, k) renormalizes each
-    row on its selection (in selection order) by `kept_mass` (T, 1), whose
-    -log is the projection's KL price; `load` (E,) counts the tokens that
-    select each expert, `frequencies` is load / T and `marginal` the column
-    mean of the dense rows. A token whose selected mass is zero raises
+    Both inputs are taken through `_frozen_array`, so arrays their maker
+    froze are held without a copy. Construction derives the k-sparse
+    projection of every row and the batch statistics once, as fresh arrays
+    it freezes in place: `gates` (T, k) renormalizes each row on its
+    selection (in selection order) by `kept_mass` (T, 1), whose -log is the
+    projection's KL price; `load` (E,) counts the tokens that select each
+    expert, `frequencies` is load / T and `marginal` the column mean of the
+    dense rows. A token whose selected mass is zero raises
     ZeroProbabilityError.
     """
 
@@ -95,7 +97,8 @@ class RoutingBatch:
         object.__setattr__(self, "dense_probs", p)
         object.__setattr__(self, "selections", s)
         for name, arr in derived.items():
-            object.__setattr__(self, name, _frozen_array(arr, dtype=None))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_tokens(self) -> int:

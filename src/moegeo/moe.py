@@ -118,25 +118,74 @@ class MoEConfig:
         check_seed(self.seed)
 
 
+_WEIGHTS = ("w_g", "w_in", "w_out")
+# flat buffers start on a cache line: a vector load that straddles two lines
+# makes a two-operand ufunc pass over them up to twice as slow
+_LINE = 64
+
+
+def _flat_buffer(size):
+    """An uninitialized float64 buffer of `size` entries whose first entry starts a cache line."""
+    raw = np.empty(size + _LINE // 8)
+    lo = (-raw.ctypes.data % _LINE) // 8
+    return raw[lo:lo + size]
+
+
+def _views(flat, shapes):
+    """Consecutive C-order views of the 1-d buffer `flat`, one per shape."""
+    views, lo = [], 0
+    for shape in shapes:
+        hi = lo + math.prod(shape)
+        views.append(flat[lo:hi].reshape(shape))
+        lo = hi
+    return views
+
+
+def _packed(arrays):
+    """(flat, views): a fresh `_flat_buffer` holding the arrays in order, and its views of them."""
+    flat = _flat_buffer(sum(a.size for a in arrays))
+    views = _views(flat, [a.shape for a in arrays])
+    for view, a in zip(views, arrays):
+        view[...] = a
+    return flat, views
+
+
 @dataclass
 class MoEParams:
-    """Weights plus AdamW moments, zeroed and keyed by weight name. Mutable; one per fold."""
+    """Weights plus AdamW state, as flat float64 buffers. Mutable; one per fold.
+
+    `w_g`, `w_in` and `w_out` are views of one buffer, `flat`, in that order.
+    AdamW's first and second moments are the zeroed pair `flat_moments` of
+    the same layout, and `moments[name]` holds the (m, v) views of weight
+    `name`. `scratch` is the pair of buffers that `adamw_step` writes its
+    temporaries into.
+    """
 
     w_g: np.ndarray      # (E, D) router
     w_in: np.ndarray     # (E, H, D)
     w_out: np.ndarray    # (E, C, H)
     step: int = 0
+    flat: np.ndarray = field(init=False, repr=False)
+    flat_moments: tuple = field(init=False, repr=False)
     moments: dict = field(init=False, repr=False)
+    scratch: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.moments = {}
-        for name in ("w_g", "w_in", "w_out"):
+        weights = []
+        for name in _WEIGHTS:
             try:
-                w = _checked_copy(getattr(self, name), name=name)
+                weights.append(_checked_copy(getattr(self, name), name=name))
             except InvalidShapeError as exc:  # a non-finite weight is a divergence
                 raise NonFiniteError(str(exc)) from None
-            setattr(self, name, w)
-            self.moments[name] = (np.zeros(w.shape), np.zeros(w.shape))
+        self.flat, views = _packed(weights)
+        for name, view in zip(_WEIGHTS, views):
+            setattr(self, name, view)
+        self.flat_moments = (_flat_buffer(self.flat.size), _flat_buffer(self.flat.size))
+        for buf in self.flat_moments:
+            buf.fill(0.0)
+        m, v = (_views(buf, [w.shape for w in weights]) for buf in self.flat_moments)
+        self.moments = dict(zip(_WEIGHTS, zip(m, v)))
+        self.scratch = (_flat_buffer(self.flat.size), _flat_buffer(self.flat.size))
         if self.w_in.shape[0] != self.w_g.shape[0] or self.w_out.shape[0] != self.w_g.shape[0]:
             raise InvalidShapeError("per-expert arrays disagree on expert count")
         if self.w_in.shape[2] != self.w_g.shape[1]:
@@ -161,11 +210,13 @@ class ForwardTrace:
 
     `routing` is the one validated RoutingBatch of the pass; its gates,
     kept mass and expert load are the ones forward used. `expert_cache`
-    is `(rows, slots, bounds, xr, u, a, t)`: the B*k (row, slot) pairs of
-    the batch grouped by selected expert, rows ascending within each group;
-    expert e owns positions bounds[e]:bounds[e+1]. `xr` holds the gathered
-    inputs, `u` and `a` the pre- and post-activation blocks, and `t` the
-    tanh term that `gelu_grad` reuses. The arrays are forward's own, not copies.
+    is `(rows, slots, bounds, spans, xr, u, a, t)`: the B*k (row, slot)
+    pairs of the batch grouped by selected expert, rows ascending within
+    each group; expert e owns positions bounds[e]:bounds[e+1], and `spans`,
+    `_expert_spans(bounds)`, lists the experts that own any. `xr` holds the
+    gathered inputs, `u` and `a` the pre- and post-activation blocks, and
+    `t` the tanh term that `gelu_grad` reuses. The arrays are forward's own,
+    not copies.
     """
 
     x: np.ndarray               # (B, D)
@@ -199,7 +250,11 @@ def forward(params, config, x_batch):
     # a diverged router must abort here (exit 3), before RoutingBatch rejects it (exit 2)
     if not np.all(np.isfinite(p)):
         raise NonFiniteError("forward pass produced non-finite values")
-    routing = RoutingBatch(dense_probs=p, selections=topk_indices(p, k))
+    selections = topk_indices(p, k)
+    # frozen fresh, so RoutingBatch holds them without a copy
+    p.setflags(write=False)
+    selections.setflags(write=False)
+    routing = RoutingBatch(dense_probs=p, selections=selections)
 
     # rows grouped by expert, ascending within each: one GELU call per pass
     order = np.argsort(routing.selections.ravel(), kind="stable")
@@ -209,11 +264,11 @@ def forward(params, config, x_batch):
     xr = x[rows]
     u = np.empty((order.size, params.w_in.shape[1]))
     for e, lo, hi in spans:
-        u[lo:hi] = xr[lo:hi] @ params.w_in[e].T
+        np.matmul(xr[lo:hi], params.w_in[e].T, out=u[lo:hi])
     a, t = gelu(u)
     y = np.empty((order.size, config.classes))
     for e, lo, hi in spans:
-        y[lo:hi] = a[lo:hi] @ params.w_out[e].T
+        np.matmul(a[lo:hi], params.w_out[e].T, out=y[lo:hi])
     outputs = np.empty((x.shape[0], k, config.classes))
     outputs[rows, slots] = y
 
@@ -227,7 +282,7 @@ def forward(params, config, x_batch):
             raise NonFiniteError("forward pass produced non-finite values")
     return ForwardTrace(x=x, routing=routing, expert_outputs=outputs, logits=logits,
                         log_probs=log_probs, class_probs=class_probs,
-                        expert_cache=(rows, slots, bounds, xr, u, a, t))
+                        expert_cache=(rows, slots, bounds, spans, xr, u, a, t))
 
 
 def _normalized_outputs(trace):
@@ -328,9 +383,20 @@ def total_loss(trace, labels, config):
 
 @dataclass
 class MoEGradients:
+    """Gradients of `w_g`, `w_in` and `w_out`, as views of one flat buffer laid out as
+    `MoEParams.flat`. Separate arrays are packed into a fresh `flat` once, here."""
+
     w_g: np.ndarray
     w_in: np.ndarray
     w_out: np.ndarray
+    flat: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.flat is None:
+            self.flat, views = _packed([np.asarray(getattr(self, name), dtype=float)
+                                        for name in _WEIGHTS])
+            for name, view in zip(_WEIGHTS, views):
+                setattr(self, name, view)
 
 
 def backward(params, trace, labels, config):
@@ -366,41 +432,69 @@ def backward(params, trace, labels, config):
     # full softmax Jacobian: dh = p * (dp - <dp, p>)
     dot = np.einsum("be,be->b", d_probs, p)[:, None]
     d_h = p * (d_probs - dot)
-    d_w_g = d_h.T @ trace.x
+    flat = _flat_buffer(params.flat.size)
+    d_w_g, d_w_in, d_w_out = _views(flat, (params.w_g.shape, params.w_in.shape,
+                                           params.w_out.shape))
+    np.matmul(d_h.T, trace.x, out=d_w_g)
 
-    rows, slots, bounds, xr, u, a, t = trace.expert_cache
-    spans = _expert_spans(bounds)
+    rows, slots, _, spans, xr, u, a, t = trace.expert_cache
     gy = d_outputs[rows, slots]
     ga = np.empty_like(u)
-    d_w_in = np.zeros_like(params.w_in)
-    d_w_out = np.zeros_like(params.w_out)
     for e, lo, hi in spans:
-        d_w_out[e] = gy[lo:hi].T @ a[lo:hi]
-        ga[lo:hi] = gy[lo:hi] @ params.w_out[e]
+        np.matmul(gy[lo:hi].T, a[lo:hi], out=d_w_out[e])
+        np.matmul(gy[lo:hi], params.w_out[e], out=ga[lo:hi])
     du = gelu_grad(u, t) * ga
     for e, lo, hi in spans:
-        d_w_in[e] = du[lo:hi].T @ xr[lo:hi]
-    grads = MoEGradients(w_g=d_w_g, w_in=d_w_in, w_out=d_w_out)
-    for arr in (grads.w_g, grads.w_in, grads.w_out):
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError("backward pass produced non-finite gradients")
-    return comps, grads
+        np.matmul(du[lo:hi].T, xr[lo:hi], out=d_w_in[e])
+    idle = routing.load == 0  # the experts no span covers
+    d_w_in[idle] = 0.0
+    d_w_out[idle] = 0.0
+    if not np.all(np.isfinite(flat)):
+        raise NonFiniteError("backward pass produced non-finite gradients")
+    return comps, MoEGradients(w_g=d_w_g, w_in=d_w_in, w_out=d_w_out, flat=flat)
 
 
 def adamw_step(params, grads, config):
-    """Decoupled weight decay + bias-corrected adaptive moments, in place."""
+    """Decoupled weight decay + bias-corrected adaptive moments, in place.
+
+    One pass of in-place ufuncs over the flat buffers, element by element the
+    operations of the per-tensor update
+
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g**2;  w -= lr wd w
+        w -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+
+    with bc = 1 - b**t. Once 1 - b1**t rounds to 1.0 (t >= 356), m / bc1 is
+    m bit for bit, and the divide is skipped.
+    """
+    for name in _WEIGHTS:
+        if getattr(grads, name).shape != getattr(params, name).shape:
+            raise InvalidShapeError(f"gradient of {name} does not match its weight's shape")
     params.step += 1
     t = params.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for name, (m, v) in params.moments.items():
-        w, g = getattr(params, name), getattr(grads, name)
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g**2
-        w -= config.lr * WEIGHT_DECAY * w
-        w -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    w, g = params.flat, grads.flat
+    m, v = params.flat_moments
+    s, r = params.scratch
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+    np.add(m, s, out=m)
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.multiply(g, g, out=s)
+    np.multiply(s, 1.0 - ADAM_BETA2, out=s)
+    np.add(v, s, out=v)
+    np.multiply(w, config.lr * WEIGHT_DECAY, out=s)
+    np.subtract(w, s, out=w)
+    np.divide(v, bc2, out=s)
+    np.sqrt(s, out=s)
+    np.add(s, ADAM_EPS, out=s)
+    if bc1 == 1.0:
+        np.multiply(m, config.lr, out=r)
+    else:
+        np.divide(m, bc1, out=r)
+        np.multiply(r, config.lr, out=r)
+    np.divide(r, s, out=r)
+    np.subtract(w, r, out=w)
     return params
 
 

@@ -1,6 +1,7 @@
 """Subcommand contracts: exit codes, precedence, byte-stable artifacts."""
 
 import dataclasses
+import hashlib
 import json
 import re
 import subprocess
@@ -371,6 +372,38 @@ class TestArtifacts:
         assert main(base + ["--workers", "1", "--output_dir", str(out1)]) == 0
         assert main(base + ["--workers", "2", "--output_dir", str(out2)]) == 0
         assert (out1 / "run.csv").read_bytes() == (out2 / "run.csv").read_bytes()
+
+    # SHA-256 of each arm's artifacts, taken before the trainer kept its weights,
+    # AdamW moments and gradients in flat buffers. A fold takes 402 steps, past
+    # t = 356, where AdamW stops dividing m by 1 - b1**t. To recompute:
+    #   moegeo train --reg REG --samples 600 --folds 3 --epochs 3 --batch 3 --features 20
+    #       --informative 5 --experts 8 --hidden 8 --workers 1 --output_dir DIR
+    #   sha256sum DIR/run.csv DIR/heatmap.csv DIR/aggregate.json
+    PINNED_TRAIN = {
+        "none": ("569c1d41238593aea38be306abe39dc2771a06655de362a025ab439be9ee1ee1",
+                 "11b903540bcc1ce3d4c019f6a65dbfc62aca2ee5884265e3efa9c3151c1fd63a",
+                 "621edfd7bba38da0202a1501460df8ab89fb0e48129c66be62eac9a2b4ea1193"),
+        "ortho": ("8200bddc81763d4d97e3200847d02dd7167f9051a9b2bbd89216545e3fa8960c",
+                  "34cf3aacf8da20bd8822d3b670858d0656f383469b13f8b540070f83ba936128",
+                  "969d10eca5e46e9ce54363b53ea4c4123007f264f553885239e15cc5a08f1ac8"),
+        "ncl": ("05414505874d3dcdb1b2b9a2ee677e62b6d913e9699b50ef07d5ed450833e1b0",
+                "ea5482fcb6c738434c4365ca16708749035f11997806a1aa2f4f0bbdfc2b8245",
+                "215a5e4aeaf38e7387642f9d93aa6ae1a293cbb5a09cad193706058be88ab146"),
+        "dpp": ("02c68ae193a99bc3defb936fdf97428a35065039808d4a9b0cd657461c8b36c5",
+                "34cf3aacf8da20bd8822d3b670858d0656f383469b13f8b540070f83ba936128",
+                "f5a86685aca61006531d3e1b67473ed55f4fcbccba3bef3fd0b5a2677ab9dc49"),
+    }
+
+    @pytest.mark.parametrize("reg", sorted(PINNED_TRAIN))
+    def test_train_artifacts_keep_their_pinned_bytes(self, tmp_path, reg):
+        out = tmp_path / reg
+        assert main(["train", "--reg", reg, "--samples", "600", "--folds", "3", "--epochs", "3",
+                     "--batch", "3", "--features", "20", "--informative", "5",
+                     "--experts", "8", "--hidden", "8", "--workers", "1",
+                     "--output_dir", str(out)]) == 0
+        digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("run.csv", "heatmap.csv", "aggregate.json"))
+        assert digests == self.PINNED_TRAIN[reg]
 
     @pytest.mark.parametrize("argv, name, header, rows", [
         (["barrier", "--d", "16", "--n_atoms", "8", "--k", "2", "--trials", "4",

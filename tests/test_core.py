@@ -397,6 +397,40 @@ class TestFrozenArray:
     def test_unnamed_array_skips_the_finite_check(self):
         assert np.isnan(_frozen_array([np.nan])[0])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, None])
+    def test_read_only_contiguous_array_of_the_dtype_is_held(self, dtype):
+        src = np.arange(6, dtype=np.int64 if dtype is np.int64 else np.float64).reshape(2, 3)
+        src.setflags(write=False)
+        assert _frozen_array(src, dtype=dtype, ndim=2, name="weights") is src
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a,                                   # writeable
+        lambda a: _read_only(a[:, ::2]),               # not C-contiguous
+        lambda a: _read_only(a.astype(np.float32)),    # another dtype
+    ], ids=["writeable", "strided", "float32"])
+    def test_anything_else_is_copied_and_checked(self, make):
+        base = np.arange(8.0).reshape(2, 4)
+        src = make(base)
+        a = _frozen_array(src, name="weights")
+        assert a is not src and not a.flags.writeable and a.flags.c_contiguous
+        assert a.dtype == np.float64 and a.tobytes() == np.asarray(src, dtype=float).tobytes()
+        bad = base.copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(InvalidShapeError, match="^weights contains non-finite entries$"):
+            _frozen_array(make(bad), name="weights")
+
+    def test_held_array_keeps_its_checks(self):
+        src = _read_only(np.array([[1.0, np.inf]]))
+        with pytest.raises(InvalidShapeError, match="^weights contains non-finite entries$"):
+            _frozen_array(src, name="weights")
+        with pytest.raises(InvalidShapeError, match="^expected 1-d array, got shape"):
+            _frozen_array(src, ndim=1)
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
 
 class TestMarginalGainChecks:
     @pytest.mark.parametrize("subset, e", [([0, 2], 2), ([1], 5), ([1], -1), ([1, 1], 3)])

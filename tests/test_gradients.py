@@ -192,9 +192,10 @@ class TestAdamW:
             expected = decayed - config.lr * g / (np.abs(g) + ADAM_EPS)
             np.testing.assert_allclose(getattr(params, name), expected, atol=1e-12)
 
-    def test_fifty_steps_match_per_tensor_update(self):
+    def test_four_hundred_steps_match_per_tensor_update(self):
         # a transcription of the update with one named (m, v) pair per tensor,
-        # as MoEParams once declared them: the bits must not move
+        # as MoEParams once declared them: the bits must not move, also past
+        # t = 356, where 1 - b1**t rounds to 1.0 and the flat update skips m / bc1
         config = MoEConfig(**SMALL)
         rng = np.random.default_rng(3)
         params = init_params(config, rng)
@@ -202,7 +203,8 @@ class TestAdamW:
         w = {name: getattr(params, name).copy() for name in names}
         m = {name: np.zeros(w[name].shape) for name in names}
         v = {name: np.zeros(w[name].shape) for name in names}
-        for t in range(1, 51):
+        assert 1.0 - ADAM_BETA1**355 < 1.0 and 1.0 - ADAM_BETA1**356 == 1.0
+        for t in range(1, 401):
             grads = MoEGradients(**{name: rng.standard_normal(w[name].shape) for name in names})
             adamw_step(params, grads, config)
             bc1 = 1.0 - ADAM_BETA1**t
@@ -215,11 +217,33 @@ class TestAdamW:
                 v[name] += (1.0 - ADAM_BETA2) * g**2
                 w[name] -= config.lr * WEIGHT_DECAY * w[name]
                 w[name] -= config.lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
-        assert params.step == 50
+        assert params.step == 400
         for name in names:
             assert getattr(params, name).tobytes() == w[name].tobytes()
             assert params.moments[name][0].tobytes() == m[name].tobytes()
             assert params.moments[name][1].tobytes() == v[name].tobytes()
+
+    def test_separate_arrays_are_packed_into_one_buffer(self):
+        config = MoEConfig(**SMALL)
+        params = init_params(config, np.random.default_rng(4))
+        arrays = {name: np.full(getattr(params, name).shape, float(i))
+                  for i, name in enumerate(("w_g", "w_in", "w_out"))}
+        grads = MoEGradients(**arrays)
+        assert grads.flat.tobytes() == b"".join(a.tobytes() for a in arrays.values())
+        for name, a in arrays.items():
+            assert np.shares_memory(getattr(grads, name), grads.flat)
+            assert getattr(grads, name).tobytes() == a.tobytes()
+
+    def test_weights_and_moments_are_views_of_flat_buffers(self):
+        params = init_params(MoEConfig(**SMALL), np.random.default_rng(5))
+        m, v = params.flat_moments
+        for name in ("w_g", "w_in", "w_out"):
+            assert np.shares_memory(getattr(params, name), params.flat)
+            assert np.shares_memory(params.moments[name][0], m)
+            assert np.shares_memory(params.moments[name][1], v)
+        assert params.flat.size == params.w_g.size + params.w_in.size + params.w_out.size
+        for buf in (params.flat, m, v, *params.scratch):
+            assert buf.ctypes.data % 64 == 0  # each buffer starts a cache line
 
     def test_decay_shrinks_without_gradient(self):
         config = MoEConfig(**SMALL)

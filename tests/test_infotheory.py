@@ -444,6 +444,23 @@ class TestRoutingBatchDerived:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(batch, name)[0] = 0
 
+    def test_writeable_inputs_are_copied(self):
+        probs, sel = next(self.batches(44))
+        want_probs, want_sel = probs.copy(), sel.copy()
+        batch = RoutingBatch(dense_probs=probs, selections=sel)
+        probs[:] = 0.0
+        sel[:] = 0
+        assert batch.dense_probs.tobytes() == want_probs.tobytes()
+        np.testing.assert_array_equal(batch.selections, want_sel)
+
+    def test_frozen_inputs_are_held(self):
+        probs, sel = next(self.batches(45))
+        sel = np.ascontiguousarray(sel, dtype=np.int64)
+        probs.setflags(write=False)
+        sel.setflags(write=False)
+        batch = RoutingBatch(dense_probs=probs, selections=sel)
+        assert batch.dense_probs is probs and batch.selections is sel
+
     def test_zero_selected_mass_raises_at_construction(self):
         probs = np.array([[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
         with pytest.raises(ZeroProbabilityError, match="selected mass is zero"):

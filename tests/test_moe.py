@@ -215,7 +215,7 @@ class TestGroupedAgainstPerExpertLoops:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("draw", range(3))
-    def test_bit_identical(self, case, draw):
+    def test_bit_identical(self, case, draw, monkeypatch):
         shape = dict(input_dim=7, expert_hidden=6, classes=4)
         shape.update(self.CASES[case])
         b = shape.pop("batch")
@@ -235,6 +235,15 @@ class TestGroupedAgainstPerExpertLoops:
         np.testing.assert_array_equal(trace.expert_outputs, outputs)
         np.testing.assert_array_equal(trace.logits, logits)
         np.testing.assert_array_equal(trace.class_probs, class_probs)
+        # backward's gradient buffer starts as NaN, so an entry it leaves unwritten shows
+        make_buffer = moe._flat_buffer
+
+        def nan_buffer(size):
+            buf = make_buffer(size)
+            buf.fill(np.nan)
+            return buf
+
+        monkeypatch.setattr(moe, "_flat_buffer", nan_buffer)
         _, grads = backward(params, trace, y, config)
         d_w_g, d_w_in, d_w_out = per_expert_backward(params, trace, y, config, cache)
         np.testing.assert_array_equal(grads.w_g, d_w_g)
