@@ -244,16 +244,19 @@ def mutual_coherence(dictionary: UnitDictionary | DictionaryStack) -> float | li
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, shifted by the maximum for stability."""
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax along the last axis, shifted by the maximum for stability, in place
+    on the fresh shifted array: the input is never written."""
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Ascending indices of the k largest scores on the last axis; ties to the lower index."""
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    return np.sort(order[..., :k], axis=-1)
+    top = (-scores).argsort(axis=-1, kind="stable")[..., :k].copy()
+    top.sort(axis=-1)
+    return top
 
 
 def psd_cholesky(a: np.ndarray) -> np.ndarray:

@@ -58,8 +58,14 @@ class RoutingBatch:
     selection (in selection order) by `kept_mass` (T, 1), whose -log is the
     projection's KL price; `load` (E,) counts the tokens that select each
     expert, `frequencies` is load / T and `marginal` the column mean of the
-    dense rows. A token whose selected mass is zero raises
-    ZeroProbabilityError.
+    dense rows. The checks run in this order, each one reduction over the
+    batch: shapes; finite and nonnegative as p.min() >= 0 and p.max() < inf
+    (a NaN makes both NaN and fails without a floating-point warning); the
+    largest row-sum error; the selection width; the index range from s.min()
+    and s.max(); distinctness as a largest count of 1 in one bincount of
+    s + E * row over T * E bins; and a kept mass whose minimum is not
+    positive, which raises ZeroProbabilityError. The rest raise
+    InvalidShapeError.
     """
 
     dense_probs: np.ndarray
@@ -77,23 +83,25 @@ class RoutingBatch:
             raise InvalidShapeError(f"dense_probs must be T x E with E >= 2, got {p.shape}")
         if s.ndim != 2 or s.shape[0] != p.shape[0]:
             raise InvalidShapeError("selections must be T x k, aligned with dense_probs")
-        if not np.all(np.isfinite(p)) or np.any(p < 0.0):
+        t, e = p.shape
+        if not (float(p.min()) >= 0.0 and float(p.max()) < np.inf):
             raise InvalidShapeError("dense_probs must be finite and nonnegative")
         if np.abs(p.sum(axis=1) - 1.0).max() > 1e-9:
             raise InvalidShapeError("each dense_probs row must sum to 1 within 1e-9")
-        if s.shape[1] < 1 or s.shape[1] > p.shape[1]:
+        if s.shape[1] < 1 or s.shape[1] > e:
             raise InvalidShapeError("selection width must lie in [1, E]")
-        if s.min() < 0 or s.max() >= p.shape[1]:
+        if s.min() < 0 or s.max() >= e:
             raise InvalidShapeError("selection indices out of range")
-        if np.any(np.diff(np.sort(s, axis=1), axis=1) == 0):
+        row = np.arange(t)[:, None]
+        if np.bincount((s + e * row).ravel(), minlength=t * e).max() > 1:
             raise InvalidShapeError("selections must be distinct per token")
-        picked = np.take_along_axis(p, s, axis=1)
+        picked = p[row, s]
         mass = picked.sum(axis=1, keepdims=True)
-        if np.any(mass <= 0.0):
+        if not mass.min() > 0.0:
             raise ZeroProbabilityError("a token's selected mass is zero; cannot renormalize")
-        load = np.bincount(s.ravel(), minlength=p.shape[1])
+        load = np.bincount(s.ravel(), minlength=e)
         derived = dict(gates=picked / mass, kept_mass=mass, load=load,
-                       frequencies=load / p.shape[0], marginal=p.mean(axis=0))
+                       frequencies=load / t, marginal=p.sum(axis=0) / t)
         object.__setattr__(self, "dense_probs", p)
         object.__setattr__(self, "selections", s)
         for name, arr in derived.items():

@@ -243,12 +243,12 @@ def forward(params, config, x_batch):
     x = np.asarray(x_batch, dtype=float)
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise InvalidShapeError(f"expected (B, {config.input_dim}) inputs, got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteError("input batch contains non-finite values")
     k = config.active_k
     p = softmax_rows(x @ params.w_g.T)
     # a diverged router must abort here (exit 3), before RoutingBatch rejects it (exit 2)
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise NonFiniteError("forward pass produced non-finite values")
     selections = topk_indices(p, k)
     # frozen fresh, so RoutingBatch holds them without a copy
@@ -259,9 +259,10 @@ def forward(params, config, x_batch):
     # rows grouped by expert, ascending within each: one GELU call per pass
     order = np.argsort(routing.selections.ravel(), kind="stable")
     rows, slots = np.divmod(order, k)
-    bounds = np.concatenate(([0], np.cumsum(routing.load)))
+    bounds = np.zeros(routing.load.size + 1, dtype=np.int64)
+    np.cumsum(routing.load, out=bounds[1:])
     spans = _expert_spans(bounds)
-    xr = x[rows]
+    xr = x.take(rows, axis=0)
     u = np.empty((order.size, params.w_in.shape[1]))
     for e, lo, hi in spans:
         np.matmul(xr[lo:hi], params.w_in[e].T, out=u[lo:hi])
@@ -278,7 +279,7 @@ def forward(params, config, x_batch):
     log_probs = shifted - log_z
     class_probs = np.exp(log_probs)
     for arr in (outputs, logits, class_probs):
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("forward pass produced non-finite values")
     return ForwardTrace(x=x, routing=routing, expert_outputs=outputs, logits=logits,
                         log_probs=log_probs, class_probs=class_probs,
@@ -424,18 +425,18 @@ def backward(params, trace, labels, config):
     p = routing.dense_probs
     d_active = (d_gates - (d_gates * routing.gates).sum(axis=1, keepdims=True)) / routing.kept_mass
     d_probs = np.zeros_like(p)
-    np.put_along_axis(d_probs, routing.selections, d_active, axis=1)
+    d_probs[np.arange(b)[:, None], routing.selections] = d_active
 
     if config.aux_weight > 0:
-        d_probs = d_probs + config.aux_weight * e_count * routing.frequencies[None, :] / b
+        d_probs += config.aux_weight * e_count * routing.frequencies[None, :] / b
 
-    # full softmax Jacobian: dh = p * (dp - <dp, p>)
-    dot = np.einsum("be,be->b", d_probs, p)[:, None]
-    d_h = p * (d_probs - dot)
+    # full softmax Jacobian, in place: dh = p * (dp - <dp, p>)
+    d_probs -= np.einsum("be,be->b", d_probs, p)[:, None]
+    d_probs *= p
     flat = _flat_buffer(params.flat.size)
     d_w_g, d_w_in, d_w_out = _views(flat, (params.w_g.shape, params.w_in.shape,
                                            params.w_out.shape))
-    np.matmul(d_h.T, trace.x, out=d_w_g)
+    np.matmul(d_probs.T, trace.x, out=d_w_g)
 
     rows, slots, _, spans, xr, u, a, t = trace.expert_cache
     gy = d_outputs[rows, slots]

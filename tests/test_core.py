@@ -17,6 +17,8 @@ from moegeo.core import (
     least_squares_on_support,
     mutual_coherence,
     normalize_columns,
+    softmax_rows,
+    topk_indices,
 )
 from moegeo.diversity import Kernel, marginal_gain
 from moegeo.errors import InvalidShapeError, MoegeoError, SingularGramError, ZeroColumnError
@@ -425,6 +427,60 @@ class TestFrozenArray:
             _frozen_array(src, name="weights")
         with pytest.raises(InvalidShapeError, match="^expected 1-d array, got shape"):
             _frozen_array(src, ndim=1)
+
+
+def topk_by_wrappers(scores, k):
+    """The np.argsort / np.sort form that topk_indices replaced, kept as its oracle."""
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    return np.sort(order[..., :k], axis=-1)
+
+
+def softmax_by_temporaries(z):
+    """The out-of-place form that softmax_rows replaced, kept as its oracle."""
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def routing_inputs():
+    """1-D rows, 2-D batches, a barrier-shaped (T, N) stack of |correlations| and a
+    (B, k, C) block, each also drawn from three values so that exact ties abound."""
+    rng = np.random.default_rng(61)
+    yield rng.standard_normal(7)
+    yield rng.standard_normal((128, 16))
+    yield np.abs(rng.standard_normal((8, 64)))
+    yield rng.standard_normal((5, 3, 4))
+    yield rng.integers(0, 3, 9).astype(float)
+    yield rng.integers(0, 3, (40, 6)).astype(float)
+    yield np.abs(rng.integers(-2, 3, (8, 64))).astype(float)
+
+
+class TestRoutingPrimitivesAgainstReplacedForms:
+    def test_topk_matches_replaced_form_for_every_k(self):
+        for scores in routing_inputs():
+            for k in range(1, scores.shape[-1] + 1):
+                got, want = topk_indices(scores, k), topk_by_wrappers(scores, k)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), k
+
+    def test_ties_go_to_the_lower_index(self):
+        scores = np.array([[1.0, 2.0, 2.0, 1.0, 2.0], [0.0, 0.0, 0.0, 0.0, 0.0],
+                           [3.0, 1.0, 3.0, 3.0, -0.0]])
+        assert topk_indices(scores, 2).tolist() == [[1, 2], [0, 1], [0, 2]]
+        assert topk_indices(scores, 4).tolist() == [[0, 1, 2, 4], [0, 1, 2, 3], [0, 1, 2, 3]]
+        assert topk_indices(scores[1], 3).tolist() == [0, 1, 2]
+
+    def test_softmax_matches_replaced_form(self):
+        for z in routing_inputs():
+            got, want = softmax_rows(z), softmax_by_temporaries(z)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_softmax_leaves_a_read_only_input_unchanged(self):
+        for z in routing_inputs():
+            before = z.tobytes()
+            z.setflags(write=False)
+            p = softmax_rows(z)
+            assert z.tobytes() == before and p.flags.writeable and p is not z
 
 
 def _read_only(a):

@@ -151,6 +151,43 @@ class TestBackwardAgainstFiniteDifferences:
         assert np.max(np.abs(grads.w_g)) > 0
 
 
+class TestRenormalizedGatesHideUnselectedExperts:
+    """The router's task gradient through renormalized top-k gates w = p_S / s.
+
+    Its gradient on logit j is p_j (d_j - <d, p>), where d is zero off the
+    selection and <d, p> = s sum_m w_m d_m = 0, so every unselected logit gets
+    zero, up to rounding, and at k = 1 (w = 1) the selected one does too. The
+    inputs are rows of the identity, so column i of dL/dw_g is token i's
+    logit gradient.
+    """
+
+    @staticmethod
+    def router_gradient(k):
+        config = MoEConfig(input_dim=100, experts=16, active_k=k, expert_hidden=32, classes=10,
+                           batch=64, aux_weight=0.0, reg_kind="none", seed=1)
+        params = init_params(config, stream(config.seed, "init", 0))
+        x = np.eye(config.batch, config.input_dim)
+        y = stream(config.seed, "labels").integers(0, config.classes, config.batch)
+        trace = forward(params, config, x)
+        _, grads = backward(params, trace, y, config)
+        assert not np.any(grads.w_g[:, config.batch:])
+        return grads.w_g[:, :config.batch].T, trace.routing.selections
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_unselected_logits_get_no_task_gradient(self, k):
+        per_token, selections = self.router_gradient(k)
+        unselected = np.ones(per_token.shape, dtype=bool)
+        unselected[np.arange(len(per_token))[:, None], selections] = False
+        largest = np.abs(per_token).max()
+        assert np.abs(per_token[unselected]).max() <= 1e-15 * largest
+        if k > 1:
+            assert largest > 0.0
+
+    def test_router_gradient_is_exactly_zero_at_k_1(self):
+        per_token, _ = self.router_gradient(1)
+        assert not np.any(per_token)
+
+
 class TestSeededFuzz:
     """Shapes drawn from a seeded stream, every fourth with k = E."""
 

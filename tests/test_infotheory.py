@@ -1,6 +1,9 @@
 """KL projection, collision identity, entropy bounds, routing MI."""
 
+import contextlib
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -390,6 +393,87 @@ class TestVectorisedAgainstRowLoops:
         assert has_repeat_by_rows(np.array(sel))
         with pytest.raises(InvalidShapeError, match="distinct"):
             RoutingBatch(dense_probs=np.full((len(sel), 6), 1.0 / 6), selections=sel)
+
+
+UNIFORM = np.full((3, 4), 0.25)
+
+
+def with_entry(i, j, value):
+    probs = UNIFORM.copy()
+    probs[i, j] = value
+    return probs
+
+
+FINITE = "dense_probs must be finite and nonnegative"
+RANGE = "selection indices out of range"
+DISTINCT = "selections must be distinct per token"
+WIDTH = "selection width must lie in [1, E]"
+# (dense_probs, selections, error type, exact message); every refusal RoutingBatch makes
+REFUSALS = {
+    "nan": (with_entry(1, 2, np.nan), [[0, 1]] * 3, InvalidShapeError, FINITE),
+    "+inf": (with_entry(0, 0, np.inf), [[0, 1]] * 3, InvalidShapeError, FINITE),
+    "-inf": (with_entry(2, 3, -np.inf), [[0, 1]] * 3, InvalidShapeError, FINITE),
+    "negative": (with_entry(1, 0, -1e-300), [[0, 1]] * 3, InvalidShapeError, FINITE),
+    # the finite check runs before the row sums, which a NaN would also fail
+    "nan-and-row-sum": (with_entry(0, 1, np.nan) * 2, [[0, 1]] * 3, InvalidShapeError, FINITE),
+    "row-sum-off-by-2e-9": (with_entry(2, 1, 0.25 + 2e-9), [[0, 1]] * 3, InvalidShapeError,
+                            "each dense_probs row must sum to 1 within 1e-9"),
+    "width-0": (UNIFORM, np.zeros((3, 0), dtype=int), InvalidShapeError, WIDTH),
+    "width-above-E": (UNIFORM, [[0, 1, 2, 3, 0]] * 3, InvalidShapeError, WIDTH),
+    "index--1": (UNIFORM, [[0, 1], [2, -1], [1, 3]], InvalidShapeError, RANGE),
+    "index-E": (UNIFORM, [[0, 1], [2, 3], [4, 0]], InvalidShapeError, RANGE),
+    # the range check runs before distinctness: E + row would alias the next row's bin
+    "index-E-repeated": (UNIFORM, [[0, 4], [2, 3], [1, 1]], InvalidShapeError, RANGE),
+    "adjacent-repeat": (UNIFORM, [[0, 1], [2, 2], [1, 3]], InvalidShapeError, DISTINCT),
+    "non-adjacent-repeat": (UNIFORM, [[0, 1, 2], [3, 1, 3], [1, 2, 3]], InvalidShapeError,
+                            DISTINCT),
+    "zero-kept-mass": (np.array([[0.5, 0.5, 0.0, 0.0]] * 3), [[0, 1], [0, 2], [2, 3]],
+                       ZeroProbabilityError,
+                       "a token's selected mass is zero; cannot renormalize"),
+    "probs-1-d": (np.full(4, 0.25), [[0, 1]], InvalidShapeError,
+                  "dense_probs must be T x E with E >= 2, got (4,)"),
+    "one-expert": (np.ones((3, 1)), [[0]] * 3, InvalidShapeError,
+                   "dense_probs must be T x E with E >= 2, got (3, 1)"),
+    "misaligned": (UNIFORM, [[0, 1]] * 2, InvalidShapeError,
+                   "selections must be T x k, aligned with dense_probs"),
+}
+
+
+@contextlib.contextmanager
+def floating_point_state(mode):
+    """The states a batch is built in: as is, inside train_fold's errstate, and -W error."""
+    if mode == "errstate":
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    elif mode == "warnings-error":
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+    else:
+        yield
+
+
+class TestRoutingBatchRefusals:
+    """Each refusal raises its type with its exact message, in every floating-point state."""
+
+    @pytest.mark.parametrize("mode", ["plain", "errstate", "warnings-error"])
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_refusal_type_and_message(self, case, mode):
+        probs, sel, error, message = REFUSALS[case]
+        with floating_point_state(mode):
+            with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+                RoutingBatch(dense_probs=probs, selections=sel)
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("mode", ["plain", "errstate", "warnings-error"])
+    def test_boundary_inputs_are_accepted(self, mode):
+        # a row sum off by 5e-10, a selected -0.0 and indices 0 and E - 1
+        probs = with_entry(0, 0, 0.25 + 5e-10)
+        probs[1] = [0.5, 0.5, 0.0, -0.0]
+        with floating_point_state(mode):
+            batch = RoutingBatch(dense_probs=probs, selections=[[0, 3], [0, 3], [2, 1]])
+        assert batch.load.tolist() == [2, 1, 1, 2]
+        assert batch.gates[1].tolist() == [1.0, 0.0]
 
 
 class TestRoutingBatchDerived:
