@@ -3,13 +3,14 @@
 A dictionary here is a d x N matrix whose columns are unit vectors (the
 atoms). Everything downstream, from greedy selection to the mixture-of-experts
 diagnostics, is phrased in terms of these columns and their inner products.
-Softmax, stable top-k, the guarded Cholesky factor, the enumeration bound,
+Softmax, stable top-k, the guarded Cholesky factor, the k-subset enumeration,
 the input checks (k range, index supports, target vectors, finite frozen
 arrays) and the job runner live here once, for every module.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -25,6 +26,10 @@ from .errors import (
 _PIVOT_RTOL = 1e-12
 # Hard ceiling on the subsets an exhaustive search may enumerate.
 _MAX_ENUM = 10**7
+# Stacked work holds its float64 matrices in chunks of at most this many bytes (and
+# at least one matrix), so its memory stays bounded at any count: a barrier job's
+# d x N dictionaries of a chunk of trials, and an exhaustive search's k x k blocks.
+_STACK_BYTES = 1 << 20
 # BLAS reads its thread count when numpy is first imported, so pool workers get
 # it from the environment they are started in: one thread each, since the
 # workers already share out the cores.
@@ -267,11 +272,15 @@ def psd_cholesky(a: np.ndarray) -> np.ndarray:
         raise NotPSDError(f"matrix of shape {a.shape} is not positive definite") from None
 
 
-def check_enumerable(n: int, k: int) -> None:
-    """Raise TooLargeError when the C(n, k) subsets exceed _MAX_ENUM."""
+def k_subsets(n: int, k: int):
+    """Every k-subset of range(n) in lexicographic order, as (S, k) index arrays in
+    _STACK_BYTES chunks; TooLargeError, before any is formed, past _MAX_ENUM subsets."""
     count = math.comb(n, k)
     if count > _MAX_ENUM:
         raise TooLargeError(f"C({n},{k}) = {count} subsets exceeds {_MAX_ENUM}")
+    subsets = itertools.combinations(range(n), k)
+    while chunk := list(itertools.islice(subsets, max(1, _STACK_BYTES // (8 * k * k)))):
+        yield np.array(chunk, dtype=np.intp)
 
 
 def check_k(k: int, n: int) -> int:

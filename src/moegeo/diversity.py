@@ -50,17 +50,23 @@ class Kernel:
         return self.gram.shape[0]
 
 
-def _block_factor(kernel: Kernel, idx) -> np.ndarray:
-    """Lower Cholesky factor of the subset's shifted Gram block, rows in the order of idx."""
-    return psd_cholesky(kernel.gram[np.ix_(idx, idx)] + kernel.epsilon * np.eye(len(idx)))
+def _block_factor(kernel: Kernel, idx: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of idx's shifted Gram block, rows in idx order, or of each row's."""
+    return psd_cholesky(kernel.gram[idx[..., :, None], idx[..., None, :]]
+                        + kernel.epsilon * np.eye(idx.shape[-1]))
+
+
+def logdet_subsets(kernel: Kernel, subsets: np.ndarray) -> np.ndarray:
+    """Unchecked log det of the shifted Gram block of each row of an (S, k) index array."""
+    return 2.0 * np.log(np.diagonal(_block_factor(kernel, subsets), axis1=1, axis2=2)).sum(axis=1)
 
 
 def logdet_subset(kernel: Kernel, subset) -> float:
-    """log det of the subset's shifted Gram block, via Cholesky."""
+    """log det of the subset's shifted Gram block: the one-row call of logdet_subsets."""
     idx = check_indices(subset, kernel.size)
     if not idx:
         raise InvalidShapeError("subset must be nonempty")
-    return float(2.0 * np.sum(np.log(np.diag(_block_factor(kernel, idx)))))
+    return float(logdet_subsets(kernel, np.array([idx]))[0])
 
 
 def _schur_gain(kernel: Kernel, idx: list[int], chol: np.ndarray, e: int) -> float:
@@ -82,7 +88,7 @@ def marginal_gain(kernel: Kernel, subset, e: int) -> float:
     *idx, e = check_indices([*subset, e], kernel.size)
     if not idx:
         return float(np.log(kernel.gram[e, e] + kernel.epsilon))
-    return _schur_gain(kernel, idx, _block_factor(kernel, idx), e)
+    return _schur_gain(kernel, idx, _block_factor(kernel, np.array(idx)), e)
 
 
 def dpp_greedy_select(kernel: Kernel, k: int) -> tuple[tuple[int, ...], list[float]]:
@@ -121,7 +127,7 @@ def dpp_greedy_select(kernel: Kernel, k: int) -> tuple[tuple[int, ...], list[flo
             raise NotPSDError(f"non-positive Schur complement at element {j}")
         near = np.flatnonzero(gains >= gains[j] - _GAIN_BAND)
         if r > 0 and near.size > 1:
-            chol = _block_factor(kernel, selected)
+            chol = _block_factor(kernel, np.array(selected))
             exact = [_schur_gain(kernel, selected, chol, e) for e in near.tolist()]
             j = int(near[np.argmax(exact)])
         e_row = (kernel.gram[j] - rows[:r, j] @ rows[:r]) / np.sqrt(schur[j])

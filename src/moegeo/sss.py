@@ -11,7 +11,6 @@ coherence crosses 1/(2k-1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -21,11 +20,12 @@ from .core import (
     UnitDictionary,
     SparseSolution,
     _PIVOT_RTOL,
+    _STACK_BYTES,
     _solve_gram,
-    check_enumerable,
     check_indices,
     check_k,
     check_vector,
+    k_subsets,
     least_squares_on_supports,
     mutual_coherence,
     run_jobs,
@@ -48,30 +48,24 @@ def brute_force_sss(dictionary: UnitDictionary, y, k: int) -> SparseSolution:
     Returns the support with minimal squared residual; exact ties go to the
     lexicographically smallest support (supports are visited in that order).
     Supports whose Gram matrix is singular are skipped. Refuses to enumerate
-    more than 10^7 subsets.
+    more than 10^7 subsets. Each chunk of k_subsets is one stacked solve, each
+    support's with the bytes of its own.
     """
     v = check_vector(y, dictionary.dim)
-    n = dictionary.n_atoms
-    k = check_k(k, n)
-    check_enumerable(n, k)
-
-    gram = dictionary.gram
+    k = check_k(k, dictionary.n_atoms)
     corr = dictionary.data.T @ v
     energy = float(v @ v)
-    best: tuple[float, tuple[int, ...], np.ndarray] | None = None
-    for sup in combinations(range(n), k):
-        idx = list(sup)
+    best = (np.inf, None, None)
+    for idx in k_subsets(dictionary.n_atoms, k):
         c = corr[idx]
-        coef, ok = _solve_gram(gram[np.ix_(idx, idx)], c)
-        if not ok:
-            continue
-        residual = energy - float(c @ coef)
-        if best is None or residual < best[0]:
-            best = (residual, sup, coef)
-    if best is None:
+        coef, ok = _solve_gram(dictionary.gram[idx[:, :, None], idx[:, None, :]], c)
+        residual = np.where(ok, energy - (c[:, None, :] @ coef[..., None])[:, 0, 0], np.inf)
+        i = int(np.argmin(residual))
+        if residual[i] < best[0]:
+            best = (float(residual[i]), idx[i], coef[i])
+    if best[1] is None:
         raise SingularGramError(tuple(range(k)))
-    residual, sup, coef = best
-    return SparseSolution(support=sup, coefficients=coef, residual_sq=max(residual, 0.0))
+    return SparseSolution(support=best[1], coefficients=best[2], residual_sq=max(best[0], 0.0))
 
 
 def greedy_topk_select(dictionary: UnitDictionary, y, k: int) -> tuple[int, ...]:
@@ -277,13 +271,6 @@ class BarrierCurve:
                    trials_per_point=t, theoretical_bound=1.0 / (2 * self.k - 1))
         for name, value in col.items():
             object.__setattr__(self, name, value)
-
-
-# A barrier job holds the bases of a chunk of trials, and at each grid point
-# their dictionaries, as stacks of d x N float64 matrices of at most this many
-# bytes each (and at least one trial), so a job's memory stays bounded at any
-# trial count.
-_STACK_BYTES = 1 << 20
 
 
 def _run_trials(args):

@@ -1,6 +1,7 @@
 """Dictionary types, coherence, least squares on supports, and the shared input checks."""
 
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from moegeo.core import (
     _frozen_array,
     check_indices,
     check_vector,
+    k_subsets,
     least_squares_on_support,
     mutual_coherence,
     normalize_columns,
@@ -338,6 +340,28 @@ class TestLeastSquaresOnSupport:
         y = np.array([1.0, bad, 0.0, 0.0])
         with pytest.raises(InvalidShapeError, match="^target contains non-finite entries$"):
             least_squares_on_support(d, y, (0, 2))
+
+
+class TestKSubsets:
+    @pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (6, 3), (9, 4), (12, 6), (7, 7)])
+    @pytest.mark.parametrize("chunk", [1, 3, 7, None])
+    def test_lexicographic_chunks(self, monkeypatch, n, k, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(core, "_STACK_BYTES", chunk * 8 * k * k)
+        rows = chunk or core._STACK_BYTES // (8 * k * k)
+        chunks = list(k_subsets(n, k))
+        assert all(c.dtype == np.intp and c.shape[1] == k for c in chunks)
+        assert [len(c) for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
+        assert 1 <= len(chunks[-1]) <= rows
+        assert [tuple(s) for c in chunks for s in c.tolist()] == \
+            list(itertools.combinations(range(n), k))
+
+    def test_guard_raises_before_any_subset(self, monkeypatch):
+        # with no itertools to form subsets from, only the guard can raise
+        monkeypatch.setattr(core, "itertools", None)
+        with pytest.raises(errors.TooLargeError, match=r"^C\(30,15\) = 155117520 subsets "
+                                                       r"exceeds 10000000$"):
+            next(k_subsets(30, 15))
 
 
 class TestSparseSolution:

@@ -13,6 +13,7 @@ from moegeo.diversity import (
     Kernel,
     dpp_greedy_select,
     logdet_subset,
+    logdet_subsets,
     marginal_gain,
     shifted_objective,
 )
@@ -148,6 +149,17 @@ class TestLogdetSubset:
             block = k.gram[np.ix_(sub, sub)] + k.epsilon * np.eye(3)
             expected = np.log(det3_cofactor(block))
             assert logdet_subset(k, sub) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 6, 9, 32])
+    def test_stacked_rows_keep_the_per_subset_bytes(self, size):
+        # the replaced one-subset formula: a 2-D factor of the np.ix_ block, 1-D sum
+        gen = np.random.default_rng(size)
+        k = random_kernel(40, 48, size)
+        rows = np.array([gen.permutation(40)[:size] for _ in range(50)])
+        oracle = [float(2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(
+            k.gram[np.ix_(r, r)] + k.epsilon * np.eye(size)))))) for r in rows.tolist()]
+        assert logdet_subsets(k, rows).tolist() == oracle
+        assert [logdet_subset(k, r) for r in rows.tolist()] == oracle
 
     def test_invalid_subsets(self):
         k = random_kernel(5, 8, 0)

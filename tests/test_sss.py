@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from moegeo import rng, sss
+from moegeo import core, rng, sss
 from moegeo.core import (
     DictionaryStack, UnitDictionary, _solve_gram, least_squares_on_support,
     least_squares_on_supports, mutual_coherence, normalize_columns, run_jobs,
@@ -88,7 +88,9 @@ def enumeration_oracle(dictionary, y, k):
 
 
 def gram_in_place_brute_force(dictionary, y, k):
-    """brute_force_sss's search with the Gram formed here rather than read from the cache."""
+    """brute_force_sss's search as a loop over supports, with the Gram formed here rather
+    than read from the cache: (residual, support, coef), or None when every support is
+    singular."""
     gram = dictionary.data.T @ dictionary.data
     corr = dictionary.data.T @ y
     best = None
@@ -101,6 +103,46 @@ def gram_in_place_brute_force(dictionary, y, k):
         if best is None or residual < best[0]:
             best = (residual, sup, coef)
     return best
+
+
+def brute_force_case(family, gen):
+    """A dictionary of one family (d 2-19, N 3-14, N > d allowed but for orthonormal
+    ones), a target and k 1-4. Every other target is an exact +-1 combination of k
+    atoms; common-direction dictionaries repeat some atoms exactly, so their supports
+    tie exactly and some are singular."""
+    n = int(gen.integers(3, 15))
+    d = int(gen.integers(n if family == "orthonormal" else 2, 20))
+    k = int(gen.integers(1, min(4, n) + 1))
+    if family == "orthonormal":
+        dictionary = random_orthonormal_dictionary(d, n, int(gen.integers(1 << 32)))
+    else:
+        m = gen.standard_normal((d, n))
+        if family == "common-direction":
+            m = 0.1 * m + gen.standard_normal((d, 1))
+            m[:, gen.integers(0, n, n // 3)] = m[:, gen.integers(0, n, n // 3)]
+        dictionary = normalize_columns(m)
+    if gen.random() < 0.5:
+        y = gen.standard_normal(d)
+    else:
+        y = dictionary.data[:, gen.permutation(n)[:k]] @ gen.choice([-1.0, 1.0], k)
+    return dictionary, y, k
+
+
+def assert_brute_force_matches_loop(dictionary, y, k):
+    """brute_force_sss has the loop's support, coefficient bytes and residual, or raises
+    its SingularGramError when no support is solvable; whether it did."""
+    best = gram_in_place_brute_force(dictionary, y, k)
+    if best is None:
+        with pytest.raises(SingularGramError) as err:
+            brute_force_sss(dictionary, y, k)
+        assert err.value.args == SingularGramError(tuple(range(k))).args
+        return False
+    sol = brute_force_sss(dictionary, y, k)
+    residual, sup, coef = best
+    assert sol.support == sup
+    assert sol.coefficients.tobytes() == coef.tobytes()
+    assert sol.residual_sq == max(residual, 0.0)
+    return True
 
 
 def refit_omp(dictionary, y, k):
@@ -154,15 +196,12 @@ class TestBruteForce:
             assert sol.residual_sq == pytest.approx(res, abs=1e-8)
 
     def test_matches_gram_formed_in_place(self):
-        rng = np.random.default_rng(4)
-        for n, k in [(6, 2), (9, 3), (12, 4)]:
-            d = normalize_columns(rng.standard_normal((8, n)))
-            y = rng.standard_normal(8)
-            sol = brute_force_sss(d, y, k)
-            residual, sup, coef = gram_in_place_brute_force(d, y, k)
-            assert sol.support == sup
-            assert sol.coefficients.tobytes() == coef.tobytes()
-            assert sol.residual_sq == max(residual, 0.0)
+        gen = np.random.default_rng(4)
+        for family in ("gaussian", "orthonormal", "common-direction"):
+            solved = [assert_brute_force_matches_loop(*brute_force_case(family, gen))
+                      for _ in range(150)]
+            # all-singular cases are drawn wherever k > d can be
+            assert all(solved) if family == "orthonormal" else not all(solved), family
 
     def test_tie_broken_lexicographically(self):
         d = UnitDictionary(np.eye(4))
@@ -172,8 +211,42 @@ class TestBruteForce:
 
     def test_enumeration_guard(self):
         d = random_orthonormal_dictionary(64, 40, seed=0)
-        with pytest.raises(TooLargeError):
+        with pytest.raises(TooLargeError,
+                           match=r"^C\(40,12\) = 5586853480 subsets exceeds 10000000$"):
             brute_force_sss(d, np.zeros(64), 12)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_chunks_give_the_one_search(self, monkeypatch, chunk):
+        # (0, 2), (0, 3) and (2, 3) tie exactly; 3-subset chunks split them, and the
+        # 1- and 3-subset first chunks of the duplicated atom are all singular
+        eye = UnitDictionary(np.eye(4))
+        tie = np.array([1.0, 0.0, 1.0, 1.0])
+        gen = np.random.default_rng(5)
+        u = normalize_columns(gen.standard_normal((3, 2))).data
+        dup = UnitDictionary(u[:, [0, 0, 0, 0, 1]])
+        cases = [(eye, tie, 2), (dup, gen.standard_normal(3), 2)]
+        cases += [brute_force_case(family, gen) for family in ("gaussian", "common-direction")
+                  for _ in range(20)]
+        whole = [outcome(brute_force_sss, *case) for case in cases]
+        assert whole[0].support == (0, 2) and whole[1].support == (0, 4)
+        for case, expect in zip(cases, whole):
+            monkeypatch.setattr(core, "_STACK_BYTES", chunk * 8 * case[2] ** 2)
+            got = outcome(brute_force_sss, *case)
+            if isinstance(expect, tuple):
+                assert got == expect
+            else:
+                assert (got.support, got.coefficients.tobytes(), got.residual_sq) == \
+                    (expect.support, expect.coefficients.tobytes(), expect.residual_sq)
+
+    def test_batched_residual_product_rounds_like_the_dot(self):
+        # brute_force_sss keeps the loop's residual bytes only while the (1, k) @ (k, 1)
+        # product of each stack row rounds like the 1-D dot; einsum("pk,pk->p") and
+        # (c * coef).sum(1) differed from it on 25 to 57 % of these rows at k = 2..6
+        gen = np.random.default_rng(6)
+        for k in range(1, 7):
+            c, coef = gen.standard_normal((2, 5000, k))
+            rows = (c[:, None, :] @ coef[..., None])[:, 0, 0]
+            assert rows.tolist() == [float(a @ b) for a, b in zip(c, coef)]
 
     def test_k_out_of_range(self):
         d = UnitDictionary(np.eye(4))
