@@ -43,7 +43,6 @@ from .infotheory import (
     empirical_mi,
     entropy,
     kl_sparse_project,
-    mean_routing_probs,
     mi_lower_bound,
     renyi2_entropy,
 )
@@ -148,8 +147,9 @@ def _prepare_output(cfg, config_path):
     out = Path(cfg["output_dir"])
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise InvalidConfigError(f"output_dir {out}: {exc.strerror}") from None
+    except (OSError, ValueError) as exc:  # a file in the way, a name too long, a NUL byte
+        reason = getattr(exc, "strerror", None) or exc
+        raise InvalidConfigError(f"output_dir {out}: {reason}") from None
     if config_path:
         dest = out / "config.json"
         if not (dest.exists() and os.path.samefile(config_path, dest)):
@@ -294,6 +294,8 @@ def cmd_train(cfg):
 def cmd_kl_project(cfg):
     if cfg["probs"] is not None:
         p = np.asarray(cfg["probs"], dtype=float)
+    elif cfg["experts"] < 2:
+        raise InvalidConfigError(f"experts must be >= 2, got {cfg['experts']}")
     else:
         gen = stream(cfg["seed"], "cli", "kl")
         p = gen.random(cfg["experts"]) + 1e-3
@@ -350,7 +352,7 @@ def cmd_info(cfg):
     gen = stream(cfg["seed"], "cli", "info")
     probs = softmax_rows(gen.standard_normal((t, e)))
     batch = RoutingBatch(dense_probs=probs, selections=topk_indices(probs, k))
-    p_bar = mean_routing_probs(batch)
+    p_bar = CategoricalDist(batch.marginal)
     h_z, h_cond, mi = empirical_mi(batch)
     return {"info.json": {
         "experts": e, "k": k, "tokens": t,

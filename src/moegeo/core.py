@@ -272,6 +272,11 @@ def psd_cholesky(a: np.ndarray) -> np.ndarray:
         raise NotPSDError(f"matrix of shape {a.shape} is not positive definite") from None
 
 
+def cholesky_logdets(chol: np.ndarray) -> np.ndarray:
+    """2 sum log diag L for each lower Cholesky factor L in a stack: the log det it factors."""
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
 def k_subsets(n: int, k: int):
     """Every k-subset of range(n) in lexicographic order, as (S, k) index arrays in
     _STACK_BYTES chunks; TooLargeError, before any is formed, past _MAX_ENUM subsets."""

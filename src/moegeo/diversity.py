@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import UnitDictionary, check_indices, check_k, psd_cholesky
+from .core import UnitDictionary, check_indices, check_k, cholesky_logdets, psd_cholesky
 from .errors import InvalidShapeError, NotPSDError
 
 # Greedy candidates whose incremental gain lies within this many nats of the
@@ -58,7 +58,7 @@ def _block_factor(kernel: Kernel, idx: np.ndarray) -> np.ndarray:
 
 def logdet_subsets(kernel: Kernel, subsets: np.ndarray) -> np.ndarray:
     """Unchecked log det of the shifted Gram block of each row of an (S, k) index array."""
-    return 2.0 * np.log(np.diagonal(_block_factor(kernel, subsets), axis1=1, axis2=2)).sum(axis=1)
+    return cholesky_logdets(_block_factor(kernel, subsets))
 
 
 def logdet_subset(kernel: Kernel, subset) -> float:

@@ -109,10 +109,6 @@ class RoutingBatch:
             object.__setattr__(self, name, arr)
 
     @property
-    def n_tokens(self) -> int:
-        return self.dense_probs.shape[0]
-
-    @property
     def n_experts(self) -> int:
         return self.dense_probs.shape[1]
 
@@ -147,11 +143,6 @@ def collision_mass(p: CategoricalDist) -> float:
 def renyi2_entropy(p: CategoricalDist) -> float:
     """Collision entropy -log sum p_i^2; 0 for one-hot, log E at uniform."""
     return float(-np.log(collision_mass(p)))
-
-
-def mean_routing_probs(batch: RoutingBatch) -> CategoricalDist:
-    """The batch marginal: column means of the dense routing distributions."""
-    return CategoricalDist(batch.marginal)
 
 
 def aux_loss(batch: RoutingBatch) -> float:

@@ -20,8 +20,8 @@ from functools import partial
 import numpy as np
 
 from .core import (
-    UnitDictionary, _checked_copy, _frozen_array, mutual_coherence, psd_cholesky, run_jobs,
-    softmax_rows, topk_indices,
+    UnitDictionary, _checked_copy, _frozen_array, cholesky_logdets, mutual_coherence,
+    psd_cholesky, run_jobs, softmax_rows, topk_indices,
 )
 from .errors import (
     DegenerateProbeError,
@@ -31,11 +31,11 @@ from .errors import (
     NonFiniteError,
 )
 from .infotheory import (
+    CategoricalDist,
     RoutingBatch,
     aux_loss,
     collision_mass,
     entropy,
-    mean_routing_probs,
     topk_conditional_entropy,
 )
 from .rng import check_seed, stream
@@ -156,9 +156,8 @@ class MoEParams:
 
     `w_g`, `w_in` and `w_out` are views of one buffer, `flat`, in that order.
     AdamW's first and second moments are the zeroed pair `flat_moments` of
-    the same layout, and `moments[name]` holds the (m, v) views of weight
-    `name`. `scratch` is the pair of buffers that `adamw_step` writes its
-    temporaries into.
+    the same layout. `scratch` is the pair of buffers that `adamw_step`
+    writes its temporaries into.
     """
 
     w_g: np.ndarray      # (E, D) router
@@ -167,7 +166,6 @@ class MoEParams:
     step: int = 0
     flat: np.ndarray = field(init=False, repr=False)
     flat_moments: tuple = field(init=False, repr=False)
-    moments: dict = field(init=False, repr=False)
     scratch: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -183,8 +181,6 @@ class MoEParams:
         self.flat_moments = (_flat_buffer(self.flat.size), _flat_buffer(self.flat.size))
         for buf in self.flat_moments:
             buf.fill(0.0)
-        m, v = (_views(buf, [w.shape for w in weights]) for buf in self.flat_moments)
-        self.moments = dict(zip(_WEIGHTS, zip(m, v)))
         self.scratch = (_flat_buffer(self.flat.size), _flat_buffer(self.flat.size))
         if self.w_in.shape[0] != self.w_g.shape[0] or self.w_out.shape[0] != self.w_g.shape[0]:
             raise InvalidShapeError("per-expert arrays disagree on expert count")
@@ -318,8 +314,7 @@ def softdpp_loss(trace, epsilon):
     g = np.einsum("bic,bjc->bij", n, n)
     k = g.shape[1]
     g[:, np.arange(k), np.arange(k)] += epsilon
-    chol = psd_cholesky(g)
-    logdets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    logdets = cholesky_logdets(psd_cholesky(g))
     # a running sum in sample order gives the same bits as a per-sample loop
     value = -float(np.cumsum(logdets)[-1]) / trace.batch_size
     return value, _through_normalization(-2.0 * np.linalg.solve(g, n), n, norms, ok)
@@ -385,19 +380,12 @@ def total_loss(trace, labels, config):
 @dataclass
 class MoEGradients:
     """Gradients of `w_g`, `w_in` and `w_out`, as views of one flat buffer laid out as
-    `MoEParams.flat`. Separate arrays are packed into a fresh `flat` once, here."""
+    `MoEParams.flat`."""
 
     w_g: np.ndarray
     w_in: np.ndarray
     w_out: np.ndarray
-    flat: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.flat is None:
-            self.flat, views = _packed([np.asarray(getattr(self, name), dtype=float)
-                                        for name in _WEIGHTS])
-            for name, view in zip(_WEIGHTS, views):
-                setattr(self, name, view)
+    flat: np.ndarray = field(repr=False)
 
 
 def backward(params, trace, labels, config):
@@ -626,7 +614,7 @@ def _eval_metrics(params, config, test_x, test_y):
                     raise IdentityViolationError(f"ambiguity identity violated by {gap:.3e}")
     batch = RoutingBatch(dense_probs=np.vstack(probs_chunks),
                          selections=np.vstack(sel_chunks))
-    p_bar = mean_routing_probs(batch)
+    p_bar = CategoricalDist(batch.marginal)
     collision = collision_mass(p_bar)
     if not collision >= 1.0 / config.experts - 1e-12:
         raise IdentityViolationError(f"collision mass {collision} fell below 1/E")
@@ -685,15 +673,16 @@ def train_fold(config, train, test, fold=0):
             series.append(metrics[name])
         return metrics["selections"]
 
-    selections = record(_eval_loss(params, config, train_x, train_y))
     n = len(train_y)
-    for epoch in range(1, config.epochs + 1):
-        perm = stream(config.seed, "shuffle", fold, epoch).permutation(n)
-        sums = np.zeros(3)
-        # a diverging model overflows before anything turns non-finite, so an
-        # overflow or invalid operation aborts the fold where it happens
-        try:
-            with np.errstate(over="raise", invalid="raise"):
+    epoch = 0
+    # a diverging model overflows before anything turns non-finite, so an
+    # overflow or invalid operation aborts the fold where it happens, epoch 0 included
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            selections = record(_eval_loss(params, config, train_x, train_y))
+            for epoch in range(1, config.epochs + 1):
+                perm = stream(config.seed, "shuffle", fold, epoch).permutation(n)
+                sums = np.zeros(3)
                 for start in range(0, n, config.batch):
                     idx = perm[start:start + config.batch]
                     trace = forward(params, config, train_x[idx])
@@ -701,8 +690,8 @@ def train_fold(config, train, test, fold=0):
                     adamw_step(params, grads, config)
                     sums += idx.size * np.array([comps.task, comps.aux, comps.reg])
                 selections = record(sums / n)
-        except FloatingPointError as exc:  # NonFiniteError is one
-            raise NonFiniteError(f"fold {fold} diverged at epoch {epoch}: {exc}") from None
+    except FloatingPointError as exc:  # NonFiniteError is one
+        raise NonFiniteError(f"fold {fold} diverged at epoch {epoch}: {exc}") from None
 
     return TrainReport(
         fold=fold, config=config,

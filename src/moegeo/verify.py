@@ -23,7 +23,6 @@ from .infotheory import (
     RoutingBatch,
     collision_mass,
     kl_sparse_project,
-    mean_routing_probs,
     renyi2_entropy,
     topk_conditional_entropy,
 )
@@ -89,7 +88,7 @@ def check_collision_identity(gen, cases):
     floor = np.inf
     for _ in range(cases):
         batch = _random_batch(gen)
-        p_bar = mean_routing_probs(batch)
+        p_bar = CategoricalDist(batch.marginal)
         lhs = batch.n_experts * collision_mass(p_bar)
         rhs = float(batch.n_experts * np.exp(-renyi2_entropy(p_bar)))
         worst = max(worst, abs(lhs - rhs))

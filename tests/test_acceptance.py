@@ -31,8 +31,9 @@ import pytest
 from moegeo import cli, verify
 from moegeo.cli import main as cli_main
 from moegeo.infotheory import RoutingBatch, topk_conditional_entropy
-from moegeo.moe import MoEConfig, backward, cross_validate, forward, init_params, total_loss
+from moegeo.moe import cross_validate
 from moegeo.sss import barrier_sweep
+from test_gradients import full_model_rel_err
 
 pytestmark = pytest.mark.acceptance
 
@@ -273,70 +274,10 @@ def test_07_ambiguity_identity():
 # 8. analytic gradients match finite differences for every regularizer
 
 
-FD_STEP = 1e-5
-
-GRAD_DIMS = dict(input_dim=12, experts=6, active_k=2, expert_hidden=8,
-                 classes=5, batch=4, seed=7)
-
-
-def _loss_value(params, config, x, y):
-    value, _ = total_loss(forward(params, config, x), y, config)
-    return value
-
-
-def _selection_stable_batch(config, gen, size=4):
-    for _ in range(60):
-        x = gen.standard_normal((size, config.input_dim))
-        y = gen.integers(0, config.classes, size)
-        params = init_params(config, gen)
-        trace = forward(params, config, x)
-        p_sorted = np.sort(trace.routing.dense_probs, axis=1)[:, ::-1]
-        margin = float(np.min(p_sorted[:, config.active_k - 1]
-                              - p_sorted[:, config.active_k]))
-        if margin > 1e-3:
-            return params, x, y
-    raise AssertionError("no selection-stable batch found")
-
-
-def _numeric_grads(params, config, x, y):
-    grads = {}
-    base_sel = forward(params, config, x).routing.selections
-    for name in ("w_g", "w_in", "w_out"):
-        w = getattr(params, name)
-        flat = w.reshape(-1)
-        out = np.zeros(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + FD_STEP
-            hi = _loss_value(params, config, x, y)
-            hi_sel = forward(params, config, x).routing.selections
-            flat[i] = orig - FD_STEP
-            lo = _loss_value(params, config, x, y)
-            lo_sel = forward(params, config, x).routing.selections
-            flat[i] = orig
-            assert np.array_equal(hi_sel, base_sel) and np.array_equal(lo_sel, base_sel)
-            out[i] = (hi - lo) / (2 * FD_STEP)
-        grads[name] = out.reshape(w.shape)
-    return grads
-
-
 def test_08_gradient_correctness():
+    # the finite-difference oracle of test_gradients, at its dimensions and draws
     t0 = time.monotonic()
-    worst = {}
-    for reg_kind in ARMS:
-        config = MoEConfig(reg_kind=reg_kind, aux_weight=0.01, reg_weight=0.1,
-                           **GRAD_DIMS)
-        gen = np.random.default_rng(config.seed)
-        params, x, y = _selection_stable_batch(config, gen)
-        _, analytic = backward(params, forward(params, config, x), y, config)
-        numeric = _numeric_grads(params, config, x, y)
-        err = 0.0
-        for name in ("w_g", "w_in", "w_out"):
-            a = getattr(analytic, name).ravel()
-            b = numeric[name].ravel()
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
-            err = max(err, float(np.max(np.abs(a - b) / denom)))
-        worst[reg_kind] = err
+    worst = {reg_kind: full_model_rel_err(reg_kind) for reg_kind in ARMS}
     elapsed = time.monotonic() - t0
     report("gradient-correctness",
            max(worst.values()) < 1e-4 and elapsed < 60.0,

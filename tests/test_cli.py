@@ -1,8 +1,10 @@
 """Subcommand contracts: exit codes, precedence, byte-stable artifacts."""
 
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -83,6 +85,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config: output_dir ")
         assert blocker.read_text() == ""
 
+    @pytest.mark.parametrize("name, reason", [
+        ("a" * 300, os.strerror(errno.ENAMETOOLONG)),
+        ("a\0b", "embedded null byte"),
+    ], ids=["name-too-long", "nul-byte"])
+    def test_unmakeable_output_dir_is_config_error(self, tmp_path, capsys, name, reason):
+        out = tmp_path / name
+        code = main(["info", "--output_dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config: output_dir {out}: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command, entry", [
         ("train", '"lr": true, "samples": 40, "folds": 2, "epochs": 1, "workers": 1'),
         ("train", '"seed": false, "samples": 40, "folds": 2, "epochs": 1, "workers": 1'),
@@ -124,18 +137,25 @@ class TestExitCodes:
 
     def test_diverged_fold_is_one_abort_line(self, tmp_path):
         # the outputs grow huge but finite before anything turns non-finite: the
-        # first overflow aborts the fold, with no numpy warning on stderr
+        # first overflow aborts the fold, with no numpy warning on stderr. A huge
+        # learning rate overflows in training; a huge class separation already in
+        # the untrained model's epoch-0 evaluation
         src = str(Path(cli.__file__).resolve().parents[1])
-        argv = ["train", "--lr", "1e6", "--epochs", "2", "--folds", "2", "--workers", "1",
-                "--output_dir", str(tmp_path / "o")]
-        code = (f"import sys; sys.path.insert(0, {src!r}); from moegeo.cli import main; "
-                f"sys.exit(main({argv!r}))")
-        proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
-                              text=True, timeout=300)
-        assert proc.returncode == 3
-        assert re.fullmatch(r"abort: fold 0 diverged at epoch [12]: [^\n]+\n", proc.stderr), \
-            proc.stderr
-        assert proc.stdout == ""
+        for flags, epochs in (
+            (["--lr", "1e6", "--epochs", "2", "--folds", "2"], "[12]"),
+            (["--samples", "20", "--folds", "2", "--epochs", "1", "--classes", "2",
+              "--features", "3", "--informative", "3", "--experts", "2", "--k", "1",
+              "--class_sep", "1e300"], "0"),
+        ):
+            argv = ["train", *flags, "--workers", "1", "--output_dir", str(tmp_path / "o")]
+            code = (f"import sys; sys.path.insert(0, {src!r}); from moegeo.cli import main; "
+                    f"sys.exit(main({argv!r}))")
+            proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                                  text=True, timeout=300)
+            assert proc.returncode == 3, flags
+            assert re.fullmatch(rf"abort: fold 0 diverged at epoch {epochs}: [^\n]+\n",
+                                proc.stderr), proc.stderr
+            assert proc.stdout == ""
 
     @pytest.mark.parametrize("argv, call", [
         (["barrier"], "barrier_sweep"),
@@ -153,6 +173,13 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main([*argv, "--output_dir", str(out)]) == 3
         assert capsys.readouterr().err == "abort: injected\n"
+        assert not out.exists()
+
+    def test_kl_project_negative_experts_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["kl-project", "--experts", "-3", "--output_dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "config: experts must be >= 2, got -3\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("probs", ["0,1", "1,0", "1e-320,1"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from moegeo.infotheory import mean_routing_probs, topk_conditional_entropy
+from moegeo.infotheory import CategoricalDist, topk_conditional_entropy
 from moegeo.moe import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -12,6 +12,7 @@ from moegeo.moe import (
     MoEConfig,
     MoEGradients,
     MoEParams,
+    _packed,
     adamw_step,
     backward,
     forward,
@@ -32,6 +33,12 @@ SMALL = dict(input_dim=12, experts=6, active_k=2, expert_hidden=8, classes=5,
 def clone_params(params):
     return MoEParams(w_g=params.w_g.copy(), w_in=params.w_in.copy(),
                      w_out=params.w_out.copy())
+
+
+def packed_grads(w_g, w_in, w_out):
+    """MoEGradients over a fresh flat buffer holding the three arrays, laid out as backward's."""
+    flat, views = _packed([w_g, w_in, w_out])
+    return MoEGradients(*views, flat=flat)
 
 
 def loss_value(params, config, x, y):
@@ -95,6 +102,16 @@ def max_rel_err(analytic, numeric):
     return worst
 
 
+def full_model_rel_err(reg_kind):
+    """Max relative error of backward against central differences on a SMALL batch
+    drawn from default_rng(7), with aux and `reg_kind` on."""
+    config = MoEConfig(reg_kind=reg_kind, aux_weight=0.01, reg_weight=0.1, **SMALL)
+    rng = np.random.default_rng(config.seed)
+    params, x, y = stable_batch(config, rng)
+    _, analytic = backward(params, forward(params, config, x), y, config)
+    return max_rel_err(analytic, numeric_grads(params, config, x, y))
+
+
 class TestGeluDerivative:
     def test_matches_fd(self):
         u = np.linspace(-4, 4, 81)
@@ -116,13 +133,7 @@ class TestGeluDerivative:
 class TestBackwardAgainstFiniteDifferences:
     @pytest.mark.parametrize("reg_kind", ["none", "ortho", "ncl", "dpp"])
     def test_full_model(self, reg_kind):
-        config = MoEConfig(reg_kind=reg_kind, aux_weight=0.01, reg_weight=0.1, **SMALL)
-        rng = np.random.default_rng(config.seed)
-        params, x, y = stable_batch(config, rng)
-        trace = forward(params, config, x)
-        _, analytic = backward(params, trace, y, config)
-        numeric = numeric_grads(params, config, x, y)
-        err = max_rel_err(analytic, numeric)
+        err = full_model_rel_err(reg_kind)
         assert err < REL_TOL, f"reg_kind={reg_kind}: max rel err {err:.2e}"
 
     def test_zero_w_out_blocks_w_in_gradient(self):
@@ -203,7 +214,7 @@ class TestSeededFuzz:
         params, x, y = stable_batch(config, gen, size=b)
         trace = forward(params, config, x)
         np.testing.assert_allclose(trace.routing.gates.sum(axis=1), 1.0, atol=1e-12)
-        assert np.sum(mean_routing_probs(trace.routing).probs ** 2) >= 1.0 / e - 1e-12
+        assert np.sum(CategoricalDist(trace.routing.marginal).probs ** 2) >= 1.0 / e - 1e-12
         assert topk_conditional_entropy(trace.routing) <= np.log(k) + 1e-9
         assert np.isfinite(total_loss(trace, y, config)[0])
         _, grads = backward(params, trace, y, config)
@@ -217,9 +228,9 @@ class TestAdamW:
         rng = np.random.default_rng(1)
         params = init_params(config, rng)
         before = clone_params(params)
-        grads = MoEGradients(w_g=rng.standard_normal(params.w_g.shape),
-                             w_in=rng.standard_normal(params.w_in.shape),
-                             w_out=rng.standard_normal(params.w_out.shape))
+        grads = packed_grads(rng.standard_normal(params.w_g.shape),
+                             rng.standard_normal(params.w_in.shape),
+                             rng.standard_normal(params.w_out.shape))
         adamw_step(params, grads, config)
         # bias correction makes m_hat = g, v_hat = g^2 on step 1
         assert params.step == 1
@@ -242,7 +253,7 @@ class TestAdamW:
         v = {name: np.zeros(w[name].shape) for name in names}
         assert 1.0 - ADAM_BETA1**355 < 1.0 and 1.0 - ADAM_BETA1**356 == 1.0
         for t in range(1, 401):
-            grads = MoEGradients(**{name: rng.standard_normal(w[name].shape) for name in names})
+            grads = packed_grads(*(rng.standard_normal(w[name].shape) for name in names))
             adamw_step(params, grads, config)
             bc1 = 1.0 - ADAM_BETA1**t
             bc2 = 1.0 - ADAM_BETA2**t
@@ -257,28 +268,28 @@ class TestAdamW:
         assert params.step == 400
         for name in names:
             assert getattr(params, name).tobytes() == w[name].tobytes()
-            assert params.moments[name][0].tobytes() == m[name].tobytes()
-            assert params.moments[name][1].tobytes() == v[name].tobytes()
+        for buf, per_tensor in zip(params.flat_moments, (m, v)):
+            assert buf.tobytes() == b"".join(per_tensor[name].tobytes() for name in names)
 
     def test_separate_arrays_are_packed_into_one_buffer(self):
         config = MoEConfig(**SMALL)
         params = init_params(config, np.random.default_rng(4))
-        arrays = {name: np.full(getattr(params, name).shape, float(i))
-                  for i, name in enumerate(("w_g", "w_in", "w_out"))}
-        grads = MoEGradients(**arrays)
-        assert grads.flat.tobytes() == b"".join(a.tobytes() for a in arrays.values())
-        for name, a in arrays.items():
-            assert np.shares_memory(getattr(grads, name), grads.flat)
-            assert getattr(grads, name).tobytes() == a.tobytes()
+        arrays = [np.full(getattr(params, name).shape, float(i))
+                  for i, name in enumerate(("w_g", "w_in", "w_out"))]
+        flat, views = _packed(arrays)
+        assert flat.tobytes() == b"".join(a.tobytes() for a in arrays)
+        assert flat.ctypes.data % 64 == 0
+        for view, a in zip(views, arrays):
+            assert np.shares_memory(view, flat) and not np.shares_memory(view, a)
+            assert view.tobytes() == a.tobytes()
 
     def test_weights_and_moments_are_views_of_flat_buffers(self):
         params = init_params(MoEConfig(**SMALL), np.random.default_rng(5))
         m, v = params.flat_moments
         for name in ("w_g", "w_in", "w_out"):
             assert np.shares_memory(getattr(params, name), params.flat)
-            assert np.shares_memory(params.moments[name][0], m)
-            assert np.shares_memory(params.moments[name][1], v)
         assert params.flat.size == params.w_g.size + params.w_in.size + params.w_out.size
+        assert m.size == v.size == params.flat.size and not np.any(m) and not np.any(v)
         for buf in (params.flat, m, v, *params.scratch):
             assert buf.ctypes.data % 64 == 0  # each buffer starts a cache line
 
@@ -286,9 +297,8 @@ class TestAdamW:
         config = MoEConfig(**SMALL)
         params = init_params(config, np.random.default_rng(2))
         before = clone_params(params)
-        grads = MoEGradients(w_g=np.zeros_like(params.w_g),
-                             w_in=np.zeros_like(params.w_in),
-                             w_out=np.zeros_like(params.w_out))
+        grads = packed_grads(np.zeros_like(params.w_g), np.zeros_like(params.w_in),
+                             np.zeros_like(params.w_out))
         adamw_step(params, grads, config)
         factor = 1.0 - config.lr * WEIGHT_DECAY
         np.testing.assert_allclose(params.w_g, before.w_g * factor, atol=1e-15)

@@ -17,7 +17,6 @@ from moegeo.infotheory import (
     empirical_mi,
     entropy,
     kl_sparse_project,
-    mean_routing_probs,
     mi_lower_bound,
     renyi2_entropy,
     topk_conditional_entropy,
@@ -165,7 +164,7 @@ class TestAuxLoss:
 
 def collision_identity(batch):
     """E sum P_i^2 and E exp(-H2(P)) of the batch marginal P, and their gap."""
-    p_bar = mean_routing_probs(batch)
+    p_bar = CategoricalDist(batch.marginal)
     lhs = batch.n_experts * collision_mass(p_bar)
     rhs = float(batch.n_experts * np.exp(-renyi2_entropy(p_bar)))
     return lhs, rhs, abs(lhs - rhs)
@@ -203,7 +202,7 @@ class TestCollisionIdentity:
         rng = np.random.default_rng(6)
         for _ in range(200):
             batch = random_batch(rng, int(rng.integers(2, 16)), int(rng.integers(2, 9)), 1)
-            p_bar = mean_routing_probs(batch)
+            p_bar = CategoricalDist(batch.marginal)
             e = p_bar.size
             assert np.sum(p_bar.probs**2) >= 1.0 / e - 1e-12
 
@@ -322,7 +321,7 @@ class TestValidation:
 
 def conditional_entropy_by_rows(batch):
     """The per-row loop that topk_conditional_entropy replaced, kept as its oracle."""
-    rows = np.zeros((batch.n_tokens, batch.n_experts))
+    rows = np.zeros(batch.dense_probs.shape)
     picked = np.take_along_axis(batch.dense_probs, batch.selections, axis=1)
     np.put_along_axis(rows, batch.selections, picked / picked.sum(axis=1, keepdims=True), axis=1)
     return float(np.mean([entropy(r) for r in rows]))

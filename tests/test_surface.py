@@ -1,10 +1,12 @@
-"""No dead library surface: every public top-level name in `src/moegeo` has a caller there.
+"""No dead library surface: every public name in `src/moegeo` has a caller there.
 
 A public function or class counts as used when `src/` names it (as a name or
 an attribute) outside its own definition, when it is a `@command` handler, or
 when `bench/plan.json` traces it. A traced definition that `src/` never names
-is kept for the plan alone, so what it names gets no caller from it. A
-function that only a test calls fails here.
+is kept for the plan alone, so what it names gets no caller from it. A public
+method or property of a class counts as used when `src/` reads it as an
+attribute outside that class; dunders are exempt. A function or member that
+only a test reads fails here.
 """
 
 import ast
@@ -27,12 +29,15 @@ def _definitions(trees):
                 yield f"{module}.{node.name}", node
 
 
+def _outside(tree, skip):
+    """Every node of `tree` outside the nodes `skip`."""
+    inside = {id(n) for node in skip for n in ast.walk(node)}
+    return (node for node in ast.walk(tree) if id(node) not in inside)
+
+
 def _uses(tree, skip):
     """Names and attributes read anywhere in `tree` outside the nodes `skip`."""
-    inside = {id(n) for node in skip for n in ast.walk(node)}
-    for node in ast.walk(tree):
-        if id(node) in inside:
-            continue
+    for node in _outside(tree, skip):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
@@ -53,8 +58,27 @@ def _unused(trees, traced):
             and not _has_caller(node, trees, pinned)]
 
 
+def _unread_members(trees):
+    """The public methods and properties, as module.Class.name, that no attribute
+    load in `trees` reads outside their own class."""
+    unread = []
+    for name, cls in _definitions(trees):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        reads = {node.attr for tree in trees.values() for node in _outside(tree, [cls])
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{name}.{member.name}" for member in cls.body
+                   if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+                   and member.name not in reads]
+    return unread
+
+
+def _src_trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
 def test_every_public_definition_has_a_caller_in_src():
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _src_trees()
     plan = json.loads((ROOT / "bench" / "plan.json").read_text())
     traced = {name for layer in plan["layers"] for name in layer["functions"]}
     assert _unused(trees, traced) == []
@@ -72,3 +96,23 @@ def test_a_plan_pin_is_no_caller():
         "main()\n")}
     assert _unused(trees, {"lib.pinned"}) == ["lib.helper"]
     assert _unused(trees, {"lib.pinned", "lib.helper"}) == []
+
+
+def test_every_public_member_is_read_in_src_outside_its_class():
+    assert _unread_members(_src_trees()) == []
+
+
+def test_a_read_inside_its_own_class_is_no_read():
+    # `size` is read only by its own class and `dead` is only stored to; `used` is
+    # read outside, and dunders and private members are exempt
+    trees = {"lib": ast.parse(
+        "class A:\n"
+        "    def __len__(self): return 0\n"
+        "    def _helper(self): return self.size\n"
+        "    @property\n"
+        "    def size(self): return 1\n"
+        "    def used(self): return 2\n"
+        "    def dead(self): return self.used()\n"
+        "A().used()\n"
+        "A.dead = None\n")}
+    assert _unread_members(trees) == ["lib.A.size", "lib.A.dead"]

@@ -123,7 +123,7 @@ def test_results_deterministic():
 
 
 def _collision_identity_check(batch):
-    p_bar = verify.mean_routing_probs(batch)
+    p_bar = verify.CategoricalDist(batch.marginal)
     lhs = batch.n_experts * verify.collision_mass(p_bar)
     rhs = float(batch.n_experts * np.exp(-verify.renyi2_entropy(p_bar)))
     return lhs, rhs, abs(lhs - rhs)
