@@ -14,10 +14,12 @@ raise on purpose).
 
 import argparse
 import csv
+import errno
 import functools
 import json
 import os
 import shutil
+import stat
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -141,6 +143,28 @@ def _write_csv(path, table):
         writer.writerow(header)
         writer.writerows([f"{v:.6g}" if isinstance(v, float) else v for v in row]
                          for row in rows)
+
+
+def _check_output_dir(out):
+    """InvalidConfigError, with the reason mkdir would give, when the directory out
+    cannot be made; nothing is created.
+
+    The nearest existing path at or above out must be a directory. A path
+    below a file fails its own stat with ENOTDIR, so only out itself can be a
+    file, which mkdir refuses with EEXIST.
+    """
+    for probe in (out, *out.parents):
+        try:
+            mode = probe.stat().st_mode
+        except FileNotFoundError:
+            continue
+        except (OSError, ValueError) as exc:  # a file in the way, a name too long, a NUL byte
+            reason = getattr(exc, "strerror", None) or exc
+        else:
+            if stat.S_ISDIR(mode):
+                return
+            reason = os.strerror(errno.EEXIST)
+        raise InvalidConfigError(f"output_dir {out}: {reason}")
 
 
 def _prepare_output(cfg, config_path):
@@ -404,6 +428,7 @@ def main(argv=None):
     cmd = COMMANDS[args.command]
     try:
         cfg = resolve_config(cmd.schema, args)
+        _check_output_dir(Path(cfg["output_dir"]))  # before the work, which may take minutes
         artifacts, status = cmd.run(cfg)
         out = _prepare_output(cfg, args.config)
         for name, data in artifacts.items():

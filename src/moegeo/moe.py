@@ -57,17 +57,49 @@ WEIGHT_DECAY = 0.01
 def gelu(u):
     """Tanh-form GELU: (activation, tanh term), the term `gelu_grad` reuses.
 
-    The cube is `u * u * u`, not a power: numpy sends an integer power
-    other than 2 to libm `pow`, about 40 times slower per element.
+    0.5 u (1 + tanh(C (u + A u^3))), built in two fresh arrays by in-place
+    ufuncs that apply the same operations to the same operands in the same
+    order as the expression, so the bytes are the expression's; `u` is never
+    written. The cube is `u * u * u`, not a power: numpy sends an integer
+    power other than 2 to libm `pow`, about 40 times slower per element.
     """
     u = np.asarray(u, dtype=float)
-    t = np.tanh(_GELU_C * (u + _GELU_A * (u * u * u)))
-    return 0.5 * u * (1.0 + t), t
+    if u.ndim == 0:  # 0-d arithmetic returns numpy scalars, which take no out=
+        a, t = gelu(u[None])
+        return a[0], t[0]
+    t = u * u
+    t *= u
+    t *= _GELU_A
+    t += u
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    a = 0.5 * u
+    a *= 1.0 + t
+    return a, t
 
 
 def gelu_grad(u, t):
-    """Derivative of `gelu` at `u`, given the tanh term `gelu(u)` returned."""
-    return 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t**2) * _GELU_C * (1.0 + 3.0 * _GELU_A * u**2)
+    """Derivative of `gelu` at `u`, given the tanh term `gelu(u)` returned.
+
+    0.5 (1 + t) + 0.5 u (1 - t^2) C (1 + 3A u^2), evaluated left to right as
+    written, in place on fresh arrays as `gelu` is; `u` and `t` are never written.
+    """
+    u, t = np.asarray(u, dtype=float), np.asarray(t, dtype=float)
+    if u.ndim == 0:
+        return gelu_grad(u[None], t[None])[0]
+    g = 1.0 + t
+    g *= 0.5
+    h = 0.5 * u
+    s = t * t
+    np.subtract(1.0, s, out=s)
+    h *= s
+    h *= _GELU_C
+    np.multiply(u, u, out=s)
+    s *= 3.0 * _GELU_A
+    s += 1.0
+    h *= s
+    g += h
+    return g
 
 
 @dataclass(frozen=True)
@@ -338,12 +370,15 @@ def ncl_loss(trace):
 def _reg_output_grad(trace, config):
     """(reg_weight * regularizer, its gradient w.r.t. expert_outputs): the one reg_kind dispatch.
 
+    With no regularizer the gradient is the scalar 0.0, which broadcasts as
+    the zero array would.
+
     Each loss returns (batch mean, gradient of the batch sum). They are called
     through module globals, so a wrapper bound over one sees every call.
     """
     kind, scale = config.reg_kind, config.reg_weight
     if kind == "none" or scale == 0.0:
-        return 0.0, np.zeros_like(trace.expert_outputs)
+        return 0.0, 0.0
     if kind == "ortho":
         value, grad = ortho_loss(trace)
     elif kind == "ncl":
@@ -358,7 +393,7 @@ class LossComponents:
     task: float
     aux: float
     reg: float
-    reg_grad: np.ndarray = field(repr=False, compare=False)  # d reg / d expert_outputs
+    reg_grad: np.ndarray | float = field(repr=False, compare=False)  # d reg / d expert_outputs
 
     @property
     def total(self):
@@ -406,7 +441,7 @@ def backward(params, trace, labels, config):
 
     routing = trace.routing
     d_outputs = routing.gates[..., None] * g_logits[:, None, :]
-    d_outputs = d_outputs + comps.reg_grad
+    d_outputs += comps.reg_grad
     d_gates = np.einsum("bc,bkc->bk", g_logits, trace.expert_outputs)
 
     # renormalized gates w = p_sel / s: dL/dp_m = (dL/dw_m - sum_n dL/dw_n w_n) / s
@@ -432,7 +467,8 @@ def backward(params, trace, labels, config):
     for e, lo, hi in spans:
         np.matmul(gy[lo:hi].T, a[lo:hi], out=d_w_out[e])
         np.matmul(gy[lo:hi], params.w_out[e], out=ga[lo:hi])
-    du = gelu_grad(u, t) * ga
+    du = gelu_grad(u, t)
+    du *= ga
     for e, lo, hi in spans:
         np.matmul(du[lo:hi].T, xr[lo:hi], out=d_w_in[e])
     idle = routing.load == 0  # the experts no span covers
@@ -598,13 +634,12 @@ class TrainReport:
 def _eval_metrics(params, config, test_x, test_y):
     """Accuracy, routing statistics and the stacked selections of the test split."""
     correct = 0
-    probs_chunks, sel_chunks = [], []
+    batches = []
     for start in range(0, len(test_y), _EVAL_CHUNK):
         trace = forward(params, config, test_x[start:start + _EVAL_CHUNK])
         pred = np.argmax(trace.logits, axis=1)
         correct += int(np.sum(pred == test_y[start:start + _EVAL_CHUNK]))
-        probs_chunks.append(trace.routing.dense_probs)
-        sel_chunks.append(trace.routing.selections)
+        batches.append(trace.routing)
         if start == 0:
             for row in range(min(8, trace.batch_size)):
                 target = np.zeros(config.classes)
@@ -612,8 +647,14 @@ def _eval_metrics(params, config, test_x, test_y):
                 _, mean_ind, _, gap = ambiguity_decomposition(trace.expert_outputs[row], target)
                 if not gap <= 1e-10 * max(1.0, mean_ind):  # rounding grows with ||y||^2
                     raise IdentityViolationError(f"ambiguity identity violated by {gap:.3e}")
-    batch = RoutingBatch(dense_probs=np.vstack(probs_chunks),
-                         selections=np.vstack(sel_chunks))
+    if len(batches) == 1:  # forward's own batch, already validated
+        batch = batches[0]
+    else:  # stacked fresh and frozen, so RoutingBatch holds them without a copy
+        probs = np.vstack([b.dense_probs for b in batches])
+        selections = np.vstack([b.selections for b in batches])
+        for arr in (probs, selections):
+            arr.setflags(write=False)
+        batch = RoutingBatch(dense_probs=probs, selections=selections)
     p_bar = CategoricalDist(batch.marginal)
     collision = collision_mass(p_bar)
     if not collision >= 1.0 / config.experts - 1e-12:

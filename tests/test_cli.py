@@ -175,6 +175,34 @@ class TestExitCodes:
         assert capsys.readouterr().err == "abort: injected\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("sub", ["x", "x/y", ""], ids=["under-file", "deeper", "is-file"])
+    def test_unmakeable_output_dir_fails_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                                         sub):
+        def never(*args, **kwargs):
+            pytest.fail("barrier_sweep ran although output_dir cannot be made")
+
+        monkeypatch.setattr(cli, "barrier_sweep", never)
+        blocker = tmp_path / "f"
+        blocker.write_text("")
+        out = blocker / sub
+        assert main(["barrier", "--workers", "1", "--output_dir", str(out)]) == 2
+        reason = os.strerror(errno.EEXIST if sub == "" else errno.ENOTDIR)
+        assert capsys.readouterr().err == f"config: output_dir {out}: {reason}\n"
+        assert sorted(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+
+    def test_makeable_output_dir_is_made_only_after_the_work(self, tmp_path, monkeypatch):
+        out = tmp_path / "a" / "b"
+        sweep = cli.barrier_sweep
+
+        def checked(*args, **kwargs):
+            assert not (tmp_path / "a").exists()
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "barrier_sweep", checked)
+        assert main(["barrier", "--workers", "1", "--trials", "1", "--mu_grid", "0,0.3",
+                     "--output_dir", str(out)]) == 0
+        assert (out / "barrier.csv").exists()
+
     def test_kl_project_negative_experts_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["kl-project", "--experts", "-3", "--output_dir", str(out)])

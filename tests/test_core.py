@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,78 @@ class TestLeastSquaresOnSupport:
             least_squares_on_support(d, y, (0, 2))
 
 
+def solve_gram_matrix_by_matrix(gram, rhs):
+    """The stack's solve with every Gram factored alone, as the loop that
+    halving replaced did after a refusal: a refused Gram's factor is NaN."""
+    chol = np.full(gram.shape, np.nan)
+    for i in range(len(gram)):
+        try:
+            chol[i] = np.linalg.cholesky(gram[i])
+        except np.linalg.LinAlgError:
+            pass
+    pivots = np.diagonal(chol, axis1=-2, axis2=-1) ** 2
+    ok = pivots.min(axis=-1) >= core._PIVOT_RTOL * pivots.max(axis=-1)
+    chol = np.where(ok[:, None, None], chol, np.eye(gram.shape[-1]))
+    z = np.linalg.solve(chol, rhs[..., None])
+    return np.linalg.solve(chol.swapaxes(-1, -2), z)[..., 0], ok
+
+
+class TestSolveGramHalving:
+    """A stack that Cholesky refuses is split in halves down to the refused Grams."""
+
+    @staticmethod
+    def stack(count, refused, seed):
+        """(gram, rhs): well-posed 4 x 4 Grams, but indefinite at the refused indices,
+        which Cholesky refuses, and singular within the pivot guard at 2, 7, 12, ..."""
+        gen = np.random.default_rng(seed)
+        cols = gen.standard_normal((count, 4, 6))
+        gram = cols @ cols.transpose(0, 2, 1)
+        guarded = np.arange(2, count, 5)
+        gram[guarded, 3, :] = gram[guarded, :, 3] = 0.0
+        gram[guarded, 3, 3] = 1e-30  # factors, but its pivots fail the guard
+        gram[refused, 0, 0] = -1.0
+        return gram, gen.standard_normal((count, 4))
+
+    @pytest.mark.parametrize("count, refused", [
+        (64, []), (64, [37]), (64, [0, 1, 20, 63]), (64, list(range(64))), (1, [0]),
+        (7, [6]), (33, list(range(0, 33, 3))),
+    ], ids=["none", "one", "several", "all", "single", "odd-last", "every-third"])
+    def test_matches_matrix_by_matrix_oracle(self, monkeypatch, count, refused):
+        gram, rhs = self.stack(count, refused, seed=count + len(refused))
+        alone_refused = []
+        for i in range(count):
+            try:
+                np.linalg.cholesky(gram[i])
+            except np.linalg.LinAlgError:
+                alone_refused.append(i)
+        assert alone_refused == refused
+        want_x, want_ok = solve_gram_matrix_by_matrix(gram, rhs)
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+        x, ok = core._solve_gram(gram, rhs)
+        assert ok.tolist() == want_ok.tolist()
+        assert not ok[refused].any() and not ok[2::5].any()
+        assert x.tobytes() == want_x.tobytes()
+        bound = 1 + 2 * len(refused) * math.ceil(math.log2(count))
+        assert len(calls) <= min(bound, 2 * count - 1), len(calls)
+
+    def test_one_refused_gram_in_a_large_stack_is_found_in_few_calls(self, monkeypatch):
+        gram, rhs = self.stack(1024, [700], seed=3)
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+        ok = core._solve_gram(gram, rhs)[1]
+        assert not ok[700] and len(calls) == 1 + 2 * 10
+
+    def test_single_gram(self):
+        gram, rhs = self.stack(3, [1], seed=5)
+        for i in range(3):
+            x, ok = core._solve_gram(gram[i], rhs[i])
+            want_x, want_ok = solve_gram_matrix_by_matrix(gram[i:i + 1], rhs[i:i + 1])
+            assert bool(ok) == bool(want_ok[0]) and x.tobytes() == want_x[0].tobytes()
+
+
 class TestKSubsets:
     @pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (6, 3), (9, 4), (12, 6), (7, 7)])
     @pytest.mark.parametrize("chunk", [1, 3, 7, None])
@@ -468,7 +541,9 @@ def softmax_by_temporaries(z):
 
 def routing_inputs():
     """1-D rows, 2-D batches, a barrier-shaped (T, N) stack of |correlations| and a
-    (B, k, C) block, each also drawn from three values so that exact ties abound."""
+    (B, k, C) block, each also drawn from three values so that exact ties abound;
+    then E = 2, signed zeros, all-tied rows and rows holding NaN, +inf or -inf,
+    all -inf included, as 1-D, 2-D and 3-D inputs."""
     rng = np.random.default_rng(61)
     yield rng.standard_normal(7)
     yield rng.standard_normal((128, 16))
@@ -477,6 +552,23 @@ def routing_inputs():
     yield rng.integers(0, 3, 9).astype(float)
     yield rng.integers(0, 3, (40, 6)).astype(float)
     yield np.abs(rng.integers(-2, 3, (8, 64))).astype(float)
+    yield rng.standard_normal((33, 2))
+    yield rng.integers(0, 2, (3, 4, 2)).astype(float)
+    signed_zeros = np.array([[-0.0, 0.0, -0.0, -1.0], [0.0, -0.0, -0.0, 0.0],
+                             [-1.0, -0.0, 0.0, -0.0], [-0.0, -0.0, -0.0, -0.0]])
+    yield signed_zeros
+    yield signed_zeros[2]
+    yield np.full((6, 5), 0.2)
+    yield np.full((2, 3, 2), -0.5)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0])
+    yield special[rng.integers(0, 6, (200, 5))]
+    yield special[rng.integers(0, 6, (20, 3, 2))]
+    yield special[rng.integers(0, 6, (400, 2))]
+    yield np.array([[np.nan, 1.0, 2.0, np.nan], [1.0, np.inf, 3.0, np.inf],
+                    [-np.inf, -np.inf, -np.inf, -np.inf], [5.0, -np.inf, -np.inf, -np.inf],
+                    [-np.inf, -np.inf, -np.inf, 5.0], [np.nan, np.nan, np.nan, np.nan]])
+    yield np.array([-np.inf, 2.0, -np.inf])
+    yield np.full((2, 2, 3), -np.inf)
 
 
 class TestRoutingPrimitivesAgainstReplacedForms:
@@ -494,17 +586,39 @@ class TestRoutingPrimitivesAgainstReplacedForms:
         assert topk_indices(scores, 4).tolist() == [[0, 1, 2, 4], [0, 1, 2, 3], [0, 1, 2, 3]]
         assert topk_indices(scores[1], 3).tolist() == [0, 1, 2]
 
+    def test_argmax_route_agrees_on_finite_rows_of_non_finite_batches(self):
+        # the argmax passes run only on all-finite input; a batch with one
+        # non-finite row takes the argsort, and its finite rows must agree
+        rng = np.random.default_rng(67)
+        scores = rng.integers(0, 3, (64, 4)).astype(float)
+        for k in (1, 2):
+            finite = topk_indices(scores, k)
+            spoiled = scores.copy()
+            spoiled[-1, 0] = np.nan
+            assert topk_indices(spoiled, k)[:-1].tobytes() == finite[:-1].tobytes()
+
     def test_softmax_matches_replaced_form(self):
         for z in routing_inputs():
-            got, want = softmax_rows(z), softmax_by_temporaries(z)
+            with np.errstate(invalid="ignore"):  # inf - inf in the rows with infinities
+                got, want = softmax_rows(z), softmax_by_temporaries(z)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_softmax_leaves_a_read_only_input_unchanged(self):
         for z in routing_inputs():
             before = z.tobytes()
             z.setflags(write=False)
-            p = softmax_rows(z)
+            with np.errstate(invalid="ignore"):
+                p = softmax_rows(z)
             assert z.tobytes() == before and p.flags.writeable and p is not z
+
+    def test_topk_leaves_a_read_only_input_unchanged(self):
+        # the second argmax pass masks a copy, never the scores
+        for z in routing_inputs():
+            before = z.tobytes()
+            z.setflags(write=False)
+            for k in (1, 2):
+                topk_indices(z, k)
+            assert z.tobytes() == before
 
 
 def _read_only(a):

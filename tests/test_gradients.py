@@ -130,6 +130,70 @@ class TestGeluDerivative:
         np.testing.assert_allclose(gelu(u)[0], reference, rtol=0, atol=1e-15)
 
 
+def gelu_by_expression(u):
+    """The one-expression GELU that the in-place `gelu` replaced, kept as its oracle."""
+    c, a = np.sqrt(2.0 / np.pi), 0.044715
+    u = np.asarray(u, dtype=float)
+    t = np.tanh(c * (u + a * (u * u * u)))
+    return 0.5 * u * (1.0 + t), t
+
+
+def gelu_grad_by_expression(u, t):
+    """The one-expression derivative that the in-place `gelu_grad` replaced."""
+    c, a = np.sqrt(2.0 / np.pi), 0.044715
+    return 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t**2) * c * (1.0 + 3.0 * a * u**2)
+
+
+def gelu_inputs():
+    """Random blocks, |u| >= 20 (tanh saturates), subnormals and signed zeros, 0-d."""
+    rng = np.random.default_rng(83)
+    yield rng.standard_normal((256, 32))
+    yield rng.standard_normal(1001) * 4.0
+    big = rng.uniform(20.0, 1e3, 500) * rng.choice([-1.0, 1.0], 500)
+    yield np.concatenate([big, [20.0, -20.0, 1e100, -1e100]])
+    yield np.array([5e-324, -5e-324, 2.2e-308, -1e-310, 0.0, -0.0])
+    yield rng.standard_normal(300) * 1e-160  # the cube underflows to subnormals and zero
+    yield rng.standard_normal((3, 4, 5))
+    yield np.array(0.7)
+    yield np.array(-25.0)
+
+
+class TestGeluAgainstExpressions:
+    def test_bit_for_bit(self):
+        for u in gelu_inputs():
+            a, t = gelu(u)
+            want_a, want_t = gelu_by_expression(u)
+            assert type(a) is type(want_a) and type(t) is type(want_t)
+            assert np.shape(a) == np.shape(u) and np.shape(t) == np.shape(u)
+            assert a.tobytes() == want_a.tobytes() and t.tobytes() == want_t.tobytes()
+            g, want_g = gelu_grad(u, t), gelu_grad_by_expression(u, want_t)
+            assert type(g) is type(want_g) and g.tobytes() == want_g.tobytes()
+
+    def test_python_scalars(self):
+        for u in (0.0, -3.5, 1e-300):
+            a, t = gelu(u)
+            assert a == gelu_by_expression(u)[0] and t == gelu_by_expression(u)[1]
+            assert gelu_grad(u, t) == gelu_grad_by_expression(u, t)
+
+    def test_inputs_are_never_written(self):
+        for u in gelu_inputs():
+            before = u.tobytes()
+            u.setflags(write=False)
+            a, t = gelu(u)
+            t = np.array(t)
+            t.setflags(write=False)
+            t_before = t.tobytes()
+            gelu_grad(u, t)
+            assert u.tobytes() == before and t.tobytes() == t_before
+
+    def test_results_are_fresh_arrays(self):
+        u = np.random.default_rng(89).standard_normal((16, 8))
+        a, t = gelu(u)
+        g = gelu_grad(u, t)
+        assert not any(np.shares_memory(x, y) for x, y in
+                       ((a, u), (t, u), (a, t), (g, u), (g, t)))
+
+
 class TestBackwardAgainstFiniteDifferences:
     @pytest.mark.parametrize("reg_kind", ["none", "ortho", "ncl", "dpp"])
     def test_full_model(self, reg_kind):

@@ -17,7 +17,10 @@ from moegeo.infotheory import (
     CategoricalDist,
     RoutingBatch,
     aux_loss,
+    collision_mass,
+    entropy,
     kl_sparse_project,
+    topk_conditional_entropy,
 )
 from moegeo.moe import (
     ForwardTrace,
@@ -579,6 +582,68 @@ class TestHeatmap:
         y = rng.integers(0, 5, 100)
         heat = heatmap_of(params, config, x, y)
         np.testing.assert_allclose(heat.sum(axis=0), 2.0, atol=1e-9)
+
+
+def eval_metrics_by_vstack(params, config, test_x, test_y):
+    """The `_eval_metrics` body that stacked every chunk's routing into a second
+    RoutingBatch, one chunk or many, kept as its oracle."""
+    correct = 0
+    probs_chunks, sel_chunks = [], []
+    for start in range(0, len(test_y), moe._EVAL_CHUNK):
+        trace = forward(params, config, test_x[start:start + moe._EVAL_CHUNK])
+        pred = np.argmax(trace.logits, axis=1)
+        correct += int(np.sum(pred == test_y[start:start + moe._EVAL_CHUNK]))
+        probs_chunks.append(trace.routing.dense_probs)
+        sel_chunks.append(trace.routing.selections)
+    batch = RoutingBatch(dense_probs=np.vstack(probs_chunks),
+                         selections=np.vstack(sel_chunks))
+    p_bar = CategoricalDist(batch.marginal)
+    return {
+        "test_acc": correct / len(test_y),
+        "marg_entropy": entropy(p_bar.probs),
+        "cond_entropy": topk_conditional_entropy(batch),
+        "collision_mass": collision_mass(p_bar),
+        "selections": batch.selections,
+    }
+
+
+class TestEvalMetrics:
+    """_eval_metrics holds a one-chunk split's routing and stacks a longer one once."""
+
+    @staticmethod
+    def split(rows):
+        config = MoEConfig(seed=42)
+        gen = np.random.default_rng(rows)
+        params = init_params(config, gen)
+        x = gen.standard_normal((rows, config.input_dim))
+        return params, config, x, gen.integers(0, config.classes, rows)
+
+    @pytest.mark.parametrize("rows, batches", [(400, 1), (1100, 4)])
+    def test_routing_batches_built(self, monkeypatch, rows, batches):
+        params, config, x, y = self.split(rows)
+        built = []
+        post_init = RoutingBatch.__post_init__
+
+        def counted(batch):
+            built.append(batch)
+            post_init(batch)
+
+        monkeypatch.setattr(RoutingBatch, "__post_init__", counted)
+        moe._eval_metrics(params, config, x, y)
+        # one per forward chunk, and for several chunks the stacked one
+        assert len(built) == batches
+
+    @pytest.mark.parametrize("rows", [400, 1100, 512, 513])
+    def test_matches_the_restacking_body(self, rows):
+        params, config, x, y = self.split(rows)
+        got = moe._eval_metrics(params, config, x, y)
+        want = eval_metrics_by_vstack(params, config, x, y)
+        assert got.keys() == want.keys()
+        for name in ("test_acc", "marg_entropy", "cond_entropy", "collision_mass"):
+            assert float(got[name]).hex() == float(want[name]).hex(), name
+        assert got["selections"].dtype == want["selections"].dtype
+        assert got["selections"].tobytes() == want["selections"].tobytes()
+        assert not got["selections"].flags.writeable
 
 
 def quick_dataset():
