@@ -386,7 +386,7 @@ def cmd_info(cfg):
         "collision_mass": collision_mass(p_bar),
         "topk_conditional_entropy": h_cond,
         "mi_lower_bound": mi_lower_bound(e, k) if k < e else 0.0,
-        "empirical_mi": mi, "routing_entropy": h_z, "conditional_entropy": h_cond,
+        "empirical_mi": mi, "routing_entropy": h_z,
     }}, 0
 
 
@@ -438,6 +438,9 @@ def main(argv=None):
         return status
     except _CONFIG_ERRORS as exc:
         print(f"config: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input too large for this host
+        print(f"config: out of memory: {exc}", file=sys.stderr)
         return 2
     except MoegeoError as exc:
         print(f"abort: {exc}", file=sys.stderr)

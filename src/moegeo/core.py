@@ -45,20 +45,20 @@ def _checked(a, ndim, name) -> np.ndarray:
 
 
 def _checked_copy(x, dtype=np.float64, ndim=None, name=None) -> np.ndarray:
-    """A copy of x (dtype None keeps x's); given a name, InvalidShapeError on a non-finite entry."""
+    """A copy of x as dtype; given a name, InvalidShapeError on a non-finite entry."""
     return _checked(np.array(x, dtype=dtype, copy=True), ndim, name)
 
 
 def _frozen_array(x, dtype=np.float64, ndim=None, name=None) -> np.ndarray:
     """x as a read-only array, with the checks of _checked_copy.
 
-    A read-only C-contiguous array of the requested dtype (any dtype when
-    dtype is None) is held as it is: the package writes no array once it has
-    frozen one, so a fresh result that its maker froze needs no second copy.
-    Anything else becomes a read-only _checked_copy.
+    A read-only C-contiguous array of the requested dtype is held as it is:
+    the package writes no array once it has frozen one, so a fresh result
+    that its maker froze needs no second copy. Anything else becomes a
+    read-only _checked_copy.
     """
     if (isinstance(x, np.ndarray) and not x.flags.writeable and x.flags.c_contiguous
-            and (dtype is None or x.dtype == dtype)):
+            and x.dtype == dtype):
         return _checked(x, ndim, name)
     a = _checked_copy(x, dtype, ndim, name)
     a.setflags(write=False)
@@ -85,33 +85,26 @@ def _unit_matrices(x, ndim: int) -> tuple[np.ndarray, np.ndarray]:
     of them (ndim 3), and its read-only Gram: DᵀD, or every matrix's DᵀD.
 
     x is taken through `_frozen_array`, so a freshly blended stack, or a view
-    of one, is held without a second copy. InvalidShapeError when a matrix
-    has a non-finite entry, d < 1 or N < 2, or a column whose norm is not 1
-    within 1e-10: the message is the one that the first such matrix, in
-    stack order, raises alone.
+    of one, is held without a second copy. InvalidShapeError, in this order,
+    when any entry is non-finite, when d < 1 or N < 2, and when a column's
+    norm is not 1 within 1e-10: the worst column of the first matrix that
+    has one.
 
-    The Gram is formed right after the finiteness check, in one stacked
-    product whose (N, N) slices each have the bytes of that matrix's own 2-D
-    syrk, and the column norms are the square roots of its diagonal. Only
-    the matrices before the first non-finite one enter it, since that one's
-    message stands unless an earlier one fails.
+    The Gram is one stacked product whose (N, N) slices each have the bytes
+    of that matrix's own 2-D syrk, and the column norms are the square roots
+    of its diagonal.
     """
-    a = _frozen_array(x, ndim=ndim)
+    a = _frozen_array(x, ndim=ndim, name="dictionary")
     stack = a[None] if ndim == 2 else a
     d, n = stack.shape[1:]
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    first = len(stack) if finite.all() else int(np.argmin(finite))
-    head = stack[:first]
-    grams = head.transpose(0, 2, 1) @ head
+    if d < 1 or n < 2:
+        raise InvalidShapeError(f"dictionary needs d >= 1 and N >= 2, got {d} x {n}")
+    grams = stack.transpose(0, 2, 1) @ stack
     norms = np.sqrt(np.diagonal(grams, axis1=1, axis2=2))
     off = np.abs(norms - 1.0)
-    bad = (off > 1e-10).any(axis=1) | (d < 1 or n < 2)
-    if bad.any() or first < len(stack):
-        t = int(np.argmax(bad)) if bad.any() else first
-        if t == first:
-            raise InvalidShapeError("dictionary contains non-finite entries")
-        if d < 1 or n < 2:
-            raise InvalidShapeError(f"dictionary needs d >= 1 and N >= 2, got {d} x {n}")
+    bad = (off > 1e-10).any(axis=1)
+    if bad.any():
+        t = int(np.argmax(bad))
         worst = int(np.argmax(off[t]))
         raise InvalidShapeError(
             f"column {worst} has norm {float(norms[t, worst])}, expected 1 within 1e-10"

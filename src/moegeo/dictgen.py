@@ -200,12 +200,11 @@ def coherent_dictionaries(bases, targets, tol: float):
 
     The blends and column normalizations run on the (T, dim, n_atoms) stack,
     one target at a time, each matrix with the bytes of its base alone. The
-    bisection has a lane per (nonzero target, base). From _VECTOR_LANES lanes
-    on, _bisect_lanes bisects every lane in one numpy pass before the first
-    target is built; below, each lane runs _bisect_blend when its target is
-    reached, since a numpy pass costs about as much at one lane as at ten. The
-    two routes give the same bytes and raise the same errors at the same
-    target.
+    bisection has a lane per (nonzero target, base), and every lane is
+    bisected before the first target is built: from _VECTOR_LANES lanes on
+    by _bisect_lanes in one numpy pass, below by _bisect_blend lane by lane,
+    since a numpy pass costs about as much at one lane as at ten. The two
+    routes give the same bytes and raise the same errors at the same target.
 
     Each bisection step reads the coherence from the closed form of
     _blend_coherence, not a built d x N dictionary. For t in (0, 1) and
@@ -229,19 +228,16 @@ def coherent_dictionaries(bases, targets, tol: float):
     base, u, a = bases
     ext = _extreme_entries(a)
     nonzero = [mu for mu in targets if mu != 0.0]
-    vector = len(nonzero) * len(a) >= _VECTOR_LANES
-    if vector:
-        bisected = iter(_bisect_lanes(np.tile(ext.T, len(nonzero)),
-                                      np.repeat(nonzero, len(a))).reshape(len(nonzero), len(a)))
+    if len(nonzero) * len(a) >= _VECTOR_LANES:
+        ts = _bisect_lanes(np.tile(ext.T, len(nonzero)), np.repeat(nonzero, len(a)))
+    else:
+        ts = np.array([_bisect_blend(row, mu) for mu in nonzero for row in ext.tolist()])
+    ts = iter(ts.reshape(len(nonzero), len(a)))
     for target_mu in targets:
         if target_mu == 0.0:
             data = base
         else:
-            if vector:
-                t = next(bisected)
-            else:
-                t = np.array([_bisect_blend(row, target_mu) for row in ext.tolist()])
-            data = _blend(base, u, t[:, None, None])
+            data = _blend(base, u, next(ts)[:, None, None])
             data.setflags(write=False)
         dictionaries = DictionaryStack(data)
         measured = mutual_coherence(dictionaries)

@@ -238,10 +238,10 @@ class ForwardTrace:
 
     `routing` is the one validated RoutingBatch of the pass; its gates,
     kept mass and expert load are the ones forward used. `expert_cache`
-    is `(rows, slots, bounds, spans, xr, u, a, t)`: the B*k (row, slot)
-    pairs of the batch grouped by selected expert, rows ascending within
-    each group; expert e owns positions bounds[e]:bounds[e+1], and `spans`,
-    `_expert_spans(bounds)`, lists the experts that own any. `xr` holds the
+    is `(rows, slots, spans, xr, u, a, t)`: the B*k (row, slot) pairs of
+    the batch grouped by selected expert, rows ascending within each group,
+    and `spans`, `_expert_spans` of the load's cumulative sums, the
+    (e, lo, hi) of each expert e that owns positions lo:hi. `xr` holds the
     gathered inputs, `u` and `a` the pre- and post-activation blocks, and
     `t` the tanh term that `gelu_grad` reuses. The arrays are forward's own,
     not copies.
@@ -311,7 +311,7 @@ def forward(params, config, x_batch):
             raise NonFiniteError("forward pass produced non-finite values")
     return ForwardTrace(x=x, routing=routing, expert_outputs=outputs, logits=logits,
                         log_probs=log_probs, class_probs=class_probs,
-                        expert_cache=(rows, slots, bounds, spans, xr, u, a, t))
+                        expert_cache=(rows, slots, spans, xr, u, a, t))
 
 
 def _normalized_outputs(trace):
@@ -461,7 +461,7 @@ def backward(params, trace, labels, config):
                                            params.w_out.shape))
     np.matmul(d_probs.T, trace.x, out=d_w_g)
 
-    rows, slots, _, spans, xr, u, a, t = trace.expert_cache
+    rows, slots, spans, xr, u, a, t = trace.expert_cache
     gy = d_outputs[rows, slots]
     ga = np.empty_like(u)
     for e, lo, hi in spans:
@@ -592,7 +592,11 @@ def ambiguity_decomposition(expert_outputs, target):
 
 @dataclass(frozen=True)
 class TrainReport:
-    """Per-epoch trajectory of one fold; row 0 is the untrained model."""
+    """Per-epoch trajectory of one fold; row 0 is the untrained model.
+
+    Its array fields are the one list of series: `train_fold` records a row
+    per epoch of each but `epoch` and `heatmap`.
+    """
 
     fold: int
     config: MoEConfig
@@ -609,22 +613,11 @@ class TrainReport:
     heatmap: np.ndarray  # (E, C) on the test split, final params
 
     def __post_init__(self):
-        n = len(self.epoch)
         for f in fields(self):
             if f.name in ("fold", "config"):
                 continue
             dtype = np.int64 if f.name == "epoch" else np.float64
-            arr = _frozen_array(getattr(self, f.name), dtype=dtype)
-            object.__setattr__(self, f.name, arr)
-            if f.name != "heatmap" and len(arr) != n:
-                raise InvalidShapeError(f"{f.name} length disagrees with epoch axis")
-        if np.any(self.test_acc < 0) or np.any(self.test_acc > 1):
-            raise InvalidShapeError("accuracy must lie in [0, 1]")
-        e = self.config.experts
-        if np.any(self.eff_rank < 1 - 1e-9) or np.any(self.eff_rank > e + 1e-9):
-            raise InvalidShapeError("effective rank must lie in [1, E]")
-        if np.any(self.heatmap < 0):
-            raise InvalidShapeError("heatmap entries must be nonnegative")
+            object.__setattr__(self, f.name, _frozen_array(getattr(self, f.name), dtype=dtype))
 
     @property
     def final_accuracy(self):
@@ -700,9 +693,8 @@ def train_fold(config, train, test, fold=0):
     params = init_params(config, stream(config.seed, "init", fold))
     probe = train_x[:min(_PROBE_SIZE, len(train_x))]
 
-    rows = {name: [] for name in ("loss_task", "loss_aux", "loss_reg", "test_acc",
-                                  "eff_rank", "coherence", "marg_entropy",
-                                  "cond_entropy", "collision_mass")}
+    rows = {f.name: [] for f in fields(TrainReport)
+            if f.name not in ("fold", "config", "epoch", "heatmap")}
 
     def record(loss_triplet):
         metrics = _eval_metrics(params, config, test_x, test_y)

@@ -246,11 +246,14 @@ ALL_CHECKS = {
 
 
 def run_verification(seed=42, checks=None):
-    """Run the selected checks (all by default), each on its own stream.
+    """Run the selected checks (all when checks is None), each on its own stream.
 
-    InvalidConfigError names the first check that ALL_CHECKS does not hold.
+    InvalidConfigError on an empty selection, and naming the first check that
+    ALL_CHECKS does not hold.
     """
-    names = list(ALL_CHECKS) if not checks else list(checks)
+    names = list(ALL_CHECKS) if checks is None else list(checks)
+    if not names:
+        raise InvalidConfigError(f"checks selects none; known: {', '.join(ALL_CHECKS)}")
     unknown = [n for n in names if n not in ALL_CHECKS]
     if unknown:
         raise InvalidConfigError(f"unknown check {unknown[0]!r}; known: {', '.join(ALL_CHECKS)}")

@@ -126,6 +126,34 @@ class TestExitCodes:
         assert code == 2
         assert "nonsense" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [None, '{"checks": []}'], ids=["flag", "file"])
+    def test_empty_check_selection_is_config_error(self, tmp_path, capsys, config):
+        argv = ["verify", "--checks", ","]
+        if config is not None:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(config)
+            argv = ["verify", "--config", str(cfg)]
+        out = tmp_path / "o"
+        assert main([*argv, "--output_dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config: checks selects none; known: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_out_of_memory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # numpy raises a MemoryError for an allocation the host refuses, as for
+        # kl-project --experts 100000000000; raised here without asking for one
+        def refused(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "CategoricalDist", refused)
+        out = tmp_path / "o"
+        code = main(["kl-project", "--output_dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "config: out of memory: Unable to allocate 745. GiB for an array\n"
+        assert not out.exists()
+
     def test_numerical_abort_is_exit_3(self, tmp_path, capsys):
         # a learning rate this large overflows the first update: a diverged fold
         with np.errstate(all="ignore"):
@@ -556,6 +584,10 @@ class TestArtifacts:
         assert main(["info", "--experts", "8", "--k", "2", "--tokens", "64",
                      "--output_dir", str(out)]) == 0
         payload = json.loads((out / "info.json").read_text())
+        assert sorted(payload) == [
+            "aux_loss", "collision_mass", "empirical_mi", "experts", "k", "marginal_entropy",
+            "mi_lower_bound", "renyi2_entropy", "routing_entropy", "tokens",
+            "topk_conditional_entropy"]
         assert payload["topk_conditional_entropy"] <= 0.6931472 + 1e-6
         assert payload["collision_mass"] >= 1 / 8 - 1e-12
         assert payload["empirical_mi"] >= payload["routing_entropy"] - 0.6931472 - 1e-9

@@ -113,7 +113,10 @@ class TestUnitDictionary:
 
 
 def first_alone_error(stack):
-    """The message UnitDictionary raises on the first matrix of stack, in order, that it refuses."""
+    """The message of the one-pass stack check: a non-finite entry anywhere first, then
+    the shape, then the one UnitDictionary raises alone on the first matrix it refuses."""
+    if not np.isfinite(stack).all():
+        return "dictionary contains non-finite entries"
     for m in stack:
         try:
             UnitDictionary(m)
@@ -132,8 +135,8 @@ class TestDictionaryStack:
         {2: "norm", 0: "norm"}, {1: "zero", 2: "nan"},
     ])
     def test_rejects_what_the_first_bad_matrix_alone_rejects(self, plant):
-        # the checks run once for the stack, and the message is the one the first
-        # refused matrix raises alone: non-finite before its norms
+        # the checks run once for the stack: a non-finite entry in any matrix
+        # before every norm, else the message the first bad-norm matrix raises alone
         stack = self.unit_stack()
         for t, kind in plant.items():
             if kind == "nan":

@@ -1,5 +1,7 @@
 """Forward semantics, losses, metrics, and the training loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from moegeo.moe import (
     ForwardTrace,
     MoEConfig,
     MoEParams,
+    TrainReport,
     _reg_output_grad,
     ambiguity_decomposition,
     backward,
@@ -259,7 +262,8 @@ class TestGroupedAgainstPerExpertLoops:
         gen = stream(2025, "grouped-oracle", "order")
         params = init_params(config, gen)
         trace = forward(params, config, gen.standard_normal((50, 7)))
-        rows, slots, bounds = trace.expert_cache[:3]
+        rows, slots = trace.expert_cache[:2]
+        bounds = np.concatenate(([0], np.cumsum(trace.routing.load)))
         sel = trace.routing.selections
         for e in range(config.experts):
             want_rows, want_slots = np.nonzero(sel == e)
@@ -684,6 +688,21 @@ class TestTrainFold:
         np.testing.assert_array_equal(r1.test_acc, r2.test_acc)
         np.testing.assert_array_equal(r1.loss_task, r2.loss_task)
         np.testing.assert_array_equal(r1.heatmap, r2.heatmap)
+
+    def test_report_holds_one_frozen_array_per_series(self):
+        data = quick_dataset()
+        config = MoEConfig(input_dim=16, experts=4, active_k=2, expert_hidden=8,
+                           classes=5, batch=32, epochs=2, seed=9)
+        report = train_fold(config, (data.features[:240], data.labels[:240]),
+                            (data.features[240:], data.labels[240:]))
+        series = [f.name for f in dataclasses.fields(TrainReport)
+                  if f.name not in ("fold", "config", "heatmap")]
+        for name in series:
+            arr = getattr(report, name)
+            assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+            assert arr.shape == (3,)
+            assert arr.dtype == (np.int64 if name == "epoch" else np.float64)
+        np.testing.assert_array_equal(report.epoch, [0, 1, 2])
 
     @pytest.mark.parametrize("empty", ["train", "test"])
     def test_empty_split_rejected(self, empty):
