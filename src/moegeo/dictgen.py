@@ -179,11 +179,13 @@ def blend_bases(dim: int, n_atoms: int, seeds) -> tuple[np.ndarray, np.ndarray, 
     return bases
 
 
-def coherent_dictionaries(bases, targets, tol: float):
-    """For each target of targets in turn, the DictionaryStack of one dictionary
-    per base of bases = blend_bases(...) whose mutual coherence is the target
-    within tol, and each one's measured coherence: a generator of
-    (dictionaries, measured).
+def coherent_dictionaries(bases, targets, tol: float, per_stack: int = 1):
+    """For each group of targets in turn, the DictionaryStack of one dictionary
+    per (target, base) of bases = blend_bases(...) whose mutual coherence is
+    the target within tol, and each one's measured coherence: a generator of
+    (dictionaries, measured). A group is up to per_stack consecutive nonzero
+    targets, or one target 0; its stack holds the group's targets in turn, each
+    the T matrices of the T bases in order.
 
     Construction: blend each sign-aligned orthonormal base toward its unit
     direction u, e_i = normalize((1-t) q_i + t u). Coherence is 0 at t=0,
@@ -195,12 +197,14 @@ def coherent_dictionaries(bases, targets, tol: float):
     only a lowered _T_MAX reaches it); InvalidConfigError, before the first
     yield, for a target outside [0, 1) or a tol that is not positive. The bases are only read, so
     one stack serves every target; at target 0 the dictionaries are the
-    bases. Each target's blend is frozen and held by its DictionaryStack
-    without a copy.
+    bases, in a stack of their own, since a blend at t = 0 renormalizes and
+    would move bytes. Each group's blend is frozen and held by its
+    DictionaryStack without a copy, and dropped after its yield, so a caller
+    that drops its own references holds one stack at a time.
 
-    The blends and column normalizations run on the (T, dim, n_atoms) stack,
-    one target at a time, each matrix with the bytes of its base alone. The
-    bisection has a lane per (nonzero target, base), and every lane is
+    A group's blends and column normalizations are one broadcast call on its
+    (G, T, dim, n_atoms) stack, each matrix with the bytes of its base alone.
+    The bisection has a lane per (nonzero target, base), and every lane is
     bisected before the first target is built: from _VECTOR_LANES lanes on
     by _bisect_lanes in one numpy pass, below by _bisect_blend lane by lane,
     since a numpy pass costs about as much at one lane as at ten. The two
@@ -215,9 +219,10 @@ def coherent_dictionaries(bases, targets, tol: float):
     a = base^T u, and a step costs O(1) where all pairs cost O(N^2). The
     closed form is within a few ULP of the built coherence, far inside tol.
     The loop stops once the midpoint equals an end of the bracket; only the
-    final dictionaries are built. The stack is checked once, and the tol
-    check reads the built coherence of its stacked gram, which later readers
-    (OMP's Gram rows, a ``Kernel`` of ``dictionaries[t]``) share.
+    final dictionaries are built. Each stack is checked once, and the tol
+    check reads the built coherence of its stacked gram, target by target,
+    which later readers (OMP's Gram rows, a ``Kernel`` of ``dictionaries[t]``)
+    share.
     """
     targets = list(targets)
     for target_mu in targets:
@@ -232,21 +237,32 @@ def coherent_dictionaries(bases, targets, tol: float):
         ts = _bisect_lanes(np.tile(ext.T, len(nonzero)), np.repeat(nonzero, len(a)))
     else:
         ts = np.array([_bisect_blend(row, mu) for mu in nonzero for row in ext.tolist()])
-    ts = iter(ts.reshape(len(nonzero), len(a)))
+    ts = ts.reshape(len(nonzero), len(a), 1, 1)
+    groups = []
     for target_mu in targets:
-        if target_mu == 0.0:
+        if target_mu != 0.0 and groups and groups[-1][0] != 0.0 and len(groups[-1]) < per_stack:
+            groups[-1].append(target_mu)
+        else:
+            groups.append([target_mu])
+    lane = 0
+    for group in groups:
+        if group[0] == 0.0:
             data = base
         else:
-            data = _blend(base, u, next(ts)[:, None, None])
+            data = _blend(base, u, ts[lane:lane + len(group)])
             data.setflags(write=False)
+            data = data.reshape(-1, *base.shape[1:])
+            lane += len(group)
         dictionaries = DictionaryStack(data)
         measured = mutual_coherence(dictionaries)
-        for mu in measured:
-            if abs(mu - target_mu) > tol:
-                raise UnreachableError(
-                    f"bisection missed coherence {target_mu} within tol {tol}"
-                )
+        for i, target_mu in enumerate(group):
+            for mu in measured[i * len(a):(i + 1) * len(a)]:
+                if abs(mu - target_mu) > tol:
+                    raise UnreachableError(
+                        f"bisection missed coherence {target_mu} within tol {tol}"
+                    )
         yield dictionaries, measured
+        del data, dictionaries
 
 
 def coherent_dictionary(

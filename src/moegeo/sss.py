@@ -276,17 +276,21 @@ class BarrierCurve:
 def _run_trials(args):
     """Trials ts across the whole grid, each trial's base drawn once and blended
     to every target: mu_measured (P, T) and the planted, greedy and OMP supports
-    (P, T, k) for T = len(ts). Each grid point's trials are one DictionaryStack
-    from the blend to OMP."""
-    d, n, k, grid, ts, seed = args
+    (P, T, k) for T = len(ts). Each stack of coherent_dictionaries, per_stack
+    grid points' trials or target 0's, is one DictionaryStack from the blend
+    to OMP, dropped before the next blend."""
+    d, n, k, grid, ts, seed, per_stack = args
     bases = blend_bases(d, n, [rng.derive_state(seed, "barrier", t, 0) for t in ts])
-    points = []
-    stacks = coherent_dictionaries(bases, grid, COHERENCE_TOL)
-    for gi, (dictionaries, measured) in enumerate(stacks):
-        planted, _, vectors = planted_signals(
-            dictionaries, k, [rng.derive_state(seed, "barrier", gi, t, 1) for t in ts])
-        points.append((measured, planted, *recovery_trials(dictionaries, vectors, k)))
-    return tuple(np.stack(column) for column in zip(*points))
+    stacks, gi = [], 0
+    for dictionaries, measured in coherent_dictionaries(bases, grid, COHERENCE_TOL, per_stack):
+        points = range(gi, gi + len(measured) // len(ts))
+        seeds = [rng.derive_state(seed, "barrier", g, t, 1) for g in points for t in ts]
+        planted, _, vectors = planted_signals(dictionaries, k, seeds)
+        stacks.append((measured, planted, *recovery_trials(dictionaries, vectors, k)))
+        gi = points.stop
+        del dictionaries, vectors
+    columns = (np.concatenate(column) for column in zip(*stacks))
+    return tuple(c.reshape(len(grid), len(ts), *c.shape[1:]) for c in columns)
 
 
 def barrier_sweep(
@@ -309,10 +313,15 @@ def barrier_sweep(
     shape alone, so the curve is independent of scheduling and of ``workers``.
     A job makes one coherent_dictionaries call for its whole grid, which
     bisects every (target, trial) lane at once when there are enough of them
-    (a bench job's 24 nonzero targets x 8 trials are 192). At each grid point
-    its trials are one DictionaryStack, checked once, whose stacked gram gives
-    the measured coherence and OMP's Gram rows; one planted_signals call and
-    one recovery_trials call run on it. There is no per-trial route:
+    (a bench job's 24 nonzero targets x 8 trials are 192). A job holds at
+    most _STACK_BYTES of d x N matrices' trials (at least one), and each of
+    its stacks carries G = max(1, _STACK_BYTES // (8 d N T)) consecutive
+    nonzero grid points' T trials, so a job of few trials still fills its
+    budget (2 grid points at a bench job's 128 x 64 x 8 trials, 1 at the
+    default 16). Each stack is one DictionaryStack, checked once, whose
+    stacked gram gives the measured coherence and OMP's Gram rows; one
+    planted_signals call and one recovery_trials call run on it, and it is
+    dropped before the next blend. There is no per-trial route:
     planted_signal, omp_select and recovery_trial are the one-matrix calls of
     these stacked bodies.
     """
@@ -331,7 +340,7 @@ def barrier_sweep(
     seed = rng.check_seed(seed)
 
     chunk = max(1, _STACK_BYTES // (8 * d * n_atoms))
-    jobs = [(d, n_atoms, k, grid, range(start, min(start + chunk, trials)), seed)
-            for start in range(0, trials, chunk)]
+    chunks = [range(start, min(start + chunk, trials)) for start in range(0, trials, chunk)]
+    jobs = [(d, n_atoms, k, grid, ts, seed, max(1, chunk // len(ts))) for ts in chunks]
     parts = run_jobs(_run_trials, jobs, workers)
     return BarrierCurve(tuple(grid), k, *(np.concatenate(column, axis=1) for column in zip(*parts)))

@@ -166,7 +166,9 @@ def check_submodularity(gen, cases):
     chain A subset-of B and e outside B must give gain(A,e) >= gain(B,e) - 1e-8
     and gain(B,e) - log(eps) >= -1e-8 (the latter is monotonicity of the shifted
     objective, whose per-element gain is the raw gain minus log eps). The margin
-    is the worst signed slack seen, negative on a violation.
+    is the worst signed slack seen, negative on a violation; a chain with A = B
+    has a diminishing-returns difference of 0 by construction, so it counts as
+    satisfied and its slack is not read.
     """
     violations = 0
     worst = np.inf
@@ -184,7 +186,7 @@ def check_submodularity(gen, cases):
             e = int(perm[b_size])
             gain_a = marginal_gain(kernel, a, e)
             gain_b = marginal_gain(kernel, b, e)
-            diminishing = gain_a - gain_b
+            diminishing = gain_a - gain_b if b_size > a_size else np.inf
             monotone = gain_b - log_eps
             worst = min(worst, diminishing, monotone)
             if diminishing < -1e-8 or monotone < -1e-8:

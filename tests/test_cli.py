@@ -572,7 +572,8 @@ class TestArtifacts:
         monkeypatch.setattr(cli, "Kernel", lambda d: kernels.append(diversity.Kernel(d)) or kernels[-1])
         assert main(["dpp-select", *shape, "--output_dir", str(tmp_path / "d")]) == 0
         [blended], [(stack, measured)], [gram], [kernel] = blends, stacks, grams, kernels
-        assert stack.data is blended
+        # the stack holds the (1, T, d, N) blend as a (T, d, N) view
+        assert stack.data.base is blended
         assert np.shares_memory(kernel.dictionary.data, blended)
         assert np.shares_memory(kernel.dictionary.gram, gram)
         assert gram is stack.gram

@@ -81,6 +81,14 @@ def all_pairs_blend(base, u, target_mu):
     return UnitDictionary(_blend(base, u, 0.5 * (lo + hi)))
 
 
+def per_target(built, trials):
+    """A coherent_dictionaries stack's (dictionaries, measured), target by target:
+    its matrices and coherences in runs of one per base."""
+    dictionaries, measured = built
+    return [([dictionaries[j] for j in range(i, i + trials)], measured[i:i + trials])
+            for i in range(0, len(measured), trials)]
+
+
 def linear_probe_accuracy(x, labels, n_classes):
     """One-vs-all least-squares probe: fit on the first half, score the rest."""
     half = x.shape[0] // 2
@@ -233,9 +241,11 @@ class TestStackedDraws:
             drawn[id(bases)] = (dim, n_atoms, seeds)
             return bases
 
-        def recording(bases, targets, tol):
-            for target, built in zip(targets, coherent_dictionaries(bases, targets, tol)):
-                stacks.append((drawn[id(bases)], target, built))
+        def recording(bases, targets, tol, per_stack):
+            order = iter(targets)
+            for built in coherent_dictionaries(bases, targets, tol, per_stack):
+                stacks.extend((drawn[id(bases)], next(order), one)
+                              for one in per_target(built, len(bases[0])))
                 yield built
 
         monkeypatch.setattr(sss, "blend_bases", drawing)
@@ -260,9 +270,10 @@ class TestStackedDraws:
             draws.append(len(gens))
             return _haar_columns(gens, dim, n)
 
-        def recording(bases, targets, tol):
-            for target, built in zip(targets, coherent_dictionaries(bases, targets, tol)):
-                stacks.append((target, built[0]))
+        def recording(bases, targets, tol, per_stack):
+            order = iter(targets)
+            for built in coherent_dictionaries(bases, targets, tol, per_stack):
+                stacks.extend((next(order), one[0]) for one in per_target(built, len(bases[0])))
                 yield built
 
         monkeypatch.setattr(dictgen, "_haar_columns", counting)

@@ -1,11 +1,12 @@
 """Subset selection solvers and the coherence-barrier experiment."""
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
-from moegeo import core, rng, sss
+from moegeo import core, dictgen, rng, sss
 from moegeo.core import (
     DictionaryStack, UnitDictionary, _solve_gram, least_squares_on_support,
     least_squares_on_supports, mutual_coherence, normalize_columns, run_jobs,
@@ -52,8 +53,9 @@ def as_stack(dictionaries, signals):
 def per_trial_job(args):
     """A sweep job trial by trial, the oracle of the stacked job sss._run_trials:
     at each grid point, each trial's own UnitDictionary (a copy, with its own
-    gram), its coherence, its planted signal and its one-trial recovery."""
-    d, n, k, grid, ts, seed = args
+    gram), its coherence, its planted signal and its one-trial recovery; the
+    job's targets per stack are not read."""
+    d, n, k, grid, ts, seed = args[:6]
     bases = blend_bases(d, n, [rng.derive_state(seed, "barrier", t, 0) for t in ts])
     points = []
     for gi, (stack, _) in enumerate(coherent_dictionaries(bases, grid, COHERENCE_TOL)):
@@ -554,7 +556,9 @@ class TestBarrierSweep:
     @pytest.mark.parametrize("d, n_atoms, k", [(128, 64, 6), (16, 4, 2), (4, 2, 2), (16, 8, 8)],
                              ids=["bench", "d16-n4", "d4-n2", "k-eq-n"])
     def test_stacked_job_matches_per_trial_oracle(self, d, n_atoms, k):
-        args = (d, n_atoms, k, BARRIER_GRID, range(8), 42)
+        # the targets per stack a sweep gives 8 trials: 2 at 128 x 64, the whole grid below
+        per_stack = max(1, core._STACK_BYTES // (8 * d * n_atoms * 8))
+        args = (d, n_atoms, k, BARRIER_GRID, range(8), 42, per_stack)
         assert_same_columns(sss._run_trials(args), per_trial_job(args))
 
     @pytest.mark.parametrize("targets, trials", [(1, 1), (9, 1), (10, 1), (7, 3)],
@@ -562,7 +566,7 @@ class TestBarrierSweep:
     def test_both_bisection_routes_match_per_trial_oracle(self, targets, trials):
         # target 0 makes no lane; from 10 lanes on the job bisects them in one pass
         grid = [0.0] + BARRIER_GRID[-targets:]
-        args = (32, 16, 3, grid, range(5, 5 + trials), 7)
+        args = (32, 16, 3, grid, range(5, 5 + trials), 7, 4)
         assert_same_columns(sss._run_trials(args), per_trial_job(args))
 
     @pytest.mark.parametrize("seed", [1, 7, 42, 2024])
@@ -573,6 +577,58 @@ class TestBarrierSweep:
         curve = barrier_sweep(24, 12, 3, BARRIER_GRID, trials=6, seed=seed, workers=workers)
         stacked = (curve.mu_measured, curve.planted, curve.greedy, curve.omp)
         assert_same_columns(stacked, per_trial_job((24, 12, 3, BARRIER_GRID, range(6), seed)))
+
+    @pytest.mark.parametrize("trials", [8, 9])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grouped_stacks_match_per_trial_oracle(self, monkeypatch, trials, workers):
+        # a budget of 6 matrices cuts a job of 6 trials, one grid point a stack, and a
+        # last job of 2 (or 3) trials, 3 (or 2) grid points a stack: target 0 alone,
+        # then the 7 nonzero targets in stacks of 3, 3, 1 (or 2, 2, 2, 1)
+        monkeypatch.setattr(sss, "_STACK_BYTES", 6 * 8 * 24 * 12)
+        jobs = []
+        monkeypatch.setattr(sss, "run_jobs", lambda fn, js, w:
+                            jobs.append([j[4:] for j in js]) or run_jobs(fn, js, w))
+        grid = BARRIER_GRID[:8]
+        curve = barrier_sweep(24, 12, 3, grid, trials=trials, seed=11, workers=workers)
+        assert jobs == [[(range(6), 11, 1), (range(6, trials), 11, 6 // (trials - 6))]]
+        stacked = (curve.mu_measured, curve.planted, curve.greedy, curve.omp)
+        assert_same_columns(stacked, per_trial_job((24, 12, 3, grid, range(trials), 11)))
+
+    @pytest.mark.parametrize("d, n_atoms, budget, trials, stacks", [
+        # the real budget: 3 trials fill 5 grid points a stack, target 0 alone
+        (128, 64, None, 3, [3, 15, 15, 15, 15, 12]),
+        # 5 matrices: a job of 5 trials, one point a stack, then one of 2 trials, 2 points a stack
+        (16, 8, 5, 7, [5] * 25 + [2] + [4] * 12),
+        # under one matrix: one trial a job and a stack, over the budget
+        (16, 8, 0.9, 2, [1] * 50),
+    ], ids=["1MiB", "5-matrices", "under-one-matrix"])
+    def test_each_stack_fits_and_is_released(self, monkeypatch, d, n_atoms, budget, trials, stacks):
+        # a barrier job's stack holds at most the budget of matrices, unless one
+        # target's trials alone are more, and no stack outlives the next blend
+        matrix = 8 * d * n_atoms
+        if budget is not None:
+            monkeypatch.setattr(sss, "_STACK_BYTES", int(budget * matrix))
+        built, blend = [], dictgen._blend
+
+        def released():
+            return all(ref() is None for _, ref in built)
+
+        def blending(base, u, t):
+            assert released()
+            return blend(base, u, t)
+
+        def recording(data):
+            assert released()
+            stack = DictionaryStack(data)
+            built.append((stack.data.nbytes, weakref.ref(stack)))
+            return stack
+
+        monkeypatch.setattr(dictgen, "_blend", blending)
+        monkeypatch.setattr(dictgen, "DictionaryStack", recording)
+        barrier_sweep(d, n_atoms, 3, BARRIER_GRID, trials=trials, seed=42)
+        assert [nbytes // matrix for nbytes, _ in built] == stacks
+        assert all(nbytes <= max(sss._STACK_BYTES, matrix) for nbytes, _ in built)
+        assert released()
 
     def test_workers_do_not_change_results(self, monkeypatch):
         # chunks of 3 trials make 3 jobs, so workers=3 runs them on the pool;
